@@ -28,6 +28,7 @@ The load curve composes three client behaviours:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -67,6 +68,21 @@ class BlockProfile:
     churn_by_epoch: Tuple[int, ...]
 
 
+def population_key(master_seed: int, spec: FleetSpec) -> Tuple:
+    """Everything :func:`generate_block` reads from the seed and the
+    spec: fleets with equal keys have the same client population, block
+    for block (block sizes follow from ``connections``)."""
+    return (master_seed, spec.connections, spec.duration_ns, spec.epochs,
+            spec.zipf_s, spec.slow_fraction, spec.churn_lifetime_ns)
+
+
+def epoch_edges(spec: FleetSpec) -> List[int]:
+    """The interior epoch boundaries, ascending: for
+    ``0 <= t < duration_ns``, ``bisect_right(epoch_edges(spec), t)`` is
+    ``spec.epoch_of(t)``."""
+    return [end for _, end in spec.epoch_bounds()[:-1]]
+
+
 def generate_block(master_seed: int, block_id: int, size: int,
                    spec: FleetSpec) -> BlockProfile:
     """Regenerate block ``block_id``'s population from the master seed."""
@@ -96,13 +112,15 @@ def generate_block(master_seed: int, block_id: int, size: int,
             slow_weight += w
 
     mean_life = spec.mean_lifetime_ns()
+    duration = spec.duration_ns
+    edges = epoch_edges(spec)
     churn = [0] * spec.epochs
     for ub, ul in zip(u_birth, u_life):
-        birth = int(ub * spec.duration_ns)
+        birth = int(ub * duration)
         # Exponential lifetime; 1-ul is in (0, 1] so log is finite.
         death = birth + int(-mean_life * math.log(1.0 - ul))
-        if death < spec.duration_ns:
-            churn[spec.epoch_of(death)] += 1
+        if death < duration:
+            churn[bisect_right(edges, death)] += 1
 
     return BlockProfile(block_id, size, sum(weights), slow_weight,
                         max(weights), tuple(churn))

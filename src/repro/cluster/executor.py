@@ -16,14 +16,22 @@ deterministically from (spec, master_seed), with cross-server coupling
 quantized to epoch boundaries (see :mod:`repro.cluster.lb`).  That is
 why the merged result — and its fingerprint — is identical for any
 ``jobs`` value.
+
+The parent plans what servers share, once per call: :func:`run_fleets`
+generates each distinct client population once and computes the LB's
+block homes once per distinct alive set (a
+:class:`~repro.cluster.server.FleetPlanner`), then runs every server of
+every fleet through one ``sweep_map`` call, each point carrying only its
+JSON slice of that plan.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from itertools import islice
+from typing import List, Optional, Sequence, Union
 
 from repro.cluster.merge import FleetResult
-from repro.cluster.server import run_fleet_server
+from repro.cluster.server import FleetPlanner, run_fleet_server
 from repro.cluster.spec import FleetSpec
 from repro.experiments.sweep import sweep_map
 
@@ -36,25 +44,47 @@ def fleet_parallel_when(npoints: int, jobs: int) -> bool:
     return jobs > 1 and npoints > 1
 
 
+def run_fleets(specs: Sequence[Union[FleetSpec, dict]],
+               master_seed: int = 0,
+               accuracy: Optional[str] = None,
+               jobs: Optional[int] = None,
+               cache_dir: Optional[str] = None,
+               blame: bool = False) -> List[FleetResult]:
+    """Simulate several fleets as one sweep; one merged result per spec,
+    in order.
+
+    Fleets that share a client population (same master seed,
+    connections, duration, epochs and client knobs) generate it once,
+    and the plan lives only for this call.  ``blame=True`` ships a
+    transaction-domain blame shard per server (merged into
+    ``FleetResult.blame``); opt-in because it changes the shard payloads
+    and hence the fleet fingerprint."""
+    specs = [FleetSpec.from_dict(spec) if isinstance(spec, dict) else spec
+             for spec in specs]
+    planner = FleetPlanner(master_seed)
+    points = []
+    for spec in specs:
+        spec_dict = spec.to_dict()
+        for server in range(spec.servers):
+            point = dict(server_id=server, spec=spec_dict,
+                         master_seed=master_seed, accuracy=accuracy,
+                         plan_slice=planner.server_slice(spec, server))
+            if blame:
+                point["blame"] = True
+            points.append(point)
+    shards = iter(sweep_map(run_fleet_server, points, jobs=jobs,
+                            cache_dir=cache_dir,
+                            parallel_when=fleet_parallel_when))
+    return [FleetResult(spec, master_seed, list(islice(shards, spec.servers)))
+            for spec in specs]
+
+
 def run_fleet(spec: Union[FleetSpec, dict], master_seed: int = 0,
               accuracy: Optional[str] = None,
               jobs: Optional[int] = None,
               cache_dir: Optional[str] = None,
               blame: bool = False) -> FleetResult:
-    """Simulate the whole fleet and merge the per-server shards.
-
-    ``blame=True`` ships a transaction-domain blame shard per server
-    (merged into ``FleetResult.blame``); opt-in because it changes the
-    shard payloads and hence the fleet fingerprint."""
-    if isinstance(spec, dict):
-        spec = FleetSpec.from_dict(spec)
-    points = [dict(server_id=server, spec=spec.to_dict(),
-                   master_seed=master_seed, accuracy=accuracy)
-              for server in range(spec.servers)]
-    if blame:
-        for point in points:
-            point["blame"] = True
-    shards = sweep_map(run_fleet_server, points, jobs=jobs,
-                       cache_dir=cache_dir,
-                       parallel_when=fleet_parallel_when)
-    return FleetResult(spec, master_seed, shards)
+    """Simulate the whole fleet and merge the per-server shards (the
+    one-spec :func:`run_fleets`)."""
+    return run_fleets([spec], master_seed, accuracy, jobs, cache_dir,
+                      blame)[0]

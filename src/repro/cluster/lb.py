@@ -69,13 +69,21 @@ def assignment(spec: FleetSpec, epoch: int) -> Dict[int, int]:
             for block in range(FLEET_BLOCKS)}
 
 
+def home_blocks(alive: Set[int]) -> Dict[int, List[int]]:
+    """server -> the blocks it is home to (sorted), for every server in
+    ``alive``: the whole assignment of one alive set in one pass."""
+    homes: Dict[int, List[int]] = {server: [] for server in alive}
+    for block in range(FLEET_BLOCKS):
+        homes[home_server(block, alive)].append(block)
+    return homes
+
+
 def blocks_for(spec: FleetSpec, server_id: int, epoch: int) -> List[int]:
     """The blocks ``server_id`` serves during ``epoch`` (sorted)."""
     alive = alive_servers(spec, epoch)
     if server_id not in alive:
         return []
-    return [block for block in range(FLEET_BLOCKS)
-            if home_server(block, alive) == server_id]
+    return home_blocks(alive)[server_id]
 
 
 def pick_counts(spec: FleetSpec, epoch: int) -> Dict[int, int]:

@@ -5,11 +5,14 @@ fans out across worker processes (picklable by dotted path, JSON
 kwargs, JSON result — the same contract every figure point runner
 honours, so the sweep executor's disk cache works unchanged).  It
 
-1. **plans** the server's epochs from the spec + master seed alone —
+1. **plans** the server's epochs from its slice of the fleet plan —
    which blocks the LB routes here each epoch (including blocks
-   inherited from servers that died in earlier epochs), each epoch's
-   arrival schedule (block aggregates x diurnal curve, plus incast
-   bursts), and the death truncation if this server fails;
+   inherited from servers that died in earlier epochs) and those
+   blocks' aggregates, planned once per call for every server by the
+   parent's :class:`FleetPlanner` (or here, when called on its own) —
+   plus each epoch's arrival schedule (block aggregates x diurnal
+   curve, plus incast bursts) and the death truncation if this server
+   fails;
 2. **simulates** a full octoNIC :class:`Testbed` serving that schedule
    (injecting a live PF flap when the spec says this server's serving
    PF flaps and the team driver can ride it out);
@@ -20,11 +23,13 @@ honours, so the sweep executor's disk cache works unchanged).  It
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+import gc
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
-from repro.cluster.lb import blocks_for
+from repro.cluster.lb import alive_servers, home_blocks
 from repro.cluster.clients import (diurnal_factor, generate_block,
-                                   incast_schedule, server_seed)
+                                   incast_schedule, population_key,
+                                   server_seed)
 from repro.cluster.spec import FleetSpec
 from repro.cluster.workload import FleetServerWorkload, WorkerSegment
 from repro.core.configurations import Testbed
@@ -39,14 +44,73 @@ SLACK_DIVISOR = 3
 SERVING_PF = 1
 
 
-class ServerPlan:
-    """Everything one server's simulation consumes, planned up front."""
+class FleetPlanner:
+    """The planning one fleet call shares across every server of every
+    fleet it runs: each distinct client population is generated once
+    (one :func:`generate_block` per non-empty block, keyed by
+    :func:`population_key`), and the LB's block homes are computed once
+    per distinct alive set.
 
-    def __init__(self, spec: FleetSpec, server_id: int, master_seed: int):
+    A planner lives for one call, never for the process: a replayed run
+    must regenerate its populations, and each run must pay what a fresh
+    one pays.
+    """
+
+    def __init__(self, master_seed: int):
+        self.master_seed = master_seed
+        #: population key -> block -> that block's aggregates.
+        self._populations: Dict[Tuple, Dict[int, Dict]] = {}
+        #: alive set -> server -> the blocks it is home to.
+        self._homes: Dict[FrozenSet[int], Dict[int, List[int]]] = {}
+
+    def server_slice(self, spec: FleetSpec, server_id: int) -> Dict:
+        """What one server point consumes, as plain JSON: per epoch, the
+        blocks the LB routes to it; per non-empty block among them, its
+        connections, total and slow weight and churn per epoch."""
+        sizes = spec.block_sizes()
+        population = self._populations.setdefault(
+            population_key(self.master_seed, spec), {})
+        blocks_by_epoch: List[List[int]] = []
+        aggregates: Dict[str, Dict] = {}
+        for epoch in range(spec.epochs):
+            alive = alive_servers(spec, epoch)
+            blocks: List[int] = []
+            if server_id in alive:
+                key = frozenset(alive)
+                if key not in self._homes:
+                    self._homes[key] = home_blocks(alive)
+                blocks = self._homes[key][server_id]
+            blocks_by_epoch.append(blocks)
+            for block in blocks:
+                if sizes[block] == 0:
+                    continue
+                if block not in population:
+                    profile = generate_block(self.master_seed, block,
+                                             sizes[block], spec)
+                    population[block] = {
+                        "connections": profile.connections,
+                        "total_weight": profile.total_weight,
+                        "slow_weight": profile.slow_weight,
+                        "churn_by_epoch": list(profile.churn_by_epoch)}
+                aggregates[str(block)] = population[block]
+        return {"blocks": blocks_by_epoch, "aggregates": aggregates}
+
+
+class ServerPlan:
+    """Everything one server's simulation consumes, planned up front.
+
+    ``plan_slice`` is the server's :meth:`FleetPlanner.server_slice`;
+    without one the server plans it for itself."""
+
+    def __init__(self, spec: FleetSpec, server_id: int, master_seed: int,
+                 plan_slice: Optional[Dict] = None):
+        if plan_slice is None:
+            plan_slice = FleetPlanner(master_seed).server_slice(
+                spec, server_id)
         self.death = spec.death_ns(server_id)
         sizes = spec.block_sizes()
         incasts = incast_schedule(master_seed, server_id, spec)
-        profiles: Dict[int, object] = {}
+        aggregates = plan_slice["aggregates"]
         self.segments: List[List[WorkerSegment]] = [
             [] for _ in range(spec.workers)]
         self.planned = 0
@@ -54,7 +118,7 @@ class ServerPlan:
         self.churn_by_epoch: List[int] = []
         self.slow_by_epoch: List[float] = []
         for e, (start, end) in enumerate(spec.epoch_bounds()):
-            blocks = blocks_for(spec, server_id, e)
+            blocks = plan_slice["blocks"][e]
             conns = 0
             churn = 0
             slow_w = 0.0
@@ -62,14 +126,11 @@ class ServerPlan:
             for b in blocks:
                 if sizes[b] == 0:
                     continue
-                profile = profiles.get(b)
-                if profile is None:
-                    profile = profiles[b] = generate_block(
-                        master_seed, b, sizes[b], spec)
-                conns += profile.connections
-                churn += profile.churn_by_epoch[e]
-                slow_w += profile.slow_weight
-                total_w += profile.total_weight
+                agg = aggregates[str(b)]
+                conns += agg["connections"]
+                churn += agg["churn_by_epoch"][e]
+                slow_w += agg["slow_weight"]
+                total_w += agg["total_weight"]
             self.conns_by_epoch.append(conns)
             self.churn_by_epoch.append(churn)
             slow_fraction = slow_w / total_w if total_w else 0.0
@@ -98,16 +159,28 @@ class ServerPlan:
 def run_fleet_server(server_id: int, spec: Union[FleetSpec, Dict],
                      master_seed: int = 0,
                      accuracy: Optional[str] = None,
-                     blame: bool = False) -> Dict:
+                     blame: bool = False,
+                     plan_slice: Optional[Dict] = None) -> Dict:
     """Simulate one fleet server end to end; plain-JSON result.
 
     ``blame=True`` additionally ships the server's transaction-domain
     latency-blame shard (queue wait vs service time) for the fleet-wide
     merge.  It is opt-in because the extra ``blame`` key changes the
-    shard payload — and therefore the fleet fingerprint."""
+    shard payload — and therefore the fleet fingerprint.
+
+    ``plan_slice`` is this server's slice of the parent's fleet plan
+    (:meth:`FleetPlanner.server_slice`); without one the server plans
+    its own, with the same result."""
     if isinstance(spec, dict):
         spec = FleetSpec.from_dict(spec)
-    plan = ServerPlan(spec, server_id, master_seed)
+    # The previous point's Testbed is held by reference cycles, which
+    # only the collector frees.  Left to the interpreter's schedule, a
+    # batch of points stacks up dead testbeds and peak memory grows from
+    # batch to batch.  Collecting the young generations here frees it in
+    # well under a millisecond; a full collection costs over ten times
+    # as much.
+    gc.collect(1)
+    plan = ServerPlan(spec, server_id, master_seed, plan_slice)
     testbed = Testbed(spec.config,
                       seed=server_seed(master_seed, server_id),
                       accuracy=accuracy)

@@ -19,6 +19,14 @@ from typing import List, Optional
 from repro.experiments.base import all_experiment_names, get_experiment
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ioctopus-repro",
@@ -46,16 +54,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--report", action="store_true",
                         help="emit a markdown report (tables + claim "
                              "verdicts) instead of plain tables")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    parser.add_argument("--jobs", type=positive_int, default=None,
+                        metavar="N",
                         help="run independent sweep points across N "
                              "worker processes (default: serial)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="cache finished sweep points in DIR, keyed "
                              "by code+parameter hash")
-    parser.add_argument("--servers", type=int, default=None, metavar="N",
+    parser.add_argument("--servers", type=positive_int, default=None,
+                        metavar="N",
                         help="fleet experiments (fig16): servers behind "
                              "the load balancer (default 8)")
-    parser.add_argument("--connections", type=int, default=None,
+    parser.add_argument("--connections", type=positive_int, default=None,
                         metavar="N",
                         help="fleet experiments (fig16): fleet-wide "
                              "client connections (default 1048576)")
@@ -74,7 +84,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] == "ablate":
         from repro.experiments.ablate import main as ablate_main
         return ablate_main(argv[1:])
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    registered = all_experiment_names()
+    unknown = [name for name in args.experiments if name not in registered]
+    if unknown:
+        parser.error(f"unknown experiment(s): {', '.join(unknown)}; "
+                     f"registered: {', '.join(registered)}")
     if args.jobs is not None or args.cache_dir is not None:
         from repro.experiments.sweep import configure
         configure(jobs=args.jobs, cache_dir=args.cache_dir)
@@ -86,12 +102,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         configure_fleet(servers=args.servers,
                         connections=args.connections)
     if args.list:
-        for name in all_experiment_names():
+        for name in registered:
             experiment = get_experiment(name)
             print(f"{name:8s} {experiment.paper_ref:30s} "
                   f"{experiment.description}")
         return 0
-    names = all_experiment_names() if args.all else args.experiments
+    names = registered if args.all else args.experiments
     if not names:
         print("nothing to run: pass experiment names, --all, or --list",
               file=sys.stderr)

@@ -16,7 +16,9 @@ incast bursts), and three scenarios run under both the ``ioctopus`` and
 * ``server-down`` — server 0 dies outright under both arrangements
   (the LB reaction path itself, no failover story).
 
-Each server simulates in its own worker process (``--jobs``), and the
+The six fleets run as one :func:`~repro.cluster.run_fleets` batch, so
+their shared client population is generated once.  Each server
+simulates in its own worker process (``--jobs``), and the
 merged fleet digests/metrics carry a determinism fingerprint: the same
 ``--servers/--connections`` and master seed reproduce the identical
 fleet, at any jobs count.
@@ -27,7 +29,7 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from repro.cluster import FleetSpec, run_fleet
+from repro.cluster import FleetSpec, run_fleets
 from repro.experiments import base
 from repro.experiments.base import Experiment, ExperimentResult, register
 from repro.experiments.sweep import current_jobs
@@ -92,19 +94,21 @@ class Fig16Fleet(Experiment):
             ("pf-flap", {"pf_flap": (0, duration // 3, duration // 4)}),
             ("server-down", {"server_down": (0, duration // 2)}),
         )
-        for scenario, faults in scenarios:
-            for config in ("ioctopus", "remote"):
-                spec = FleetSpec(servers=servers,
-                                 connections=connections,
-                                 config=config, duration_ns=duration,
-                                 **faults)
-                fleet = run_fleet(spec, master_seed=0,
-                                  accuracy=accuracy, jobs=jobs)
-                summary = fleet.summary()
-                result.add(
-                    scenario, config, summary["served"], summary["lost"],
-                    summary["dead_servers"], round(summary["ktps"], 1),
-                    round(summary.get("p50_ns", 0) / 1e3, 1),
-                    round(summary.get("p99_ns", 0) / 1e3, 1),
-                )
+        cells = [(scenario, config,
+                  FleetSpec(servers=servers, connections=connections,
+                            config=config, duration_ns=duration, **faults))
+                 for scenario, faults in scenarios
+                 for config in ("ioctopus", "remote")]
+        # One batch: the six fleets share one client population, which
+        # run_fleets then generates once rather than once per fleet.
+        fleets = run_fleets([spec for _, _, spec in cells], master_seed=0,
+                            accuracy=accuracy, jobs=jobs)
+        for (scenario, config, _), fleet in zip(cells, fleets):
+            summary = fleet.summary()
+            result.add(
+                scenario, config, summary["served"], summary["lost"],
+                summary["dead_servers"], round(summary["ktps"], 1),
+                round(summary.get("p50_ns", 0) / 1e3, 1),
+                round(summary.get("p99_ns", 0) / 1e3, 1),
+            )
         return result

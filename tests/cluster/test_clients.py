@@ -1,15 +1,22 @@
 """Client-fleet generators: determinism, Zipf skew, churn, diurnal,
 incast — everything the arrival planner consumes."""
 
+import math
+from bisect import bisect_right
+
 import pytest
 
-from repro.cluster.clients import (diurnal_factor, fleet_rng,
+from repro.cluster.clients import (diurnal_factor, epoch_edges, fleet_rng,
                                    generate_block, incast_schedule,
                                    server_seed)
 from repro.cluster.spec import FleetSpec
 
 SPEC = FleetSpec(servers=4, connections=32768, duration_ns=8_000_000,
                  epochs=4)
+#: duration_ns not divisible by epochs: the integer epoch edges are
+#: floors, where a naive inverse of epoch_of is off by one.
+UNEVEN = FleetSpec(connections=4096, duration_ns=10_000_007, epochs=7,
+                   churn_lifetime_ns=3_000_000)
 
 
 def test_block_regeneration_is_deterministic():
@@ -59,6 +66,40 @@ def test_churn_scales_with_lifetime():
         1, sum(stable.churn_by_epoch))
     assert len(churny.churn_by_epoch) == short.epochs
     assert sum(churny.churn_by_epoch) <= 2048
+
+
+def test_epoch_edges_bin_like_epoch_of():
+    edges = epoch_edges(UNEVEN)
+    assert len(edges) == UNEVEN.epochs - 1
+    times = [0, UNEVEN.duration_ns - 1]
+    for edge in edges:
+        times += [edge - 1, edge, edge + 1]
+    for t in times:
+        assert bisect_right(edges, t) == UNEVEN.epoch_of(t), t
+
+
+@pytest.mark.parametrize("spec", [
+    UNEVEN,
+    # A 10 ns run: many deaths land exactly on an epoch edge.
+    FleetSpec(connections=4096, duration_ns=10, epochs=7,
+              churn_lifetime_ns=3),
+])
+def test_churn_by_epoch_matches_an_epoch_of_count(spec):
+    size = 256
+    profile = generate_block(9, 3, size, spec)
+    # Replay the block's stream: weights, slow flags, births, lifetimes.
+    rng = fleet_rng(9).child("block-3")
+    rng.batch(size)
+    rng.batch(size)
+    births, lives = rng.batch(size), rng.batch(size)
+    want = [0] * spec.epochs
+    for ub, ul in zip(births, lives):
+        death = (int(ub * spec.duration_ns)
+                 + int(-spec.mean_lifetime_ns() * math.log(1.0 - ul)))
+        if death < spec.duration_ns:
+            want[spec.epoch_of(death)] += 1
+    assert sum(want) > size // 2
+    assert list(profile.churn_by_epoch) == want
 
 
 def test_diurnal_curve_spans_trough_to_peak():

@@ -78,9 +78,25 @@ def test_cli_requires_some_action(capsys):
     assert main([]) == 2
 
 
-def test_cli_unknown_experiment():
-    with pytest.raises(KeyError):
-        main(["fig99"])
+def test_cli_unknown_experiment(capsys):
+    # Checked before anything runs: fig02 must not print its table.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fig02", "fig99"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown experiment(s): fig99" in captured.err
+    for name in all_experiment_names():
+        assert name in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--servers", "--connections", "--jobs"])
+def test_cli_rejects_non_positive_counts(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fig16", flag, "0"])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be >= 1, got 0" in (
+        capsys.readouterr().err)
 
 
 def test_cli_parser_fidelity_choices():
