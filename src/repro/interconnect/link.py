@@ -72,9 +72,10 @@ class InterconnectLink:
 
     def loaded_crossing_ns(self) -> int:
         # load_factor() inlined (hot path; identical math — the
-        # conditional cap equals min() bit-for-bit).
+        # conditionals equal max() and min() bit-for-bit).
         u = self.estimator.utilization()
-        inflation = 1.0 + _BETA * u / max(1e-6, 1.0 - u)
+        idle = 1.0 - u
+        inflation = 1.0 + _BETA * u / (idle if idle > 1e-6 else 1e-6)
         if inflation > self.max_latency_inflation:
             inflation = self.max_latency_inflation
         return int(self.crossing_latency_ns * inflation)
@@ -83,7 +84,8 @@ class InterconnectLink:
         """Charge a transfer; return its total delay (latency + queue +
         service) in ns."""
         u = self.estimator.update_utilization(nbytes)
-        inflation = 1.0 + _BETA * u / max(1e-6, 1.0 - u)
+        idle = 1.0 - u
+        inflation = 1.0 + _BETA * u / (idle if idle > 1e-6 else 1e-6)
         if inflation > self.max_latency_inflation:
             inflation = self.max_latency_inflation
         return (int(self.crossing_latency_ns * inflation)
@@ -133,7 +135,12 @@ class Interconnect:
         """Charge a crossing src->dst; 0 ns if src == dst."""
         if src_node == dst_node:
             return 0
-        return self.link(src_node, dst_node).traverse(nbytes)
+        try:
+            link = self._links[(src_node, dst_node)]
+        except KeyError:
+            self.link(src_node, dst_node)  # raise with the friendly message
+            raise
+        return link.traverse(nbytes)
 
     def loaded_round_trip_ns(self, a: int, b: int) -> int:
         """Congestion-inflated latency of one a->b->a line round trip."""

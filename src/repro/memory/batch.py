@@ -1,18 +1,16 @@
-"""Vectorised batch kernels for the memory/DMA hot paths.
+"""Vectorised batch kernel for the fluid tier's DDIO writes.
 
 The fluid accuracy tier charges whole steady intervals in one call, so
-the remaining per-burst arithmetic — service durations on a byte-serial
-link, the DDIO absorb/spill split, fresh-DMA-line hit/miss
-classification — is expressed over arrays here and evaluated with numpy
-when it is available.  Every function is golden-tested bit-for-bit
-against the scalar per-packet expressions it replaces
+the per-burst DDIO absorb/spill split is expressed over arrays here and
+evaluated with numpy when it is available.  It is golden-tested
+bit-for-bit against the scalar per-burst expression it replaces
 (``tests/memory/test_batch.py``); the scalar fallback keeps the package
 importable (and identical) without numpy.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 try:  # numpy is optional: the scalar fallback is bit-identical.
     import numpy as _np
@@ -22,21 +20,6 @@ except ImportError:  # pragma: no cover - exercised via monkeypatch
 #: Below this many elements the numpy round trip costs more than the
 #: scalar loop saves.
 _VECTOR_MIN = 8
-
-
-def service_durations(sizes: Sequence[int], bytes_per_sec: float) -> List[int]:
-    """Per-transfer service times in ns for a byte-serial server.
-
-    Elementwise identical to ``int(round(n * 1e9 / bytes_per_sec))`` —
-    the inlined expression in :meth:`BandwidthServer.account` — for every
-    ``n`` in ``sizes`` (IEEE-754 division plus round-half-even in both
-    paths).
-    """
-    if _np is not None and len(sizes) >= _VECTOR_MIN:
-        out = _np.rint(
-            _np.asarray(sizes, dtype=_np.float64) * 1e9 / bytes_per_sec)
-        return [int(v) for v in out.astype(_np.int64)]
-    return [int(round(n * 1e9 / bytes_per_sec)) for n in sizes]
 
 
 def ddio_split(sizes: Sequence[int], ddio_capacity: int) -> tuple:
@@ -55,20 +38,3 @@ def ddio_split(sizes: Sequence[int], ddio_capacity: int) -> tuple:
         return [int(v) for v in absorbed], [int(v) for v in spills]
     absorbed = [min(n, ddio_capacity) for n in sizes]
     return absorbed, [n - a for n, a in zip(sizes, absorbed)]
-
-
-def dma_line_latencies(nlines: Sequence[int], hit: Sequence[bool],
-                       hit_ns: int, miss_ns: int) -> List[int]:
-    """Latency for batches of fresh-DMA cache-line reads.
-
-    Each entry covers ``nlines[i]`` line reads that were classified
-    DDIO-hit (``hit_ns`` per line) or DRAM-miss (``miss_ns`` per line);
-    identical to ``n * (hit_ns if h else miss_ns)`` per element.
-    """
-    if _np is not None and len(nlines) >= _VECTOR_MIN:
-        arr = _np.asarray(nlines, dtype=_np.int64)
-        mask = _np.asarray(hit, dtype=bool)
-        out = arr * _np.where(mask, hit_ns, miss_ns)
-        return [int(v) for v in out]
-    return [n * (hit_ns if h else miss_ns)
-            for n, h in zip(nlines, hit)]

@@ -64,7 +64,8 @@ class LastLevelCache:
         entry = self._entries.get(region)
         if entry is None:
             return 0.0
-        return min(1.0, entry.resident / region.size)
+        fraction = entry.resident / region.size
+        return fraction if fraction < 1.0 else 1.0
 
     def resident_bytes(self, region: Region) -> int:
         entry = self._entries.get(region)
@@ -136,31 +137,45 @@ class LastLevelCache:
 
     def record_access(self, region: Region, nbytes: int) -> float:
         """Account a CPU access: returns the hit fraction and updates
-        hit/miss counters and recency."""
-        fraction = self.residency(region)
+        hit/miss counters and recency.
+
+        Same as :meth:`residency`, the counter update and :meth:`touch`,
+        with one dict lookup (every STREAM chunk lands here)."""
+        entries = self._entries
+        entry = entries.get(region)
+        if entry is None:
+            self.miss_bytes += nbytes
+            return 0.0
+        fraction = entry.resident / region.size
+        fraction = fraction if fraction < 1.0 else 1.0
         hit = int(nbytes * fraction)
         self.hits_bytes += hit
         self.miss_bytes += nbytes - hit
-        self.touch(region)
+        entries.move_to_end(region)
         return fraction
 
     # ----------------------------------------------------------- internal
 
     def _insert(self, region: Region, nbytes: int, ddio: bool) -> None:
-        entry = self._entries.get(region)
+        entries = self._entries
+        entry = entries.get(region)
         if entry is None:
             entry = _Entry()
-            self._entries[region] = entry
-        self._entries.move_to_end(region)
+            entries[region] = entry
+        else:
+            entries.move_to_end(region)
+        # max(0, min(nbytes, room_in_region)) as conditionals (hot path).
         room_in_region = region.size - entry.resident
-        grow = max(0, min(nbytes, room_in_region))
+        grow = room_in_region if room_in_region < nbytes else nbytes
+        grow = grow if grow > 0 else 0
         entry.resident += grow
         self._occupied += grow
         if ddio:
             entry.ddio += grow
             self._ddio_occupied += grow
             self._evict_ddio_overflow(keep=region)
-        self._evict_overflow(keep=region)
+        if self._occupied > self.capacity:
+            self._evict_overflow(keep=region)
 
     def _evict_overflow(self, keep: Region) -> None:
         while self._occupied > self.capacity:

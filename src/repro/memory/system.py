@@ -82,46 +82,54 @@ class MemorySystem:
         if miss == 0:
             return 0
         home = region.home_node
+        dram = self.drams[home]
         stall = int(miss / CACHELINE * self._stall_per_line
-                    * self.drams[home].load_factor())
-        dram_delay = self.drams[home].read(miss)
-        qpi_delay = 0
+                    * dram.load_factor())
+        # max(stall, dram_delay, qpi_delay) as conditionals (hot path);
+        # every term is a non-negative int.
+        dram_delay = dram.read(miss)
+        delay = dram_delay if dram_delay > stall else stall
         if home != node:
             qpi_delay = self.interconnect.round_trip(
                 node, home, int(miss * _REQUEST_OVERHEAD), miss)
+            if qpi_delay > delay:
+                delay = qpi_delay
         llc.load(region, nbytes)
-        return max(stall, dram_delay, qpi_delay)
+        return delay
 
     def cpu_stream_write(self, node: int, region: Region,
                          nbytes: int) -> int:
         """Streaming write (destination side of a copy, STREAM's store
         kernel).  Write-allocate unless the region is non-temporal."""
         home = region.home_node
+        dram = self.drams[home]
         if region.non_temporal:
             # NT stores go straight to the home memory, no allocation, no
             # fill read; they stall the CPU very little.
-            dram_delay = self.drams[home].write(nbytes)
-            qpi_delay = 0
+            delay = dram.write(nbytes)
             if home != node:
                 qpi_delay = self.interconnect.traverse(node, home, nbytes)
-            return max(dram_delay, qpi_delay)
+                if qpi_delay > delay:
+                    delay = qpi_delay
+            return delay
         llc = self.llcs[node]
         fraction = llc.record_access(region, nbytes)
         miss = int(nbytes * (1.0 - fraction))
         if miss == 0:
             return 0
         stall = int(miss / CACHELINE * self._stall_per_line
-                    * self.drams[home].load_factor())
+                    * dram.load_factor())
         # Write-allocate fill read now + steady-state writeback later.
-        dram_delay = self.drams[home].read(miss) + self.drams[home].write(
-            miss)
-        qpi_delay = 0
+        dram_delay = (dram.read(miss) + dram.write(miss)) // 2
+        delay = dram_delay if dram_delay > stall else stall
         if home != node:
             qpi_delay = (self.interconnect.round_trip(
                 node, home, int(miss * _REQUEST_OVERHEAD), miss)
                 + self.interconnect.traverse(node, home, miss))
+            if qpi_delay > delay:
+                delay = qpi_delay
         llc.load(region, nbytes)
-        return max(stall, dram_delay // 2, qpi_delay)
+        return delay
 
     def cpu_copy(self, node: int, src: Region, dst: Region,
                  nbytes: int) -> int:

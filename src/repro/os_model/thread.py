@@ -71,8 +71,9 @@ class SimThread:
 
         The returned event is pooled: yield it immediately, don't store it.
         """
-        self.core.charge(int(ns))
-        return self.env.pooled_timeout(int(ns))
+        ns = int(ns)
+        self.core.charge(ns)
+        return self.env.pooled_timeout(ns)
 
     def overlap(self, cpu_ns: int, dev_ns: int) -> Event:
         """One pipelined batch: wall time max(cpu, dev), core charged cpu.

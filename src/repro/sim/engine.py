@@ -290,10 +290,11 @@ class Process(Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {next_event!r}, "
                 f"which is not an Event")
-        if next_event.processed:
-            # Already fired: resume on the next same-tick scheduler pass
-            # through a pooled hand-off event on the fast lane (hot on
-            # every ARFS cache hit; no heap traffic, no allocation).
+        if next_event.callbacks is None:
+            # Already fired (processed): resume on the next same-tick
+            # scheduler pass through a pooled hand-off event on the fast
+            # lane (hot on every ARFS cache hit; no heap traffic, no
+            # allocation).
             bounce = self.env._pooled_event()
             bounce.callbacks.append(self._resume)
             if next_event._exception is not None:
@@ -410,12 +411,23 @@ class Environment:
         The caller must yield/consume it immediately and never touch it
         after it fires (the thread helpers' ``yield thread.overlap(...)``
         pattern); use :meth:`timeout` for an event that is retained.
+        ``delay`` is an integer number of ns (the thread helpers pass
+        ``int(...)``): a timer goes straight onto the heap.
         """
         if delay < 0:
             raise ScheduleInPastError(f"negative timeout delay {delay}")
-        event = self._pooled_event()
+        pool = self._pool
+        event = pool.pop() if pool else self._pooled_event()
         event._value = value
-        self.schedule(event, delay)
+        if delay:
+            # schedule() inlined for the timer case (one per STREAM
+            # chunk); a pooled event is never already scheduled.
+            event._scheduled = True
+            self._sequence += 1
+            heapq.heappush(self._queue, (self._now + delay,
+                                         self._sequence, event))
+        else:
+            self.schedule(event)
         return event
 
     # -- scheduling and execution -----------------------------------------

@@ -232,8 +232,9 @@ class BandwidthServer:
         now = self.env._now
         free_at = self._free_at
         start = free_at if free_at > now else now
-        # service_time() inlined (hot path; same rounding expression).
-        duration = int(round(nbytes * 1e9 / self.bytes_per_sec))
+        # service_time() inlined (hot path): round() of a float already
+        # returns the int that int(round(...)) would.
+        duration = round(nbytes * 1e9 / self.bytes_per_sec)
         self._free_at = start + duration
         self._busy_ns += duration
         self._bytes_total += nbytes
@@ -263,30 +264,6 @@ class BandwidthServer:
         self._busy_ns += total
         self._bytes_total += nbytes * nbursts
         self._window_bytes += nbytes * nbursts
-        return (start - now) + total
-
-    def account_many(self, sizes) -> int:
-        """Charge a heterogeneous sequence of transfer sizes.
-
-        Bit-identical to calling :meth:`account` once per element of
-        ``sizes`` at the current timestamp; returns the delay until the
-        final transfer completes.  Per-element service durations are
-        computed vectorised (numpy) when available — see
-        :func:`repro.memory.batch.service_durations`.
-        """
-        from repro.memory.batch import service_durations
-        durations = service_durations(sizes, self.bytes_per_sec)
-        total = int(sum(durations))
-        nbytes = int(sum(sizes))
-        if nbytes < 0:
-            raise ValueError("negative transfer size in batch")
-        now = self.env._now
-        free_at = self._free_at
-        start = free_at if free_at > now else now
-        self._free_at = start + total
-        self._busy_ns += total
-        self._bytes_total += nbytes
-        self._window_bytes += nbytes
         return (start - now) + total
 
     @property
@@ -376,9 +353,9 @@ class RateEstimator:
             return
         elapsed = now - self._bucket_start
         if elapsed >= self.bucket_ns:
-            self._last_utilization = min(
-                1.0, self._bucket_bytes * 1e9
-                / (self.bytes_per_sec * max(1, elapsed)))
+            last = (self._bucket_bytes * 1e9
+                    / (self.bytes_per_sec * (elapsed if elapsed > 1 else 1)))
+            self._last_utilization = last if last < 1.0 else 1.0
             self._bucket_start = now
             self._bucket_bytes = 0
         self._bucket_bytes += nbytes
@@ -415,12 +392,14 @@ class RateEstimator:
         if elapsed <= 0:
             base = self._last_utilization
         else:
-            current = min(1.0, self._bucket_bytes * 1e9
-                          / (self.bytes_per_sec * elapsed))
+            current = (self._bucket_bytes * 1e9
+                       / (self.bytes_per_sec * elapsed))
+            current = current if current < 1.0 else 1.0
             # Blend: the current bucket only counts once it has some
             # history, so a single burst at bucket start doesn't read as
             # saturation.
-            weight = min(1.0, elapsed / self.bucket_ns)
+            weight = elapsed / self.bucket_ns
+            weight = weight if weight < 1.0 else 1.0
             base = ((1.0 - weight) * self._last_utilization
                     + weight * current)
         if self._pending:
@@ -442,20 +421,23 @@ class RateEstimator:
         now = self.env._now
         elapsed = now - self._bucket_start
         if elapsed >= self.bucket_ns:
-            self._last_utilization = min(
-                1.0, self._bucket_bytes * 1e9
-                / (self.bytes_per_sec * max(1, elapsed)))
+            last = (self._bucket_bytes * 1e9
+                    / (self.bytes_per_sec * (elapsed if elapsed > 1 else 1)))
+            last = last if last < 1.0 else 1.0
+            self._last_utilization = last
             self._bucket_start = now
             self._bucket_bytes = nbytes
             # elapsed is now zero: utilization() would return the stored
             # last-bucket figure unchanged.
-            return self._last_utilization
-        self._bucket_bytes += nbytes
+            return last
+        bucket_bytes = self._bucket_bytes + nbytes
+        self._bucket_bytes = bucket_bytes
         if elapsed <= 0:
             return self._last_utilization
-        current = min(1.0, self._bucket_bytes * 1e9
-                      / (self.bytes_per_sec * elapsed))
-        weight = min(1.0, elapsed / self.bucket_ns)
+        current = bucket_bytes * 1e9 / (self.bytes_per_sec * elapsed)
+        current = current if current < 1.0 else 1.0
+        # 0 < elapsed < bucket_ns here, so the weight needs no clamp.
+        weight = elapsed / self.bucket_ns
         return (1.0 - weight) * self._last_utilization + weight * current
 
 
@@ -486,8 +468,9 @@ class ProcessorSharingServer:
             raise ValueError(f"negative transfer size {nbytes}")
         self._bytes_total += nbytes
         self._window_bytes += nbytes
-        share = max(1, self._active)
-        return int(round(nbytes * share * 1e9 / self.bytes_per_sec))
+        active = self._active
+        share = active if active > 1 else 1
+        return round(nbytes * share * 1e9 / self.bytes_per_sec)
 
     def enter(self) -> None:
         self._active += 1

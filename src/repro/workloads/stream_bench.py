@@ -40,22 +40,28 @@ class StreamThread(Workload):
             f"stream-{self.kind}-{thread.core.core_id}", self.target_node,
             ARRAY_BYTES, non_temporal=(self.kind == "write"))
         dram = machine.memory.drams[self.target_node]
+        # Nearly every event of a STREAM-loaded run is one of these
+        # chunks, so everything that does not change between chunks is
+        # bound once here and the clock is read directly.
+        env = self.env
+        duration_ns = self.duration_ns
+        warmup_ns = self.warmup_ns
+        base = int(CHUNK * costs.stream_cpu_ns_per_byte)
+        stream = (machine.memory.cpu_stream_read if self.kind == "read"
+                  else machine.memory.cpu_stream_write)
+        record = self.meter.record
+        compute = thread.compute
         dram.enter()  # long-running bandwidth consumer
         try:
-            while not self.done():
-                base = int(CHUNK * costs.stream_cpu_ns_per_byte)
-                if self.kind == "read":
-                    stall = machine.memory.cpu_stream_read(node, array,
-                                                           CHUNK)
-                else:
-                    stall = machine.memory.cpu_stream_write(node, array,
-                                                            CHUNK)
-                if self.in_measurement():
-                    self.meter.record(CHUNK)
-                yield thread.compute(max(base, stall))
+            while env._now < duration_ns:
+                stall = stream(node, array, CHUNK)
+                # The loop test already holds now < duration_ns.
+                if warmup_ns <= env._now:
+                    record(CHUNK)
+                yield compute(stall if stall > base else base)
         finally:
             dram.leave()
-        self.meter.finish(min(self.env.now, self.duration_ns))
+        self.meter.finish(min(env._now, duration_ns))
 
     def bandwidth_gbps(self) -> float:
         return self.meter.gbps()

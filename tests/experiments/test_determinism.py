@@ -16,6 +16,7 @@ suite under both modes).  Adaptive-vs-exact fidelity is covered by
 from __future__ import annotations
 
 from repro.experiments.runners import run_pktgen, run_tcp_rr, run_tcp_stream
+from repro.units import KB
 
 D = 10_000_000  # 10 ms simulated
 
@@ -32,6 +33,27 @@ def test_tcp_rx_remote_golden():
     assert run_tcp_stream("remote", 4096, "rx", D, seed=3, accuracy="exact") == {
         "throughput_gbps": 14.433340235294118,
         "membw_gbps": 46.61235952941176,
+        "cpu_cores": 1.0,
+    }
+
+
+def test_tcp_rx_remote_stream_golden():
+    """Pin the STREAM read path exactly: reader chunks go through the LLC
+    record/load, the DRAM load factor and the QPI round trip, which the
+    non-temporal writers of the fig15 golden never touch."""
+    assert run_tcp_stream("remote", 64 * KB, "rx", D, stream_pairs=3,
+                          accuracy="exact") == {
+        "throughput_gbps": 16.407130352941177,
+        "membw_gbps": 310.6032461176471,
+        "cpu_cores": 1.0,
+    }
+
+
+def test_tcp_rx_ioctopus_stream_golden():
+    assert run_tcp_stream("ioctopus", 64 * KB, "rx", D, stream_pairs=3,
+                          accuracy="exact") == {
+        "throughput_gbps": 23.870524235294116,
+        "membw_gbps": 275.32849694117647,
         "cpu_cores": 1.0,
     }
 

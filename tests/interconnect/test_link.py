@@ -3,6 +3,7 @@
 import pytest
 
 from repro.interconnect import Interconnect
+from repro.interconnect.link import InterconnectLink
 from repro.sim import Environment
 
 
@@ -52,6 +53,35 @@ def test_missing_link_raises(qpi):
         qpi.link(0, 0)
     with pytest.raises(KeyError):
         qpi.link(0, 5)
+    with pytest.raises(KeyError, match="no interconnect link 0->5"):
+        qpi.traverse(0, 5, 64)
+
+
+@pytest.mark.parametrize("preload, cap, factor", [
+    (0, 12.0, 1.0),              # idle link
+    (10_000, 12.0, 1.6),         # u = 0.5, below the cap
+    (19_800, 12.0, 12.0),        # u = 0.99: 60.4x, capped
+    (40_000, 1e9, 600_001.0),    # u = 1: 1 - u floored at 1e-6, no cap
+])
+def test_traverse_matches_load_factor(preload, cap, factor):
+    """traverse() and loaded_crossing_ns() inline load_factor()'s
+    max()/min(); they must agree with it bit-for-bit at both clamps."""
+    env = Environment()
+    link, twin = (InterconnectLink(env, 0, 1, 1e9, 30,
+                                   max_latency_inflation=cap)
+                  for _ in range(2))
+    for each in (link, twin):
+        each.estimator.update(preload)
+        each.server.account(preload)
+    # Charge at the next bucket start: u is the preloaded bucket's load.
+    env._now = link.estimator.bucket_ns
+    got = link.traverse(64)
+    twin.estimator.update(64)
+    assert twin.load_factor() == pytest.approx(factor)
+    assert got == (int(twin.crossing_latency_ns * twin.load_factor())
+                   + twin.server.account(64))
+    assert link.loaded_crossing_ns() == int(
+        link.crossing_latency_ns * link.load_factor())
 
 
 def test_probe_delay_does_not_charge(qpi):

@@ -1,21 +1,15 @@
-"""Golden tests: the vectorised batch kernels are bit-for-bit identical
-to the scalar per-packet expressions they replace, with and without
-numpy."""
+"""Golden tests: the vectorised DDIO batch kernel is bit-for-bit
+identical to the scalar per-burst expression it replaces, with and
+without numpy."""
 
 import pytest
 
 import repro.memory.batch as batch
-from repro.memory.batch import (
-    _VECTOR_MIN,
-    ddio_split,
-    dma_line_latencies,
-    service_durations,
-)
+from repro.memory.batch import ddio_split
 
 # Enough elements to take the numpy path, with awkward sizes (odd bytes,
-# zero, round-half-even candidates) mixed in.
+# zero, sizes straddling the capacities below) mixed in.
 SIZES = [0, 1, 63, 64, 65, 256, 1500, 4096, 65536, 1048577, 7, 333]
-RATES = [1e9, 2.5e9, 39.0625e9 / 3, 985.0]
 
 
 @pytest.fixture(params=[True, False], ids=["numpy", "scalar"])
@@ -27,19 +21,6 @@ def numpy_mode(request, monkeypatch):
     return request.param
 
 
-@pytest.mark.parametrize("rate", RATES)
-def test_service_durations_match_scalar_expression(numpy_mode, rate):
-    got = service_durations(SIZES, rate)
-    assert got == [int(round(n * 1e9 / rate)) for n in SIZES]
-    assert all(isinstance(v, int) for v in got)
-
-
-def test_service_durations_below_vector_min_uses_scalar_loop():
-    sizes = SIZES[:_VECTOR_MIN - 1]
-    assert service_durations(sizes, 1e9) == [
-        int(round(n * 1e9 / 1e9)) for n in sizes]
-
-
 @pytest.mark.parametrize("capacity", [0, 64, 4096, 1 << 30])
 def test_ddio_split_matches_scalar_expression(numpy_mode, capacity):
     absorbed, spills = ddio_split(SIZES, capacity)
@@ -49,15 +30,5 @@ def test_ddio_split_matches_scalar_expression(numpy_mode, capacity):
     assert [a + s for a, s in zip(absorbed, spills)] == SIZES
 
 
-def test_dma_line_latencies_match_scalar_expression(numpy_mode):
-    nlines = [0, 1, 2, 64, 100, 3, 17, 1024, 5]
-    hits = [True, False, True, True, False, False, True, False, True]
-    got = dma_line_latencies(nlines, hits, hit_ns=20, miss_ns=95)
-    assert got == [n * (20 if h else 95)
-                   for n, h in zip(nlines, hits)]
-
-
 def test_empty_batches(numpy_mode):
-    assert service_durations([], 1e9) == []
     assert ddio_split([], 4096) == ([], [])
-    assert dma_line_latencies([], [], 20, 95) == []

@@ -35,6 +35,10 @@ def test_load_cannot_exceed_region_size():
     llc.load(r, 500)
     assert llc.resident_bytes(r) == 100
     assert llc.occupied == 100
+    # Nor can a negative size shrink it.
+    llc.load(r, -50)
+    assert llc.resident_bytes(r) == 100
+    assert llc.occupied == 100
 
 
 def test_lru_eviction_on_overflow():
@@ -48,15 +52,20 @@ def test_lru_eviction_on_overflow():
 
 
 def test_touch_protects_from_eviction():
-    llc = make_llc(capacity=1000)
-    a = region("a", size=500)
-    b = region("b", size=400)
-    llc.load(a, 500)
-    llc.load(b, 400)
-    llc.touch(a)  # now b is LRU
-    llc.load(region("c", size=500), 500)
-    assert llc.residency(b) == 0.0
-    assert llc.resident_bytes(a) == 500
+    # A CPU access and a reload of the (fully resident) region mark it
+    # most recently used just as touch() does.
+    for use in (lambda llc, r: llc.touch(r),
+                lambda llc, r: llc.record_access(r, 64),
+                lambda llc, r: llc.load(r, 64)):
+        llc = make_llc(capacity=1000)
+        a = region("a", size=500)
+        b = region("b", size=400)
+        llc.load(a, 500)
+        llc.load(b, 400)
+        use(llc, a)  # now b is LRU
+        llc.load(region("c", size=500), 500)
+        assert llc.residency(b) == 0.0
+        assert llc.resident_bytes(a) == 500
 
 
 def test_single_region_larger_than_cache_clamps():
@@ -126,6 +135,15 @@ def test_record_access_counts_hits_and_misses():
     assert fraction == pytest.approx(0.5)
     assert llc.hits_bytes == 500
     assert llc.miss_bytes == 500
+    # Fully resident: every byte hits.
+    llc.load(r, 500)
+    assert llc.record_access(r, 200) == 1.0
+    assert (llc.hits_bytes, llc.miss_bytes) == (700, 500)
+    # Absent region: every byte misses and nothing is allocated.
+    other = region("other", size=1000)
+    assert llc.record_access(other, 300) == 0.0
+    assert (llc.hits_bytes, llc.miss_bytes) == (700, 800)
+    assert llc.resident_bytes(other) == 0
 
 
 def test_invalid_construction():

@@ -108,6 +108,23 @@ def test_cpu_stream_read_remote_crosses_interconnect(machine):
     assert link_back.server.bytes_total >= remote.size
 
 
+def test_cpu_stream_delay_is_the_largest_term(machine):
+    """An idle local 4 KB chunk pays its per-line stall (64 lines), which
+    exceeds its DRAM service time; a remote one pays the interconnect
+    round trip, its largest term."""
+    stall = int(4096 / 64 * machine.memory._stall_per_line)
+    local_in = machine.alloc_region("local-in", 0, 64 * 1024)
+    local_out = machine.alloc_region("local-out", 0, 64 * 1024)
+    assert machine.memory.cpu_stream_read(0, local_in, 4096) == stall
+    assert machine.memory.cpu_stream_write(0, local_out, 4096) == stall
+    idle = dell_r730()
+    remote = idle.alloc_region("remote", 1, 64 * 1024)
+    # 512 B of request headers out (1/8 of the payload), 4 KB back.
+    round_trip = dell_r730().interconnect.round_trip(0, 1, 512, 4096)
+    assert round_trip > stall
+    assert idle.memory.cpu_stream_read(0, remote, 4096) == round_trip
+
+
 def test_cpu_stream_read_cached_is_free(machine):
     r = ring(machine)
     machine.memory.cpu_stream_read(0, r, r.size)

@@ -49,6 +49,34 @@ def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(ScheduleInPastError):
         env.timeout(-1)
+    # The pooled variant rejects it before it draws from the free list.
+    env.pooled_timeout(5)
+    env.run()
+    pool = list(env._pool)
+    assert pool
+    with pytest.raises(ScheduleInPastError):
+        env.pooled_timeout(-1)
+    assert env._pool == pool
+    assert env.peek() is None
+
+
+def test_pooled_timeout_fires_in_schedule_order():
+    """Pooled timers go straight onto the heap but share the sequence
+    counter, so they interleave with plain timeouts in schedule order."""
+    env = Environment()
+    order = []
+
+    def body(tag, delay, make):
+        yield make(delay)
+        order.append((tag, env.now))
+
+    env.process(body("pooled-a", 10, env.pooled_timeout))
+    env.process(body("plain", 10, env.timeout))
+    env.process(body("pooled-b", 10, env.pooled_timeout))
+    env.process(body("pooled-0", 0, env.pooled_timeout))
+    env.run()
+    assert order == [("pooled-0", 0), ("pooled-a", 10), ("plain", 10),
+                     ("pooled-b", 10)]
 
 
 def test_events_fire_in_schedule_order_at_same_time():

@@ -186,11 +186,32 @@ def test_store_handoff_to_waiting_getter_skips_buffer():
 
 # -------------------------------------------------------- BandwidthServer
 
+# Awkward transfer sizes (odd bytes, zero, large) and rates; at 2 GB/s
+# every odd size lands on a half ns, so round-half-even decides it.
+SIZES = [0, 1, 63, 64, 65, 256, 1500, 4096, 65536, 1048577, 7, 333]
+RATES = [1e9, 2e9, 2.5e9, 39.0625e9 / 3, 985.0]
+
+
 def test_bandwidth_service_time():
     env = Environment()
     link = BandwidthServer(env, bytes_per_sec=1e9)  # 1 GB/s = 1 B/ns
     assert link.service_time(1000) == 1000
     assert link.service_time(0) == 0
+    half = BandwidthServer(env, bytes_per_sec=2e9)  # 0.5 ns per byte
+    assert [half.service_time(n) for n in (1, 3, 63, 65)] == [0, 2, 32, 32]
+
+
+@pytest.mark.parametrize("rate", RATES)
+def test_bandwidth_account_charges_service_time(rate):
+    env = Environment()
+    link = BandwidthServer(env, bytes_per_sec=rate)
+    for n in SIZES:
+        backlog = link.queueing_delay()
+        busy = link.busy_ns
+        delay = link.account(n)
+        assert type(delay) is int
+        assert delay == backlog + link.service_time(n)
+        assert link.busy_ns - busy == link.service_time(n)
 
 
 def test_bandwidth_transfers_queue_fifo():
@@ -299,20 +320,6 @@ def test_account_batch_bit_identical_to_sequential_accounts():
     assert b.busy_ns == a.busy_ns
 
 
-def test_account_many_bit_identical_to_sequential_accounts():
-    env = Environment()
-    a = BandwidthServer(env, bytes_per_sec=2.5e9)
-    b = BandwidthServer(env, bytes_per_sec=2.5e9)
-    sizes = [64, 1500, 0, 4096, 65536, 333, 64, 9000, 1, 127]
-    last = 0
-    for n in sizes:
-        last = a.account(n)
-    assert b.account_many(sizes) == last
-    assert b.queueing_delay() == a.queueing_delay()
-    assert b.bytes_total == a.bytes_total
-    assert b.busy_ns == a.busy_ns
-
-
 def test_account_batch_rejects_bad_args():
     env = Environment()
     link = BandwidthServer(env, bytes_per_sec=1e9)
@@ -349,17 +356,47 @@ def test_estimator_bucket_blend_outside_fluid_span():
     env._now = est.bucket_ns // 2
     # Half a bucket at 10 KB over 10 us = 1.0 capped, weighted by 0.5.
     assert est.utilization() == pytest.approx(0.5)
+    # Two buckets on with no charge in between: the weight caps at 1.0,
+    # so the read is the current bucket's own 10 KB over 40 us.
+    env._now = est.bucket_ns * 2
+    assert est.utilization() == 0.25
+
+
+#: (bucket_ns, [(now, nbytes), ...], {charge index: pinned utilization})
+_ESTIMATOR_TIMELINES = [
+    # Light load: no clamp engages.
+    (20_000, [(0, 3000), (7_000, 3000), (21_000, 3000), (40_000, 3000),
+              (40_001, 3000), (95_000, 3000)], {}),
+    # Saturating (1 B/ns link): the current-bucket and rolled-bucket
+    # clamps to 1.0 both run; 20_000 and 40_000 charge exactly at a
+    # bucket start, the second 20_000 at zero elapsed.  At 5_000 the
+    # bucket runs at 20x the rate, clamped to 1.0 before the 0.25
+    # blend; at 20_000 the rolled 5x bucket reads as exactly 1.0.
+    (20_000, [(0, 50_000), (5_000, 50_000), (20_000, 10_000),
+              (20_000, 10_000), (30_000, 40_000), (40_000, 1_000),
+              (45_000, 100), (100_000, 100)], {1: 0.25, 2: 1.0}),
+    # A zero-length bucket rolls on every charge, so the rolled
+    # bucket's max(1, elapsed) guard sees elapsed 0, 1 and more.
+    (0, [(0, 100), (0, 100), (1, 0), (2, 1), (5, 2)], {}),
+]
 
 
 def test_estimator_update_utilization_matches_pair():
-    env, est1 = _estimator()
     from repro.sim.resources import RateEstimator
-    est2 = RateEstimator(env, bytes_per_sec=1e9)
-    for now in (0, 7_000, 21_000, 40_000, 40_001, 95_000):
-        env._now = now
-        est1.update(3000)
-        want = est1.utilization()
-        assert est2.update_utilization(3000) == want
+    for bucket_ns, timeline, pinned in _ESTIMATOR_TIMELINES:
+        env = Environment()
+        est1 = RateEstimator(env, bytes_per_sec=1e9, bucket_ns=bucket_ns)
+        est2 = RateEstimator(env, bytes_per_sec=1e9, bucket_ns=bucket_ns)
+        for i, (now, nbytes) in enumerate(timeline):
+            env._now = now
+            est1.update(nbytes)
+            want = est1.utilization()
+            assert est2.update_utilization(nbytes) == want
+            assert want == pinned.get(i, want)
+            assert (est2._last_utilization, est2._bucket_start,
+                    est2._bucket_bytes) == (est1._last_utilization,
+                                            est1._bucket_start,
+                                            est1._bucket_bytes)
 
 
 def test_estimator_spanned_update_registers_reservation():
@@ -422,6 +459,19 @@ def test_ps_server_shared_rate():
     dram.leave()
     assert dram.account(1000) == 1000
     dram.leave()
+
+
+@pytest.mark.parametrize("active", [0, 1, 3])
+@pytest.mark.parametrize("rate", RATES)
+def test_ps_server_account_shares_rate(active, rate):
+    env = Environment()
+    dram = ProcessorSharingServer(env, bytes_per_sec=rate)
+    for _ in range(active):
+        dram.enter()
+    for n in SIZES:
+        delay = dram.account(n)
+        assert type(delay) is int
+        assert delay == int(round(n * max(1, active) * 1e9 / rate))
 
 
 def test_ps_server_leave_without_enter():

@@ -13,7 +13,7 @@ from repro.workloads import (
     UdpPingPong,
     spawn_stream_pairs,
 )
-from repro.workloads.stream_bench import StreamThread
+from repro.workloads.stream_bench import CHUNK, StreamThread
 
 DUR = 8_000_000
 WARM = 1_000_000
@@ -92,6 +92,31 @@ def test_stream_thread_moves_bytes_across_interconnect():
     assert stream.bandwidth_gbps() > 5
     assert testbed.server.machine.interconnect.link(
         0, 1).server.bytes_total > 0
+
+
+@pytest.mark.parametrize("warmup_ns", [0, WARM])
+def test_stream_thread_meters_chunks_from_warmup(warmup_ns):
+    """Every chunk issued at or after warmup is measured, including one
+    issued at exactly t = warmup (t = 0 without warmup)."""
+    testbed = Testbed("local")
+    host = testbed.server
+    memory = host.machine.memory
+    issued = []
+    charge = memory.cpu_stream_read
+
+    def counting(node, region, nbytes):
+        issued.append(host.machine.env.now)
+        return charge(node, region, nbytes)
+
+    memory.cpu_stream_read = counting
+    stream = StreamThread(host, host.machine.cores_on_node(0)[5],
+                          target_node=1, kind="read", duration_ns=DUR,
+                          warmup_ns=warmup_ns)
+    testbed.run(DUR + 2_000_000)
+    assert issued[0] == 0 and issued[-1] < DUR
+    measured = [t for t in issued if t >= warmup_ns]
+    assert 0 < len(measured) <= len(issued)
+    assert stream.meter.bytes_total == CHUNK * len(measured)
 
 
 def test_stream_thread_validates_kind():
