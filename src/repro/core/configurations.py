@@ -23,7 +23,6 @@ experiments also use directly for single-host builds (different wiring,
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional, Union
 
 from repro.components import SystemConfig, all_components, as_system_config
@@ -256,8 +255,7 @@ class Testbed:
     __test__ = False
 
     def __init__(self, config: Union[str, SystemConfig, None] = None,
-                 seed: int = 0, ddio: Optional[bool] = None,
-                 spec: Optional[MachineSpec] = None,
+                 seed: int = 0, spec: Optional[MachineSpec] = None,
                  client_config: str = "local",
                  accuracy: Optional[str] = None,
                  system: Union[str, SystemConfig, None] = None):
@@ -267,12 +265,6 @@ class Testbed:
             raise ValueError(f"config must be one of {CONFIGS}, "
                              f"got {config!r}")
         system = as_system_config(system if system is not None else config)
-        if ddio is not None:
-            warnings.warn(
-                "Testbed(ddio=...) is deprecated; pass a SystemConfig "
-                "instead, e.g. Testbed(SystemConfig('remote')"
-                ".without('ddio'))", DeprecationWarning, stacklevel=2)
-            system = system.with_override("ddio", ddio)
         if client_config not in ("local", "remote"):
             raise ValueError("client_config must be 'local' or 'remote'")
         self.system = system

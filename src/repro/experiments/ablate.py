@@ -32,6 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.components import SystemConfig, loo_matrix
 from repro.experiments.base import DURATIONS_MS
+from repro.experiments.cli import positive_int
 from repro.experiments.runners import (run_pktgen, run_tcp_rr,
                                        run_tcp_stream)
 from repro.units import KB
@@ -294,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("local", "remote", "ioctopus"),
                         help="baseline system preset")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    parser.add_argument("--jobs", type=positive_int, default=None,
+                        metavar="N",
                         help="fan matrix rows across N worker processes")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="sweep cache directory (stable run IDs "

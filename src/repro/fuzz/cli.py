@@ -16,6 +16,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.experiments.cli import positive_int
 from repro.experiments.sweep import configure
 from repro.fuzz.invariants import ALL_INVARIANTS, DEFAULT_INVARIANTS
 from repro.fuzz.shrink import DEFAULT_BUDGET
@@ -38,7 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--invariants", default=None, metavar="A,B,C",
                         help="comma-separated invariant selection "
                              "(default: all standard ones)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    parser.add_argument("--jobs", type=positive_int, default=None,
+                        metavar="N",
                         help="run cases across N worker processes")
     parser.add_argument("--corpus-dir", default=None, metavar="DIR",
                         help="write shrunk minimal repros into DIR")

@@ -25,7 +25,9 @@ import sys
 from typing import List, Optional
 
 from repro.experiments.base import DURATIONS_MS
+from repro.experiments.cli import positive_int
 from repro.obs.session import ObsSession
+from repro.workloads.pktgen import MIN_PACKET_BYTES
 
 WORKLOADS = ("pktgen", "tcp_rx", "tcp_tx", "rr")
 
@@ -41,9 +43,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="server-side configuration (default: remote, "
                              "the NUDMA-afflicted case)")
     parser.add_argument("--packet-bytes", type=int, default=256,
-                        help="pktgen packet size (default: 256, the "
-                             "fig08 knee)")
-    parser.add_argument("--message-bytes", type=int, default=16384,
+                        help=f"pktgen packet size, at least "
+                             f"{MIN_PACKET_BYTES} (default: 256, the "
+                             f"fig08 knee)")
+    parser.add_argument("--message-bytes", type=positive_int,
+                        default=16384,
                         help="tcp_rx/tcp_tx/rr message size")
     parser.add_argument("--fidelity", default="quick",
                         choices=tuple(sorted(DURATIONS_MS)))
@@ -66,6 +70,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also print the engine self-profile "
                              "(host wall-clock by event type)")
     return parser
+
+
+def _parse_args(parser: argparse.ArgumentParser,
+                argv: Optional[List[str]]) -> argparse.Namespace:
+    """Parse ``argv``; a packet below pktgen's floor is a usage error."""
+    args = parser.parse_args(argv)
+    if args.packet_bytes < MIN_PACKET_BYTES:
+        parser.error(f"argument --packet-bytes: must be >= "
+                     f"{MIN_PACKET_BYTES}, got {args.packet_bytes}")
+    return args
 
 
 def _run_point(args, obs: ObsSession) -> dict:
@@ -97,7 +111,8 @@ def build_blame_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default="remote",
                         choices=("local", "remote", "ioctopus"))
     parser.add_argument("--packet-bytes", type=int, default=256)
-    parser.add_argument("--message-bytes", type=int, default=16384)
+    parser.add_argument("--message-bytes", type=positive_int,
+                        default=16384)
     parser.add_argument("--fidelity", default="quick",
                         choices=tuple(sorted(DURATIONS_MS)))
     parser.add_argument("--accuracy", default="exact",
@@ -120,7 +135,7 @@ def blame_main(argv: Optional[List[str]] = None) -> int:
 
     from repro.obs.blame import render_text, run_blame_point
 
-    args = build_blame_parser().parse_args(argv)
+    args = _parse_args(build_blame_parser(), argv)
     size = (args.packet_bytes if args.workload == "pktgen"
             else args.message_bytes)
     duration = DURATIONS_MS[args.fidelity] * 1_000_000
@@ -147,7 +162,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] == "diff":
         from repro.obs.diff import main as diff_main
         return diff_main(argv[1:])
-    args = build_parser().parse_args(argv)
+    args = _parse_args(build_parser(), argv)
     obs = ObsSession(enabled=True, trace=bool(args.trace),
                      sample_interval_ns=args.sample_interval_us * 1000,
                      profile=args.profile)

@@ -117,11 +117,10 @@ class MemcachedServer(Workload):
                 if governor is not None:
                     run = self._same_type_run(set_accum, is_set,
                                               governor.max_bursts)
-                    token = (host.stack.steady_token(sock), is_set)
-                    cap = governor.clip_to_boundaries(
-                        run, self.env.now, self.warmup_ns,
-                        self.duration_ns)
-                    n = governor.plan(token, cap)
+                    n = governor.plan_train(
+                        (host.stack.steady_token(sock), is_set),
+                        self.env.now, self.warmup_ns, self.duration_ns,
+                        cap=run)
                     # Advance the accumulator past the n-1 coalesced
                     # transactions (all the same type by construction).
                     for _ in range(n - 1):

@@ -15,7 +15,7 @@ from repro.nic.packet import Flow, packets_for
 from repro.os_model.netstack import MSS
 from repro.units import KB
 from repro.workloads.base import Workload, measured_meter
-from repro.workloads.train import make_governor
+from repro.workloads.train import burst_loop, make_governor
 
 #: Default burst sizing: batch messages up to this many bytes per loop.
 BURST_BYTES = 64 * KB
@@ -32,7 +32,8 @@ class TcpStream(Workload):
             raise ValueError(f"direction must be 'rx' or 'tx', "
                              f"got {direction!r}")
         if message_bytes < 1:
-            raise ValueError(f"message_bytes must be >= 1")
+            raise ValueError(f"message_bytes must be >= 1, "
+                             f"got {message_bytes}")
         self.core = core
         self.flow = flow
         self.message_bytes = message_bytes
@@ -46,63 +47,29 @@ class TcpStream(Workload):
         self.thread = self._spawn(f"netperf-{direction}", self._body, core)
 
     def _body(self, thread):
-        sock = self.host.stack.open_socket(
+        stack = self.host.stack
+        sock = stack.open_socket(
             thread, self.driver, self.flow,
             app_buffer_bytes=max(64 * KB, self.message_bytes))
-        burst = (self.host.stack.rx_burst if self.direction == "rx"
-                 else self.host.stack.tx_burst)
-        if self.env.adaptive:
-            yield from self._train_body(thread, sock, burst)
-            return
-        while not self.done():
-            cpu, dev = burst(sock, self.batch, self.message_bytes)
-            if self.in_measurement():
-                self.meter.record(self.batch * self.message_bytes,
-                                  self.batch)
-            yield thread.overlap(cpu, dev)
-        self.meter.finish(min(self.env.now, self.duration_ns))
+        rx = self.direction == "rx"
+        stack_burst = stack.rx_burst if rx else stack.tx_burst
+        batch = self.batch
+        message_bytes = self.message_bytes
+        burst_packets = batch * packets_for(message_bytes, MSS)
 
-    def _train_body(self, thread, sock, burst):
-        """Adaptive fast path: K identical bursts per event while the
-        socket's steady-state token holds (see NetworkStack.steady_token).
-        The burst call scales every count by ``ntrains``, preserving the
-        per-burst quantisation, so a train charges exactly what K
-        individual bursts would."""
-        governor = self.governor
-        stack = self.host.stack
-        burst_bytes = self.batch * self.message_bytes
-        burst_packets = self.batch * packets_for(self.message_bytes, MSS)
-        byte_cap = max(1, governor.max_train_bytes // burst_bytes)
-        while not self.done():
-            token = stack.steady_token(sock)
-            rxq = sock.driver.rx_queue_for_core(thread.core)
-            queue = rxq if self.direction == "rx" else sock.tx_queue
-            cap = min(governor.max_bursts, byte_cap)
-            if not governor.cross_ring_wraps:
-                cap = min(cap, max(1, queue.descriptors_until_wrap()
-                                   // burst_packets))
-            cap = governor.clip_to_boundaries(cap, self.env.now,
-                                              self.warmup_ns,
-                                              self.duration_ns)
-            k = governor.plan(token, cap)
-            with governor.interval(k):
-                cpu, dev = burst(sock, self.batch, self.message_bytes,
-                                 ntrains=k)
-            wall = max(cpu, dev)
-            if self.in_measurement():
-                # Progressive start/finish: bytes are recorded at train
-                # start; align the meter's window to [first train start,
-                # projected last train end] so an early-terminated run
-                # reads a train-covered rate with no dead gap after
-                # warmup.
-                if self.meter.messages_total == 0:
-                    self.meter.start_ns = self.env.now
-                self.meter.record(k * burst_bytes, k * self.batch)
-                self.meter.finish(min(self.env.now + wall,
-                                      self.duration_ns))
-            governor.observe(wall, k)
-            yield thread.overlap(cpu, dev)
-        self.meter.finish(min(self.env.now, self.duration_ns))
+        def until_wrap():
+            queue = (sock.driver.rx_queue_for_core(thread.core) if rx
+                     else sock.tx_queue)
+            return queue.descriptors_until_wrap() // burst_packets
+
+        # The burst call scales every count by ``ntrains``, preserving
+        # the per-burst quantisation, so a k-burst train charges exactly
+        # what k individual bursts would.
+        yield from burst_loop(
+            self, thread,
+            lambda k: stack_burst(sock, batch, message_bytes, ntrains=k),
+            batch * message_bytes, batch,
+            lambda: stack.steady_token(sock), until_wrap)
 
     def throughput_gbps(self) -> float:
         return self.meter.gbps()

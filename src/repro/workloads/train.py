@@ -1,27 +1,41 @@
-"""Packet-train coalescing for steady-state flows (adaptive accuracy).
+"""One burst loop for every accuracy tier, and the governors that size
+its packet trains.
 
-A workload loop in ``exact`` mode yields one event per burst: every burst
-re-walks wire -> NIC ring -> DMA/LLC -> netstack even when nothing about
-the flow is changing.  In ``adaptive`` mode the :class:`TrainGovernor`
-watches a *steady-state token* — a fingerprint of every decision a burst
-depends on (core, queues, serving PF and its liveness, the firmware
-steering epoch, interrupt-moderation budget, wire impairment) — and,
-while the token holds and the per-burst wall time is stable, lets the
-workload coalesce K back-to-back bursts into a single *train* event.
+pktgen and netperf TCP_STREAM are loops of identical bursts.
+:func:`burst_loop` runs that loop for every tier; each workload supplies
+a ``burst(k)`` callable that charges k identical back-to-back bursts
+through the model layer and returns ``(cpu_ns, dev_ns)``, its bytes and
+messages per burst, a steady-state token and its bursts until the
+descriptor ring wraps.
 
-The model layer is already closed-form in the batch size (every
-``*_burst``/``tx``/``rx_deliver`` call takes an ``npackets``/``nmessages``
-count and the bandwidth/DRAM/interconnect servers are linear in bytes),
-so a train is simply the same calls with K-scaled counts: it charges the
-same aggregate wire bandwidth, PCIe TLP routing, DDIO/LLC allocation and
+``exact`` accuracy is the k = 1 case: one event per burst, every burst
+re-walks wire -> NIC ring -> DMA/LLC -> netstack, the loop makes no
+governor call and the meter covers exactly the measurement window.
+
+In ``adaptive`` mode the :class:`TrainGovernor` watches the
+*steady-state token* — a fingerprint of every decision a burst depends
+on (core, queues, serving PF and its liveness, the firmware steering
+epoch, interrupt-moderation budget, wire impairment) — and, while the
+token holds and the per-burst wall time is stable, lets the loop
+coalesce K back-to-back bursts into a single *train* event.  The model
+layer is closed-form in the batch size (every ``*_burst``/``tx``/
+``rx_deliver`` call takes an ``npackets``/``nmessages`` count and the
+bandwidth/DRAM/interconnect servers are linear in bytes), so a train is
+simply the same calls with K-scaled counts: it charges the same
+aggregate wire bandwidth, PCIe TLP routing, DDIO/LLC allocation and
 ring/descriptor accounting the K individual bursts would have, while the
 event kernel dispatches one event instead of K.
 
-De-coalescing is automatic: any token change (ARFS migration, PF
-failover, impairment episode, moderation budget shift, etc.) resets the
-train length to one burst, and per-train caps keep a single train from
-crossing a queue wrap, overrunning the DDIO slice, or spanning a
-measurement boundary.
+The governor owns train sizing: :meth:`TrainGovernor.plan_train` applies
+the burst cap, the per-train byte budget, the ring-wrap rule and the
+clip at warmup, at duration and at the wall cap in one call, so a train
+never crosses a queue wrap, overruns the DDIO slice or spans a
+measurement boundary.  De-coalescing is automatic: any token change
+(ARFS migration, PF failover, impairment episode, moderation budget
+shift, etc.) resets the train length to one burst.  memcached keeps its
+own loop (it rotates sockets, plans SET/GET runs, paces offered load
+and averages its meter across workers) but sizes its runs through the
+same call.
 
 ``fluid`` accuracy extends trains to whole *steady intervals* via
 :class:`FluidGovernor`: once settled, the train length jumps straight to
@@ -84,28 +98,26 @@ class TrainGovernor:
 
     Protocol, once per workload loop iteration::
 
-        k = governor.plan(token, cap)   # bursts to coalesce now
-        ... run the k-burst train through the model layer ...
+        k = governor.plan_train(token, now, warmup, duration, ...)
+        with governor.interval(k):
+            ... run the k-burst train through the model layer ...
         governor.observe(wall_ns, k)    # feed back the train's wall time
 
-    ``plan`` returns 1 until the token has been steady and the observed
-    per-burst wall time stable for :data:`SETTLE_OBSERVATIONS` rounds,
-    then grows the train geometrically up to ``min(cap, max_bursts)``.
+    :meth:`plan` returns 1 until the token has been steady and the
+    observed per-burst wall time stable for :data:`SETTLE_OBSERVATIONS`
+    rounds, then grows the train geometrically up to ``max_bursts``.
     Any token change de-coalesces (K returns to 1 immediately).
     """
 
-    def __init__(self, max_bursts: int = MAX_TRAIN_BURSTS,
-                 settle: int = SETTLE_OBSERVATIONS,
-                 rel_tol: float = STABLE_REL_TOL):
+    #: Per-train byte budget a train's bursts must fit in.
+    _max_train_bytes = MAX_TRAIN_BYTES
+    #: Whether a train may span descriptor-ring wraps.
+    _cross_ring_wraps = False
+
+    def __init__(self, max_bursts: int = MAX_TRAIN_BURSTS):
         if max_bursts < 1:
             raise ValueError(f"max_bursts must be >= 1, got {max_bursts}")
         self.max_bursts = max_bursts
-        self.settle = settle
-        self.rel_tol = rel_tol
-        #: Per-train byte budget the workload divides by its burst size.
-        self.max_train_bytes = MAX_TRAIN_BYTES
-        #: Whether a train may span descriptor-ring wraps.
-        self.cross_ring_wraps = False
         self._token = None
         self._streak = 0
         self._next_k = 1
@@ -116,22 +128,44 @@ class TrainGovernor:
         self.decoalesce_events = 0
         self.max_bursts_seen = 1
 
-    # ------------------------------------------------------------- query
-
-    @property
-    def per_burst_wall_ns(self) -> Optional[float]:
-        """Latest observed wall time per burst (None before the first
-        observation or right after a de-coalesce)."""
-        return self._per_burst_wall
-
     # ----------------------------------------------------------- protocol
+
+    def plan_train(self, token, now_ns: int, warmup_ns: int,
+                   duration_ns: int, cap: Optional[int] = None,
+                   burst_bytes: int = 0, bursts_until_wrap=None) -> int:
+        """Size the next train under ``token`` and :meth:`plan` it.
+
+        The train stays within ``cap`` (default ``max_bursts``), within
+        the per-train byte budget at ``burst_bytes`` a burst, short of
+        the descriptor-ring wrap (``bursts_until_wrap()``, unless this
+        governor crosses wraps) and — by the learned per-burst wall —
+        short of the next of warmup and duration and within the wall
+        cap.  Before any observation the train is one burst anyway, so
+        no clipping is needed then.
+        """
+        if cap is None:
+            cap = self.max_bursts
+        if burst_bytes:
+            cap = min(cap, max(1, self._max_train_bytes // burst_bytes))
+        if bursts_until_wrap is not None and not self._cross_ring_wraps:
+            cap = min(cap, max(1, bursts_until_wrap()))
+        estimate = self._per_burst_wall
+        if estimate:
+            wall_cap = self._wall_cap_ns(warmup_ns, duration_ns)
+            cap = min(cap, max(1, int(wall_cap / estimate)))
+            for boundary in (warmup_ns, duration_ns):
+                if now_ns < boundary:
+                    cap = min(cap, max(1, int((boundary - now_ns)
+                                              / estimate)))
+                    break
+        return self.plan(token, cap)
 
     def plan(self, token, cap: Optional[int] = None) -> int:
         """Bursts the next train may coalesce under ``token``.
 
-        ``cap`` is the caller's per-train ceiling for *this* iteration
-        (ring wrap, byte budget, boundary clipping); it limits the train
-        without resetting the learned steady state.
+        ``cap`` is the per-train ceiling for *this* iteration (see
+        :meth:`plan_train`); it limits the train without resetting the
+        learned steady state.
         """
         if token != self._token:
             if self._token is not None:
@@ -140,7 +174,7 @@ class TrainGovernor:
             self._streak = 0
             self._next_k = 1
             self._per_burst_wall = None
-        k = self._next_k if self._streak >= self.settle else 1
+        k = self._next_k if self._streak >= SETTLE_OBSERVATIONS else 1
         if cap is not None and k > cap:
             k = cap if cap >= 1 else 1
         self.trains += 1
@@ -157,13 +191,13 @@ class TrainGovernor:
         previous = self._per_burst_wall
         self._per_burst_wall = per_burst
         if (previous is None
-                or abs(per_burst - previous) > self.rel_tol * previous):
+                or abs(per_burst - previous) > STABLE_REL_TOL * previous):
             # Unstable (or first look at this token): hold at one burst.
             self._streak = 0
             self._next_k = 1
             return
         self._streak += 1
-        if self._streak >= self.settle:
+        if self._streak >= SETTLE_OBSERVATIONS:
             self._next_k = self._grown_k()
 
     def _grown_k(self) -> int:
@@ -178,28 +212,6 @@ class TrainGovernor:
         the noise), so this is a no-op; :class:`FluidGovernor` overrides
         it to publish the interval's span to the environment."""
         return nullcontext()
-
-    # ------------------------------------------------------------ helpers
-
-    def clip_to_boundaries(self, cap: int, now_ns: int, warmup_ns: int,
-                           duration_ns: int) -> int:
-        """Tighten ``cap`` so the projected train does not cross the
-        warmup or duration boundary, nor the governor's wall cap
-        (:data:`MAX_TRAIN_WALL_NS`, or window-scaled for fluid).
-
-        Uses the learned per-burst wall estimate; before any observation
-        the train is one burst anyway, so no clipping is needed.
-        """
-        estimate = self._per_burst_wall
-        if not estimate or estimate <= 0:
-            return cap
-        wall_cap = self._wall_cap_ns(warmup_ns, duration_ns)
-        cap = min(cap, max(1, int(wall_cap / estimate)))
-        for boundary in (warmup_ns, duration_ns):
-            if now_ns < boundary:
-                cap = min(cap, max(1, int((boundary - now_ns) / estimate)))
-                break
-        return cap
 
     def _wall_cap_ns(self, warmup_ns: int, duration_ns: int) -> int:
         """Longest wall time one train may cover."""
@@ -225,15 +237,12 @@ class FluidGovernor(TrainGovernor):
       stay bounded relative to the run.
     """
 
-    def __init__(self, region: FluidRegion,
-                 max_bursts: int = FLUID_MAX_TRAIN_BURSTS,
-                 settle: int = SETTLE_OBSERVATIONS,
-                 rel_tol: float = STABLE_REL_TOL):
-        super().__init__(max_bursts=max_bursts, settle=settle,
-                         rel_tol=rel_tol)
+    _max_train_bytes = FLUID_MAX_TRAIN_BYTES
+    _cross_ring_wraps = True
+
+    def __init__(self, region: FluidRegion):
+        super().__init__(FLUID_MAX_TRAIN_BURSTS)
         self.region = region
-        self.max_train_bytes = FLUID_MAX_TRAIN_BYTES
-        self.cross_ring_wraps = True
         region.register()
 
     def plan(self, token, cap: Optional[int] = None) -> int:
@@ -289,3 +298,51 @@ def make_governor(env) -> TrainGovernor:
     if getattr(env, "fluid", False):
         return FluidGovernor(fluid_region(env))
     return TrainGovernor()
+
+
+def burst_loop(workload, thread, burst, burst_bytes: int,
+               burst_messages: int, token, bursts_until_wrap):
+    """Run ``workload``'s steady burst loop on ``thread`` until its
+    duration (a generator for the thread body to ``yield from``).
+
+    ``burst(k)`` charges k identical back-to-back bursts of
+    ``burst_bytes`` and ``burst_messages`` each and returns ``(cpu_ns,
+    dev_ns)``; ``token()`` and ``bursts_until_wrap()`` feed the
+    governor.  The workload provides ``env``, ``meter``, ``governor``,
+    ``warmup_ns`` and ``duration_ns``.
+
+    Exact accuracy runs ``burst(1)`` per event with no governor call.
+    The fast tiers let the governor size each train and align the meter
+    progressively: a train's bytes are recorded at its start, so the
+    meter runs from the first train's start to the projected end of the
+    last (the convergence loop may stop the run mid-train, and the
+    first post-warmup train may start a little after warmup).
+    """
+    env = workload.env
+    meter = workload.meter
+    warmup_ns = workload.warmup_ns
+    duration_ns = workload.duration_ns
+    governor = workload.governor if env.adaptive else None
+    while env._now < duration_ns:
+        # Nothing in an iteration before its yield advances the clock,
+        # and the loop test already holds now < duration_ns.
+        now = env._now
+        if governor is None:
+            cpu, dev = burst(1)
+            if warmup_ns <= now:
+                meter.record(burst_bytes, burst_messages)
+        else:
+            k = governor.plan_train(token(), now, warmup_ns, duration_ns,
+                                    burst_bytes=burst_bytes,
+                                    bursts_until_wrap=bursts_until_wrap)
+            with governor.interval(k):
+                cpu, dev = burst(k)
+            wall = max(cpu, dev)
+            if warmup_ns <= now:
+                if meter.messages_total == 0:
+                    meter.start_ns = now
+                meter.record(k * burst_bytes, k * burst_messages)
+                meter.finish(min(now + wall, duration_ns))
+            governor.observe(wall, k)
+        yield thread.overlap(cpu, dev)
+    meter.finish(min(env._now, duration_ns))

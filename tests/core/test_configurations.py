@@ -64,23 +64,9 @@ def test_client_is_single_pf_local():
 
 
 def test_ddio_flag_disables_both_machines():
-    with pytest.deprecated_call():
-        testbed = Testbed("local", ddio=False)
+    testbed = Testbed(SystemConfig("local").without("ddio"))
     assert not testbed.server.machine.memory.ddio_enabled
     assert not testbed.client.machine.memory.ddio_enabled
-
-
-def test_ddio_shim_is_equivalent_to_system_config():
-    with pytest.deprecated_call():
-        shimmed = Testbed("local", ddio=False)
-    explicit = Testbed(system=SystemConfig("local").without("ddio"))
-    assert shimmed.system == explicit.system
-
-
-def test_default_ddio_emits_no_warning(recwarn):
-    Testbed("local")
-    assert not [w for w in recwarn.list
-                if issubclass(w.category, DeprecationWarning)]
 
 
 def test_testbed_accepts_system_config():

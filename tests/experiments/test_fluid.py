@@ -3,7 +3,10 @@
 Contracts, mirroring ``tests/experiments/test_batching.py`` one tier up:
 
 (a) ``accuracy="fluid"`` lands every fig06/fig08/fig10 quick-point
-    metric within 2% relative error of exact.
+    metric within 2% relative error of exact, and its own values are
+    pinned exactly (including a memcached point whose same-type runs
+    really coalesce), so a float-order slip in the interval loop cannot
+    hide inside that tolerance.
 (b) Fluid cuts simulated events per packet below even the adaptive
     tier on the fig08 pktgen point — the interval engine is doing work
     coalescing alone does not.
@@ -17,6 +20,8 @@ Contracts, mirroring ``tests/experiments/test_batching.py`` one tier up:
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.core import Testbed
@@ -24,6 +29,8 @@ from repro.experiments.fig10_memcached import run_memcached
 from repro.experiments.runners import (run_pktgen, run_tcp_stream,
                                        run_until_converged, warmup_of)
 from repro.sim.fluid import fluid_region
+from repro.units import KB
+from repro.workloads.memcached import MemcachedServer
 from repro.workloads.pktgen import Pktgen
 from repro.workloads.train import FLUID_COALESCE_WALL_NS, FluidGovernor
 
@@ -65,6 +72,54 @@ def test_fluid_matches_exact_fig10_point():
     exact = run_memcached("remote", 0.5, duration, accuracy="exact")
     fluid = run_memcached("remote", 0.5, duration, accuracy="fluid")
     assert_within(exact, fluid)
+
+
+def _memcached_4k(set_fraction: float, accuracy: str) -> dict:
+    """Two workers on two connections with 4 KB values: unlike the fig10
+    point (sockets rotate, 512 KB transactions are too coarse), its
+    same-type runs coalesce into steady intervals under fluid."""
+    testbed = Testbed("ioctopus", accuracy=accuracy)
+    host = testbed.server
+    server = MemcachedServer(
+        host, host.machine.cores_on_node(testbed.server_workload_node)[:2],
+        set_fraction, D, warmup_of(D), value_bytes=4 * KB, connections=2)
+    testbed.run(D + D // 5)
+    return {"ktps": server.transactions_ktps(),
+            "events": testbed.env.events_processed,
+            "steady_intervals": fluid_region(testbed.env).steady_intervals}
+
+
+@pytest.mark.parametrize("point,want", [
+    pytest.param(partial(run_pktgen, "remote", 256, D, seed=0), {
+        "throughput_gbps": 6.220492620188885,
+        "mpps": 3.037349912201604,
+        "membw_gbps": 9.331255926013064,
+    }, id="pktgen-remote-256"),
+    pytest.param(partial(run_tcp_stream, "ioctopus", 4096, "rx", D,
+                         seed=0), {
+        "throughput_gbps": 17.70315313840411,
+        "membw_gbps": 0.0,
+        "cpu_cores": 1.0,
+    }, id="tcp-rx-ioctopus-4096"),
+    pytest.param(partial(run_tcp_stream, "local", 4096, "tx", D,
+                         seed=1), {
+        "throughput_gbps": 16.05794098552496,
+        "membw_gbps": 6.7286764463446875,
+        "cpu_cores": 1.0,
+    }, id="tcp-tx-local-4096"),
+    pytest.param(partial(_memcached_4k, 0.0), {
+        "ktps": 276.5046609104101,
+        "events": 74,
+        "steady_intervals": 22,
+    }, id="memcached-4k-get"),
+    pytest.param(partial(_memcached_4k, 1.0), {
+        "ktps": 229.42105496723659,
+        "events": 66,
+        "steady_intervals": 22,
+    }, id="memcached-4k-set"),
+])
+def test_fluid_golden(point, want):
+    assert point(accuracy="fluid") == want
 
 
 # ------------------------------------------------------ (b) event count

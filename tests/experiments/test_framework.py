@@ -90,13 +90,34 @@ def test_cli_unknown_experiment(capsys):
         assert name in captured.err
 
 
-@pytest.mark.parametrize("flag", ["--servers", "--connections", "--jobs"])
-def test_cli_rejects_non_positive_counts(flag, capsys):
+@pytest.mark.parametrize("argv,error", [
+    pytest.param(["fig16", "--servers", "0"],
+                 "argument --servers: must be >= 1, got 0", id="--servers"),
+    pytest.param(["fig16", "--connections", "0"],
+                 "argument --connections: must be >= 1, got 0",
+                 id="--connections"),
+    pytest.param(["fig16", "--jobs", "0"],
+                 "argument --jobs: must be >= 1, got 0", id="--jobs"),
+    pytest.param(["obs", "--packet-bytes", "10"],
+                 "argument --packet-bytes: must be >= 20, got 10",
+                 id="obs--packet-bytes"),
+    pytest.param(["obs", "--workload", "tcp_rx", "--message-bytes", "0"],
+                 "argument --message-bytes: must be >= 1, got 0",
+                 id="obs--message-bytes"),
+    pytest.param(["obs", "blame", "--workload", "tcp_rx",
+                  "--message-bytes", "0"],
+                 "argument --message-bytes: must be >= 1, got 0",
+                 id="obs-blame--message-bytes"),
+    pytest.param(["ablate", "--jobs", "0"],
+                 "argument --jobs: must be >= 1, got 0", id="ablate--jobs"),
+    pytest.param(["fuzz", "--jobs", "0", "--cases", "1"],
+                 "argument --jobs: must be >= 1, got 0", id="fuzz--jobs"),
+])
+def test_cli_rejects_non_positive_counts(argv, error, capsys):
     with pytest.raises(SystemExit) as exit_info:
-        main(["fig16", flag, "0"])
+        main(argv)
     assert exit_info.value.code == 2
-    assert f"argument {flag}: must be >= 1, got 0" in (
-        capsys.readouterr().err)
+    assert error in capsys.readouterr().err
 
 
 def test_cli_parser_fidelity_choices():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.nic.moderation import (
+from repro.device.moderation import (
     HIGH_RATE_PPS,
     MAX_COALESCED_FRAMES,
     AdaptiveCoalescing,

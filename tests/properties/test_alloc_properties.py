@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nic.moderation import AdaptiveCoalescing
+from repro.device.moderation import AdaptiveCoalescing
 from repro.os_model.alloc import PAGE, NumaAllocator, OutOfMemoryError
 from repro.topology import dell_r730
 
