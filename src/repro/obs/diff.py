@@ -243,6 +243,8 @@ def _load(path: str) -> Dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.base import DURATIONS_MS
+    from repro.experiments.cli import positive_int
     parser = argparse.ArgumentParser(
         prog="ioctopus-repro obs diff",
         description="Attribute the latency delta between two runs "
@@ -258,10 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("local", "remote", "ioctopus"))
     parser.add_argument("--b-config", default="remote",
                         choices=("local", "remote", "ioctopus"))
-    parser.add_argument("--size", type=int, default=None,
+    parser.add_argument("--size", type=positive_int, default=None,
                         help="packet/message bytes (default: 256 for "
                              "pktgen, 64 for rr, 16384 for tcp_*)")
-    parser.add_argument("--fidelity", default="quick")
+    parser.add_argument("--fidelity", default="quick",
+                        choices=tuple(sorted(DURATIONS_MS)))
     parser.add_argument("--accuracy", default="exact",
                         choices=("exact", "adaptive", "fluid"))
     parser.add_argument("--seed", type=int, default=0)
@@ -281,13 +284,14 @@ def _default_size(workload: str) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.experiments.base import DURATIONS_MS
-    args = build_parser().parse_args(argv)
-    if args.fidelity not in DURATIONS_MS:
-        print(f"fidelity must be one of {sorted(DURATIONS_MS)}",
-              file=sys.stderr)
-        return 2
+    from repro.workloads.pktgen import MIN_PACKET_BYTES
+    parser = build_parser()
+    args = parser.parse_args(argv)
     size = args.size if args.size is not None \
         else _default_size(args.workload)
+    if args.workload == "pktgen" and size < MIN_PACKET_BYTES:
+        parser.error(f"argument --size: must be >= {MIN_PACKET_BYTES} "
+                     f"for pktgen, got {size}")
     duration = DURATIONS_MS[args.fidelity] * 1_000_000
 
     def side(path: Optional[str], config: str) -> Tuple[Dict, str]:

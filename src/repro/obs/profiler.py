@@ -3,11 +3,12 @@
 Answers "where does a simulated second's host time go?" — the question
 the next perf PR starts from.  The profiler wraps
 :meth:`~repro.sim.engine.Environment.step` with a per-event
-``perf_counter`` timing, classifying each event *before* dispatch by
-mirroring the kernel's lane/heap selection (without popping), so the
-attribution adds no events and changes no ordering.  Categories are the
-waiting process's name (``process:pktgen``) when one process owns the
-callback, else the event type.
+``perf_counter`` timing, classifying each queue entry *before* dispatch
+by mirroring the kernel's lane/heap selection (without popping), so the
+attribution adds no events and changes no ordering.  A process's own
+resumption (its start, a sleep, a hand-off) is ``process:<name>``; an
+event is the waiting process's name (``process:pktgen``) when a process
+owns the callback, else the event type.
 
 The wrapper costs two clock reads per event, so a profiled run is
 slower — it is a diagnosis tool, never attached by default and excluded
@@ -34,31 +35,34 @@ class EngineProfiler:
 
     # ---------------------------------------------------- classification
 
-    def _next_event(self):
-        """The event step() will dispatch next (kernel selection logic,
-        mirrored without popping)."""
+    def _next_entry(self):
+        """The ``(fn, arg)`` step() will dispatch next (kernel selection
+        logic, mirrored without popping)."""
         env = self.env
         lane, queue = env._lane, env._queue
         if lane:
             if queue:
                 head = queue[0]
                 if head[0] <= env._now and head[1] < lane[0][0]:
-                    return head[2]
-            return lane[0][1]
+                    return head[2:]
+            return lane[0][1:]
         if queue:
-            return queue[0][2]
+            return queue[0][2:]
         return None
 
     @staticmethod
-    def _category(event) -> str:
-        callbacks = getattr(event, "callbacks", None)
+    def _category(fn, arg) -> str:
+        process = getattr(fn, "__self__", None)
+        if process is not None:  # Process._drive: a resumption it queued
+            return f"process:{process.name}"
+        callbacks = arg.callbacks  # Event._run_callbacks: arg is the event
         if callbacks:
             for callback in callbacks:
                 owner = getattr(callback, "__self__", None)
                 name = getattr(owner, "name", None)
                 if name:
                     return f"process:{name}"
-        return f"event:{type(event).__name__}"
+        return f"event:{type(arg).__name__}"
 
     # -------------------------------------------------------- install
 
@@ -70,13 +74,13 @@ class EngineProfiler:
         self._installed = True
         orig_step = Environment.step.__get__(self.env)
         by_category = self.by_category
-        next_event = self._next_event
+        next_entry = self._next_entry
         category_of = self._category
         clock = time.perf_counter
 
         def timed_step() -> None:
-            event = next_event()
-            cat = category_of(event) if event is not None else "empty"
+            entry = next_entry()
+            cat = category_of(*entry) if entry is not None else "empty"
             start = clock()
             orig_step()
             elapsed = clock() - start

@@ -1,12 +1,19 @@
 """Simulated threads.
 
 A :class:`SimThread` wraps a generator body and a current core.  Bodies
-yield events produced by the thread's helpers::
+yield the delays the thread's helpers return::
 
     def body(thread):
         while True:
             yield thread.compute(500)          # busy CPU time
             yield thread.overlap(cpu_ns, dev_ns)  # pipelined CPU + device
+
+A helper returns the wall time in integer ns (``compute`` and
+``overlap`` charge the core when called); the kernel queues the thread's
+resumption when the body yields it (see
+:class:`~repro.sim.engine.Process`).  Yield a helper's result at once:
+anything scheduled between the call and the yield would take its place
+in the event order.
 
 ``overlap`` models the steady-state pipelining of CPU work with device
 work: the wall time of a batch is the *max* of the two, but only the CPU
@@ -18,7 +25,8 @@ from __future__ import annotations
 
 from typing import Callable, Generator, Optional
 
-from repro.sim.engine import Event, Process
+from repro.sim.engine import Process
+from repro.sim.errors import ScheduleInPastError
 from repro.topology.machine import Core
 
 
@@ -66,26 +74,23 @@ class SimThread:
 
     # ----------------------------------------------------------- helpers
 
-    def compute(self, ns: int) -> Event:
-        """Busy the current core for ``ns``.
+    def compute(self, ns: int) -> int:
+        """Busy the current core for ``ns``; yield the result at once."""
+        return self.core.charge(int(ns))
 
-        The returned event is pooled: yield it immediately, don't store it.
-        """
-        ns = int(ns)
-        self.core.charge(ns)
-        return self.env.pooled_timeout(ns)
-
-    def overlap(self, cpu_ns: int, dev_ns: int) -> Event:
+    def overlap(self, cpu_ns: int, dev_ns: int) -> int:
         """One pipelined batch: wall time max(cpu, dev), core charged cpu.
 
-        The returned event is pooled: yield it immediately, don't store it.
+        Yield the result at once.
         """
-        self.core.charge(int(cpu_ns))
-        return self.env.pooled_timeout(max(int(cpu_ns), int(dev_ns)))
+        return max(self.core.charge(int(cpu_ns)), int(dev_ns))
 
-    def sleep(self, ns: int) -> Event:
-        """Block without using CPU (pooled: yield immediately)."""
-        return self.env.pooled_timeout(int(ns))
+    def sleep(self, ns: int) -> int:
+        """Block without using CPU; yield the result at once."""
+        ns = int(ns)
+        if ns < 0:
+            raise ScheduleInPastError(f"negative sleep {ns}")
+        return ns
 
     def __repr__(self) -> str:
         return f"<SimThread {self.name} core={self.core.core_id}>"

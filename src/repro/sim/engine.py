@@ -13,26 +13,32 @@ produce identical traces.
 
 Fast-path machinery
 -------------------
-Two optimisations keep the kernel cheap without changing any trace:
+The queue holds plain entries, not events: a heap entry is
+``(time, sequence, fn, arg)`` and :meth:`Environment.step` pops the
+smallest one and calls ``fn(arg)``.  Two kinds of entry exist:
 
-* **Same-timestamp fast lane** — the dominant schedule case is ``delay=0``
-  (event hand-offs, resource grants, process resumes).  Those events go to
-  a FIFO deque instead of the heap; :meth:`Environment.step` interleaves
-  the lane with the heap by the same global ``(time, sequence)`` order the
-  heap alone would have produced, so event order is bit-identical.
-* **Event free-list** — one-shot events the kernel itself creates and fully
-  controls (process bootstrap/resume hand-offs, interrupts, and the
-  :meth:`Environment.pooled_timeout` variant used by the thread helpers)
-  are recycled after their callbacks run instead of being reallocated.
-  Pooled events MUST NOT be retained by callers past their firing; the
-  public :meth:`Environment.timeout` is not pooled and stays safe to hold.
+* **Events** — ``fn`` is :meth:`Event._run_callbacks` and ``arg`` the
+  event, which hands it to everything waiting on it.
+* **Process resumptions** — ``fn`` is a process's :meth:`Process._drive`
+  and ``arg`` the sequence number of the entry, its token.  A process
+  queues its own resumption when it starts, when it sleeps (yields an
+  ``int`` number of ns; no :class:`Event` is created) and when it yields
+  an event that has already fired.  An interrupt makes the token stale,
+  so a resumption queued before it fires as a no-op.
+
+The dominant schedule case is ``delay=0`` (event hand-offs, resource
+grants, process starts).  Those entries skip the heap for a FIFO
+**same-timestamp lane** of ``(sequence, fn, arg)``; ``step()``
+interleaves the lane with the heap by the same global ``(time,
+sequence)`` order the heap alone would produce, so event order is
+bit-identical.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.sim.errors import (
@@ -78,8 +84,7 @@ class Event:
     callbacks run when the simulator reaches it in the event queue.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_exception", "_scheduled",
-                 "_pool_ok")
+    __slots__ = ("env", "callbacks", "_value", "_exception", "_scheduled")
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -87,7 +92,6 @@ class Event:
         self._value: Any = _PENDING
         self._exception: Optional[BaseException] = None
         self._scheduled = False
-        self._pool_ok = False
 
     @property
     def triggered(self) -> bool:
@@ -129,6 +133,7 @@ class Event:
         return self
 
     def _run_callbacks(self) -> None:
+        """Dispatch: the ``fn`` of this event's queue entry."""
         callbacks, self.callbacks = self.callbacks, None
         for callback in callbacks:
             callback(self)
@@ -218,11 +223,21 @@ class AnyOf(Event):
 class Process(Event):
     """Drives a generator; the process event fires when the generator ends.
 
-    The generator may yield any :class:`Event`; the process resumes with the
-    event's value (or the event's exception is thrown into the generator).
+    The generator may yield:
+
+    * any :class:`Event` — the process resumes with the event's value (or
+      the event's exception is thrown into the generator);
+    * a non-negative ``int`` — the process sleeps that many ns and then
+      resumes with ``None``.  The sleep is a queue entry of the process's
+      own, not an event, so it is scheduled when the generator yields;
+      the :class:`~repro.os_model.thread.SimThread` helpers return such
+      delays.  A negative ``int`` raises :class:`ScheduleInPastError`.
+
+    Anything else (``bool`` and ``float`` included) is a
+    :class:`SimulationError`.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "name")
+    __slots__ = ("_generator", "_waiting_on", "_token", "name")
 
     def __init__(self, env: "Environment",
                  generator: Generator[Event, Any, Any],
@@ -232,21 +247,25 @@ class Process(Event):
             raise TypeError(f"process body must be a generator, "
                             f"got {type(generator).__name__}")
         self._generator = generator
+        #: The event whose outcome the next resumption delivers.
         self._waiting_on: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        # Bootstrap: resume the generator at time env.now via an
-        # immediately-scheduled (pooled) initialisation event.
-        init = env._pooled_event()
-        init.callbacks.append(self._resume)
-        init._value = None
-        env.schedule(init)
+        # Start the generator at env.now through a zero-length lane entry.
+        token = self._token = env._sequence = env._sequence + 1
+        env._lane.append((token, self._drive, token))
 
     @property
     def is_alive(self) -> bool:
         return not self.triggered
 
     def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
+        """Throw :class:`Interrupt` into the process at the current time.
+
+        The interrupt is the process's only resumption: it detaches the
+        process from the event it waits on and makes any resumption it
+        has already queued stale.  A later interrupt before this one is
+        delivered replaces it.
+        """
         if self.triggered:
             raise SimulationError(f"cannot interrupt dead process {self.name}")
         target = self._waiting_on
@@ -255,56 +274,76 @@ class Process(Event):
             # already triggered but not yet been processed — e.g. a
             # Timeout, whose value is assigned at construction).
             try:
-                target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._drive)
             except ValueError:
                 pass
-        self._waiting_on = None
-        interruption = self.env._pooled_event()
-        interruption.callbacks.append(self._resume)
-        interruption._exception = Interrupt(cause)
-        self.env.schedule(interruption)
+        self._token = None
+        interruption = self._waiting_on = Event(self.env)
+        interruption.callbacks.append(self._drive)
+        interruption.fail(Interrupt(cause))
 
-    def _resume(self, event: Event) -> None:
+    def _drive(self, cause: Any) -> None:
+        """Advance the generator by one yield; the only code that does.
+
+        ``cause`` is the event the process waited on through callbacks,
+        or the token of a resumption the process queued itself.
+        """
+        if cause.__class__ is int:
+            if cause != self._token:
+                return  # queued before an interrupt
+            event = self._waiting_on
+        else:
+            event = cause
         self._waiting_on = None
-        self.env._active_process = self
+        env = self.env
+        env._active_process = self
         try:
-            if event._exception is not None:
-                next_event = self._generator.throw(event._exception)
+            if event is None:
+                target = self._generator.send(None)
+            elif event._exception is not None:
+                target = self._generator.throw(event._exception)
             else:
-                next_event = self._generator.send(
+                target = self._generator.send(
                     None if event._value is _PENDING else event._value)
         except StopIteration as stop:
-            self.env._active_process = None
+            env._active_process = None
             self.succeed(stop.value)
             return
         except Interrupt:
             # The process chose not to handle its interruption: treat the
             # process as failed so waiters see the error.
-            self.env._active_process = None
+            env._active_process = None
             self._exception = SimulationError(
                 f"process {self.name!r} killed by unhandled interrupt")
-            self.env.schedule(self)
+            env.schedule(self)
             return
-        self.env._active_process = None
-        if not isinstance(next_event, Event):
+        env._active_process = None
+        if target.__class__ is int:
+            if target < 0:
+                raise ScheduleInPastError(
+                    f"process {self.name!r} slept {target} ns")
+            delay = target
+        elif not isinstance(target, Event):
             raise SimulationError(
-                f"process {self.name!r} yielded {next_event!r}, "
-                f"which is not an Event")
-        if next_event.callbacks is None:
-            # Already fired (processed): resume on the next same-tick
-            # scheduler pass through a pooled hand-off event on the fast
-            # lane (hot on every ARFS cache hit; no heap traffic, no
-            # allocation).
-            bounce = self.env._pooled_event()
-            bounce.callbacks.append(self._resume)
-            if next_event._exception is not None:
-                bounce._exception = next_event._exception
-            else:
-                bounce._value = next_event._value
-            self.env.schedule(bounce)
+                f"process {self.name!r} yielded {target!r}, "
+                f"which is neither an Event nor an int delay")
+        elif target.callbacks is not None:
+            self._waiting_on = target
+            target.callbacks.append(self._drive)
+            return
         else:
-            self._waiting_on = next_event
-            next_event.callbacks.append(self._resume)
+            # Already fired: resume with its outcome on the lane (hot on
+            # every ARFS cache hit).
+            self._waiting_on = target
+            delay = 0
+        token = self._token = env._sequence = env._sequence + 1
+        if delay:
+            heappush(env._queue, (env._now + delay, token, self._drive, token))
+        else:
+            env._lane.append((token, self._drive, token))
+
+
+_run_callbacks = Event._run_callbacks
 
 
 class Environment:
@@ -321,13 +360,12 @@ class Environment:
         self.accuracy = accuracy
         self._now = int(initial_time)
         self._queue: List[tuple] = []
-        #: Same-timestamp fast lane: (sequence, event) pairs scheduled with
-        #: delay 0, drained in global (time, sequence) order with the heap.
+        #: Same-timestamp fast lane: (sequence, fn, arg) entries scheduled
+        #: with delay 0, drained in global (time, sequence) order with the
+        #: heap.
         self._lane: deque = deque()
         self._sequence = 0
         self._active_process: Optional[Process] = None
-        #: Free-list of recycled one-shot events (see module docstring).
-        self._pool: List[Event] = []
         #: Total events dispatched; the perf harness divides by wall time.
         self.events_processed = 0
         #: Bumped by every BandwidthServer.set_rate (fault throttles, link
@@ -390,46 +428,6 @@ class Environment:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    # -- pooled fast-path events -------------------------------------------
-
-    def _pooled_event(self) -> Event:
-        """A recycled pending event; recycled again after it fires.
-
-        Only for one-shot events whose last reader is a callback: the
-        object is reset and reused as soon as its callbacks have run.
-        """
-        pool = self._pool
-        if pool:
-            return pool.pop()
-        event = Event(self)
-        event._pool_ok = True
-        return event
-
-    def pooled_timeout(self, delay: int, value: Any = None) -> Event:
-        """A :class:`Timeout`-equivalent drawn from the free list.
-
-        The caller must yield/consume it immediately and never touch it
-        after it fires (the thread helpers' ``yield thread.overlap(...)``
-        pattern); use :meth:`timeout` for an event that is retained.
-        ``delay`` is an integer number of ns (the thread helpers pass
-        ``int(...)``): a timer goes straight onto the heap.
-        """
-        if delay < 0:
-            raise ScheduleInPastError(f"negative timeout delay {delay}")
-        pool = self._pool
-        event = pool.pop() if pool else self._pooled_event()
-        event._value = value
-        if delay:
-            # schedule() inlined for the timer case (one per STREAM
-            # chunk); a pooled event is never already scheduled.
-            event._scheduled = True
-            self._sequence += 1
-            heapq.heappush(self._queue, (self._now + delay,
-                                         self._sequence, event))
-        else:
-            self.schedule(event)
-        return event
-
     # -- scheduling and execution -----------------------------------------
 
     def schedule(self, event: Event, delay: int = 0) -> None:
@@ -440,15 +438,15 @@ class Environment:
             # delay-0 case; sequence numbers keep global order intact.
             event._scheduled = True
             self._sequence += 1
-            self._lane.append((self._sequence, event))
+            self._lane.append((self._sequence, _run_callbacks, event))
             return
         if delay < 0:
             raise ScheduleInPastError(
                 f"cannot schedule {delay} ns in the past")
         event._scheduled = True
         self._sequence += 1
-        heapq.heappush(self._queue, (self._now + int(delay),
-                                     self._sequence, event))
+        heappush(self._queue, (self._now + int(delay), self._sequence,
+                               _run_callbacks, event))
 
     def peek(self) -> Optional[int]:
         """Timestamp of the next event, or None if the queue is empty."""
@@ -457,41 +455,22 @@ class Environment:
         return self._queue[0][0] if self._queue else None
 
     def step(self) -> None:
-        """Process exactly one event (the globally (time, seq)-smallest)."""
+        """Process exactly one entry (the globally (time, seq)-smallest)."""
         lane = self._lane
-        event: Optional[Event] = None
         if lane:
             queue = self._queue
-            if queue:
-                head = queue[0]
-                # A heap event at the current timestamp fires before lane
-                # events scheduled after it (strict sequence order).
-                if head[0] <= self._now and head[1] < lane[0][0]:
-                    heapq.heappop(queue)
-                    event = head[2]
-            if event is None:
-                event = lane.popleft()[1]
+            # A heap entry at the current timestamp fires before lane
+            # entries scheduled after it (strict sequence order).
+            if queue and queue[0][0] <= self._now and queue[0][1] < lane[0][0]:
+                _when, _seq, fn, arg = heappop(queue)
+            else:
+                _seq, fn, arg = lane.popleft()
+        elif self._queue:
+            self._now, _seq, fn, arg = heappop(self._queue)
         else:
-            if not self._queue:
-                raise SimulationError("step() on an empty event queue")
-            when, _seq, event = heapq.heappop(self._queue)
-            self._now = when
+            raise SimulationError("step() on an empty event queue")
         self.events_processed += 1
-        callbacks = event.callbacks
-        event.callbacks = None
-        if len(callbacks) == 1:
-            # Inlined single-callback dispatch (the overwhelmingly common
-            # case: one process waiting on one event).
-            callbacks[0](event)
-        else:
-            for callback in callbacks:
-                callback(event)
-        if event._pool_ok:
-            event.callbacks = []
-            event._value = _PENDING
-            event._exception = None
-            event._scheduled = False
-            self._pool.append(event)
+        fn(arg)
 
     def run(self, until: Optional[int] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``.
@@ -500,18 +479,19 @@ class Environment:
         even if the last event fires earlier, so rate computations over a
         fixed window are exact.
         """
+        lane, queue = self._lane, self._queue
         if until is not None:
             until = int(until)
             if until < self._now:
                 raise ScheduleInPastError(
                     f"run(until={until}) but now={self._now}")
-            while self._lane or self._queue:
-                if not self._lane and self._queue[0][0] > until:
+            while lane or queue:
+                if not lane and queue[0][0] > until:
                     break
                 self.step()
             self._now = max(self._now, until)
             return
-        while self._lane or self._queue:
+        while lane or queue:
             self.step()
 
     def run_process(self, process: Process) -> Any:

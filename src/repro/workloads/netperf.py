@@ -85,6 +85,9 @@ class TcpRr(Workload):
 
     def __init__(self, testbed, message_bytes: int, duration_ns: int,
                  warmup_ns: int = 0):
+        if message_bytes < 1:
+            raise ValueError(f"message_bytes must be >= 1, "
+                             f"got {message_bytes}")
         super().__init__(testbed.client, duration_ns, warmup_ns)
         self.testbed = testbed
         self.message_bytes = message_bytes

@@ -15,6 +15,8 @@ suite under both modes).  Adaptive-vs-exact fidelity is covered by
 
 from __future__ import annotations
 
+import pytest
+
 from repro.experiments.runners import run_pktgen, run_tcp_rr, run_tcp_stream
 from repro.units import KB
 
@@ -93,10 +95,45 @@ def test_tcp_rr_no_ddio_golden():
 
 
 def test_repeat_run_is_identical():
-    """Same seed twice in one process: the pool must not leak state."""
+    """Same seed twice in one process: no kernel or model state may carry
+    over from one run to the next."""
     first = run_pktgen("ioctopus", 256, D, seed=5, accuracy="exact")
     second = run_pktgen("ioctopus", 256, D, seed=5, accuracy="exact")
     assert second == first
+
+
+class _Recorder:
+    """Stands in for an ObsSession: keeps the testbed a runner attaches."""
+
+    testbed = None
+
+    def attach(self, testbed, horizon_ns=None):
+        self.testbed = testbed
+
+
+@pytest.mark.parametrize("run, args, kwargs, processed, scheduled", [
+    # STREAM readers and non-temporal writers: nearly every event is a
+    # chunk's sleep.
+    (run_tcp_stream, ("remote", 64 * KB, "rx", D),
+     dict(stream_pairs=3, accuracy="exact"), 81_678, 81_678),
+    (run_pktgen, ("remote", 256, D), dict(seed=0, accuracy="exact"),
+     481, 481),
+    (run_tcp_rr, ("local", "local", True, 1024, D),
+     dict(seed=0, accuracy="exact"), 1_015, 1_015),
+    # The fast tiers' train loop.
+    (run_tcp_stream, ("ioctopus", 4096, "rx", D),
+     dict(seed=0, accuracy="adaptive"), 30, 31),
+    (run_tcp_stream, ("local", 4096, "tx", D),
+     dict(seed=1, accuracy="fluid"), 18, 19),
+], ids=["stream-exact", "pktgen-exact", "rr-exact", "rx-adaptive",
+        "tx-fluid"])
+def test_event_counts_golden(run, args, kwargs, processed, scheduled):
+    """Pin the events behind the goldens, not just their metrics: how
+    many entries the kernel dispatched and how many it ever scheduled."""
+    recorder = _Recorder()
+    run(*args, obs=recorder, **kwargs)
+    env = recorder.testbed.env
+    assert (env.events_processed, env._sequence) == (processed, scheduled)
 
 
 def test_fig15_quick_point_golden():

@@ -112,6 +112,18 @@ def test_cli_unknown_experiment(capsys):
                  "argument --jobs: must be >= 1, got 0", id="ablate--jobs"),
     pytest.param(["fuzz", "--jobs", "0", "--cases", "1"],
                  "argument --jobs: must be >= 1, got 0", id="fuzz--jobs"),
+    pytest.param(["obs", "diff", "--workload", "rr", "--size", "-5"],
+                 "argument --size: must be >= 1, got -5",
+                 id="obs-diff--size"),
+    pytest.param(["obs", "diff", "--workload", "tcp_rx", "--size", "0"],
+                 "argument --size: must be >= 1, got 0",
+                 id="obs-diff-tcp_rx--size"),
+    pytest.param(["obs", "diff", "--workload", "pktgen", "--size", "10"],
+                 "argument --size: must be >= 20 for pktgen, got 10",
+                 id="obs-diff-pktgen--size"),
+    pytest.param(["obs", "diff", "--fidelity", "warp"],
+                 "argument --fidelity: invalid choice: 'warp'",
+                 id="obs-diff--fidelity"),
 ])
 def test_cli_rejects_non_positive_counts(argv, error, capsys):
     with pytest.raises(SystemExit) as exit_info:

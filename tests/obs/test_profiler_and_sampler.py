@@ -11,9 +11,15 @@ def ticker(env, period, count):
         yield env.timeout(period)
 
 
-def test_profiler_attributes_wall_clock_by_process():
+def sleeper(env, period, count):
+    for _ in range(count):
+        yield period
+
+
+@pytest.mark.parametrize("body", [ticker, sleeper])
+def test_profiler_attributes_wall_clock_by_process(body):
     env = Environment()
-    env.process(ticker(env, 10, 5), name="tick")
+    env.process(body(env, 10, 5), name="tick")
     profiler = EngineProfiler(env)
     profiler.install()
     env.run(until=100)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.os_model.scheduler import Scheduler
+from repro.sim.errors import ScheduleInPastError
 from repro.topology import dell_r730
 
 
@@ -127,3 +128,20 @@ def test_thread_compute_rejects_negative(sched, machine):
     sched.spawn("bad", bad, core=machine.core(0))
     with pytest.raises(ValueError):
         machine.env.run()
+
+
+def test_thread_sleep_rejects_negative_inside_body(sched, machine):
+    """A negative sleep raises at the call, where the body can catch it."""
+    caught = []
+
+    def body(thread):
+        try:
+            yield thread.sleep(-1)
+        except ScheduleInPastError as err:
+            caught.append(err)
+        yield thread.sleep(5)
+
+    thread = sched.spawn("sleeper", body, core=machine.core(0))
+    machine.env.run()
+    assert len(caught) == 1 and machine.env.now == 5
+    assert not thread.is_alive

@@ -49,20 +49,21 @@ def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(ScheduleInPastError):
         env.timeout(-1)
-    # The pooled variant rejects it before it draws from the free list.
-    env.pooled_timeout(5)
-    env.run()
-    pool = list(env._pool)
-    assert pool
+    # A process that sleeps a negative time is rejected before anything
+    # is queued.
+
+    def body():
+        yield -1
+
+    env.process(body())
     with pytest.raises(ScheduleInPastError):
-        env.pooled_timeout(-1)
-    assert env._pool == pool
+        env.run()
     assert env.peek() is None
 
 
 def test_pooled_timeout_fires_in_schedule_order():
-    """Pooled timers go straight onto the heap but share the sequence
-    counter, so they interleave with plain timeouts in schedule order."""
+    """Sleeps go straight onto the heap but share the sequence counter,
+    so they interleave with plain timeouts in schedule order."""
     env = Environment()
     order = []
 
@@ -70,10 +71,13 @@ def test_pooled_timeout_fires_in_schedule_order():
         yield make(delay)
         order.append((tag, env.now))
 
-    env.process(body("pooled-a", 10, env.pooled_timeout))
+    def sleep(delay):
+        return delay
+
+    env.process(body("pooled-a", 10, sleep))
     env.process(body("plain", 10, env.timeout))
-    env.process(body("pooled-b", 10, env.pooled_timeout))
-    env.process(body("pooled-0", 0, env.pooled_timeout))
+    env.process(body("pooled-b", 10, sleep))
+    env.process(body("pooled-0", 0, sleep))
     env.run()
     assert order == [("pooled-0", 0), ("pooled-a", 10), ("plain", 10),
                      ("pooled-b", 10)]
@@ -254,24 +258,56 @@ def test_any_of_requires_events():
         env.any_of([])
 
 
-def test_interrupt_raises_in_target():
+def _wait_timeout(env):
+    yield env.timeout(1000)
+
+
+def _wait_sleep(env):
+    yield 1000
+
+
+def _wait_bounce(env):
+    fired = env.timeout(0)
+    yield env.timeout(10)  # the attacker wakes right after, in this tick
+    yield fired  # already fired: the resumption is queued on the lane
+
+
+@pytest.mark.parametrize("wait, early, caught, events", [
+    (_wait_timeout, False, [(10, "migrate")], 7),
+    (_wait_sleep, False, [(10, "migrate")], 7),
+    (_wait_bounce, False, [(10, "migrate")], 9),
+    # Thrown into the unstarted body, which cannot catch it.
+    (_wait_timeout, True, [], 3),
+], ids=["timeout", "sleep", "bounce-pending", "before-start"])
+def test_interrupt_raises_in_target(wait, early, caught, events):
+    """The interrupt is the victim's only resumption: whatever it had
+    queued or waited on never resumes it again."""
     env = Environment()
-    caught = []
+    seen = []
 
     def victim():
         try:
-            yield env.timeout(1000)
+            yield from wait(env)
         except Interrupt as intr:
-            caught.append((env.now, intr.cause))
+            seen.append((env.now, intr.cause))
 
     def attacker(target):
         yield env.timeout(10)
         target.interrupt("migrate")
 
     target = env.process(victim())
-    env.process(attacker(target))
+    if early:
+        target.interrupt("migrate")
+    else:
+        env.process(attacker(target))
     env.run()
-    assert caught == [(10, "migrate")]
+    assert seen == caught
+    assert env.events_processed == events
+    if caught:
+        assert target.ok
+    else:
+        with pytest.raises(SimulationError, match="unhandled interrupt"):
+            target.value
 
 
 def test_interrupt_dead_process_rejected():
@@ -302,11 +338,14 @@ def test_unhandled_interrupt_kills_process():
     assert target.triggered and not target.ok
 
 
-def test_non_event_yield_is_error():
+@pytest.mark.parametrize("value", [1.5, True])
+def test_non_event_yield_is_error(value):
+    """Only an Event or an int delay may be yielded (a bool is not an
+    int delay)."""
     env = Environment()
 
     def bad():
-        yield 42
+        yield value
 
     env.process(bad())
     with pytest.raises(SimulationError):

@@ -30,6 +30,11 @@ def test_tcp_stream_validates_args():
     with pytest.raises(ValueError):
         TcpStream(testbed.server, testbed.server_core(0), Flow.make(0),
                   1448, "rx", duration_ns=100, warmup_ns=200)
+    # The latency workloads check their message size the same way.
+    for latency_workload in (TcpRr, UdpPingPong):
+        for size in (0, -5):
+            with pytest.raises(ValueError, match=f"got {size}"):
+                latency_workload(testbed, size, DUR, WARM)
 
 
 def test_tcp_stream_rx_measures_throughput():
