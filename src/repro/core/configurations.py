@@ -270,8 +270,8 @@ class Testbed:
         self.system = system
         self.config = system.preset
         self.client_config = client_config
-        # ``accuracy=None`` resolves to the process default (REPRO_ACCURACY
-        # or "exact"); the experiment layer passes an explicit mode.
+        # ``accuracy=None`` resolves to the process default (the
+        # --accuracy override, REPRO_ACCURACY or "exact").
         self.env = Environment(accuracy=accuracy)
         self.accuracy = self.env.accuracy
         self.wire = EthernetWire(self.env)

@@ -8,27 +8,17 @@ assert the paper's qualitative claims (who wins, by what factor).
 from __future__ import annotations
 
 import inspect
-import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.metrics.collect import format_table
-from repro.sim.engine import ACCURACY_MODES
+from repro.sim.engine import (  # noqa: F401  (re-exports configure_accuracy)
+    configure_accuracy,
+    resolve_accuracy,
+)
 
 #: Milliseconds of simulated time per configuration point, by fidelity.
 DURATIONS_MS = {"quick": 10, "normal": 40, "long": 200}
-
-#: Process-wide accuracy override, set by the CLI's --accuracy flag.
-_accuracy_override: Optional[str] = None
-
-
-def configure_accuracy(mode: Optional[str]) -> None:
-    """Set (or clear, with None) the process-wide accuracy override."""
-    global _accuracy_override
-    if mode is not None and mode not in ACCURACY_MODES:
-        raise ValueError(
-            f"accuracy must be one of {ACCURACY_MODES}, got {mode!r}")
-    _accuracy_override = mode
 
 
 @dataclass
@@ -91,22 +81,13 @@ class Experiment:
     def accuracy(self) -> str:
         """Accuracy mode for this experiment's sweep points.
 
-        Resolution order: the CLI's --accuracy override, then the
-        REPRO_ACCURACY environment variable, then the fidelity default —
-        quick runs take the adaptive fast path (coalesced packet trains +
-        early termination), normal/long runs stay exact.
+        Resolved by :func:`~repro.sim.engine.resolve_accuracy`, whose
+        fallback here is the fidelity default: quick runs take the
+        adaptive fast path (coalesced packet trains + early
+        termination), normal/long runs stay exact.
         """
-        if _accuracy_override is not None:
-            return _accuracy_override
-        mode = os.environ.get("REPRO_ACCURACY")
-        if mode:
-            if mode not in ACCURACY_MODES:
-                raise ValueError(
-                    f"REPRO_ACCURACY must be one of {ACCURACY_MODES}, "
-                    f"got {mode!r}")
-            return mode
         quick = getattr(self, "_fidelity", None) == "quick"
-        return "adaptive" if quick else "exact"
+        return resolve_accuracy("adaptive" if quick else "exact")
 
     def result(self, headers: List[str], notes: str = "") -> (
             ExperimentResult):

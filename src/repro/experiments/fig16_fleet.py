@@ -26,13 +26,12 @@ fleet, at any jobs count.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.cluster import FleetSpec, run_fleets
-from repro.experiments import base
 from repro.experiments.base import Experiment, ExperimentResult, register
 from repro.experiments.sweep import current_jobs
+from repro.sim.engine import resolve_accuracy
 
 DEFAULT_SERVERS = 8
 DEFAULT_CONNECTIONS = 1_048_576
@@ -69,11 +68,7 @@ class Fig16Fleet(Experiment):
         simulation, and the closed-form tier is what makes six fleet
         runs interactive.  Explicit --accuracy / REPRO_ACCURACY still
         win."""
-        if base._accuracy_override is not None:
-            return base._accuracy_override
-        if os.environ.get("REPRO_ACCURACY"):
-            return super().accuracy()
-        return "fluid"
+        return resolve_accuracy("fluid")
 
     def run(self, fidelity: str = "normal") -> ExperimentResult:
         duration = self.duration_ns(fidelity)

@@ -1,7 +1,7 @@
 """Shared experiment runners (build a testbed, run one workload point).
 
 Every runner takes an ``accuracy`` mode (``None`` = the process default,
-see :func:`repro.sim.engine.default_accuracy`):
+see :func:`repro.sim.engine.resolve_accuracy`):
 
 * ``"exact"`` — the full run: every burst is its own event, metrics are
   probed over the fixed measurement window.  Bit-identical to the

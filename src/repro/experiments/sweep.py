@@ -5,9 +5,9 @@ point builds its own seeded :class:`~repro.core.configurations.Testbed`,
 runs it, and returns plain metrics.  That makes the figures embarrassingly
 parallel, so :func:`sweep_map` fans the points across ``multiprocessing``
 workers (``--jobs N`` on the CLI) and — optionally — memoises finished
-points on disk keyed by a **code + parameters** hash, so re-running a
-figure after an unrelated edit is a cache hit and changing any simulator
-source invalidates everything.
+points on disk keyed by a **code + parameters + default tier** hash, so
+re-running a figure after an unrelated edit is a cache hit and changing
+any simulator source invalidates everything.
 
 Determinism: point functions take all their randomness from their
 explicit ``seed`` parameter, so a point's metrics are identical whether it
@@ -23,6 +23,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
+
+from repro.sim.engine import resolve_accuracy
 
 #: Process-wide defaults, set once by the CLI (or tests) via configure().
 _jobs = int(os.environ.get("REPRO_SWEEP_JOBS", "1") or 1)
@@ -63,11 +65,8 @@ def reset_cache_stats() -> None:
 def would_parallelize(npoints: int, jobs: Optional[int] = None) -> bool:
     """Whether :func:`sweep_map` would fan ``npoints`` uncached points
     out to worker processes (as opposed to taking the inline serial
-    fallback).  The single predicate the executor uses, exposed so the
-    perf harness can tell a *structural* serial fallback (single-CPU
-    host, too few points, jobs=1 — parallel leg runs the identical
-    serial code, any measured "speedup" is pure timing noise) from a
-    real parallel run whose speedup is worth gating on."""
+    fallback): more than one worker asked for, more than one CPU to run
+    them on, and at least :data:`MIN_PARALLEL_POINTS` points."""
     jobs = _jobs if jobs is None else jobs
     return (jobs > 1 and (os.cpu_count() or 1) > 1
             and npoints >= MIN_PARALLEL_POINTS)
@@ -126,7 +125,10 @@ def _fn_path(fn: Callable) -> str:
 
 
 def _point_key(fn_path: str, params: Dict) -> str:
-    payload = json.dumps({"fn": fn_path, "params": params},
+    # A point that names no tier runs the process default, which
+    # --accuracy and REPRO_ACCURACY set, so that default is in the key.
+    payload = json.dumps({"fn": fn_path, "params": params,
+                          "accuracy": resolve_accuracy("exact")},
                          sort_keys=True, default=repr)
     return hashlib.sha256(
         (code_fingerprint() + payload).encode()).hexdigest()

@@ -1,5 +1,4 @@
-"""Unified observability: metrics registry, flow tracing, samplers,
-and an engine self-profiler.
+"""Unified observability: metrics registry, flow tracing and samplers.
 
 Everything here is read-only with respect to the simulation model —
 attaching observability never changes simulated results (the
@@ -15,7 +14,6 @@ from repro.obs.instrument import (
     instrument_nvme_driver,
     instrument_pfs,
 )
-from repro.obs.profiler import EngineProfiler
 from repro.obs.registry import (
     NOOP,
     Counter,
@@ -31,7 +29,6 @@ __all__ = [
     "NOOP",
     "Counter",
     "DEFAULT_INTERVAL_NS",
-    "EngineProfiler",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

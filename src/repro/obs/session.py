@@ -1,4 +1,4 @@
-"""ObsSession: one handle bundling registry, tracer, sampler, profiler.
+"""ObsSession: one handle bundling registry, tracer and sampler.
 
 The session is how callers opt a run into observability::
 
@@ -27,19 +27,18 @@ from repro.obs.instrument import (
     instrument_netstack,
     instrument_nvme_driver,
 )
-from repro.obs.profiler import EngineProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sampler import DEFAULT_INTERVAL_NS, UtilizationSampler
 from repro.sim.tracing import Tracer
 
 
 class ObsSession:
-    """One run's observability: metrics, traces, samples, profile."""
+    """One run's observability: metrics, traces, samples."""
 
     def __init__(self, enabled: bool = True, trace: bool = False,
                  flows: bool = True,
                  sample_interval_ns: int = DEFAULT_INTERVAL_NS,
-                 profile: bool = False, blame: bool = False):
+                 blame: bool = False):
         self.enabled = enabled
         self.registry = MetricsRegistry(enabled=enabled)
         self.tracer: Optional[Tracer] = (
@@ -56,8 +55,6 @@ class ObsSession:
             self.tracer.blame = self.blame
         self.sample_interval_ns = sample_interval_ns
         self.sampler: Optional[UtilizationSampler] = None
-        self.profiler: Optional[EngineProfiler] = None
-        self._profile = profile
         self._attached = False
 
     # ------------------------------------------------------------ attach
@@ -87,9 +84,6 @@ class ObsSession:
         if self.enabled and horizon_ns and self.sample_interval_ns:
             self.sampler = self._build_sampler(testbed)
             self.sampler.start(horizon_ns)
-        if self._profile:
-            self.profiler = EngineProfiler(testbed.env)
-            self.profiler.install()
         return self
 
     def attach_storage(self, driver, prefix: str = "ssd") -> "ObsSession":
@@ -151,11 +145,6 @@ class ObsSession:
         return to_perfetto(tracer, registry=self.registry,
                            sampler=self.sampler,
                            process_name=process_name)
-
-    def profile_table(self) -> str:
-        if self.profiler is None:
-            raise ValueError("session was not built with profile=True")
-        return self.profiler.table()
 
     def blame_report(self, domain: str = "flow") -> dict:
         """Per-stage latency budgets (:func:`repro.obs.blame.build_report`)."""

@@ -67,9 +67,28 @@ _PENDING = object()
 ACCURACY_MODES = ("exact", "adaptive", "fluid")
 
 
-def default_accuracy() -> str:
-    """The process-wide accuracy default (``REPRO_ACCURACY`` env var)."""
-    mode = os.environ.get("REPRO_ACCURACY") or "exact"
+#: Process-wide accuracy override, set by the CLI's --accuracy flag.
+_accuracy_override: Optional[str] = None
+
+
+def configure_accuracy(mode: Optional[str]) -> None:
+    """Set (or clear, with None) the process-wide accuracy override."""
+    global _accuracy_override
+    if mode is not None and mode not in ACCURACY_MODES:
+        raise ValueError(
+            f"accuracy must be one of {ACCURACY_MODES}, got {mode!r}")
+    _accuracy_override = mode
+
+
+def resolve_accuracy(fallback: str) -> str:
+    """The accuracy tier of a run that names none: the
+    :func:`configure_accuracy` override, else ``REPRO_ACCURACY``, else
+    the caller's ``fallback``."""
+    if _accuracy_override is not None:
+        return _accuracy_override
+    mode = os.environ.get("REPRO_ACCURACY")
+    if not mode:
+        return fallback
     if mode not in ACCURACY_MODES:
         raise ValueError(f"REPRO_ACCURACY must be one of {ACCURACY_MODES}, "
                          f"got {mode!r}")
@@ -352,7 +371,7 @@ class Environment:
     def __init__(self, initial_time: int = 0,
                  accuracy: Optional[str] = None):
         if accuracy is None:
-            accuracy = default_accuracy()
+            accuracy = resolve_accuracy("exact")
         if accuracy not in ACCURACY_MODES:
             raise ValueError(f"accuracy must be one of {ACCURACY_MODES}, "
                              f"got {accuracy!r}")
@@ -366,7 +385,7 @@ class Environment:
         self._lane: deque = deque()
         self._sequence = 0
         self._active_process: Optional[Process] = None
-        #: Total events dispatched; the perf harness divides by wall time.
+        #: Total events dispatched (the determinism tests pin it).
         self.events_processed = 0
         #: Bumped by every BandwidthServer.set_rate (fault throttles, link
         #: retraining).  The fluid tier folds this into its steady tokens

@@ -26,7 +26,7 @@ things:
   worst-case lag between a fault firing and the fluid flows observing
   it.
 * **Accounting** — counts intervals granted, bursts advanced
-  analytically, and invalidations, for tests and the perf harness.
+  analytically, and invalidations, for tests.
 
 The region is deliberately passive: governors
 (:class:`repro.workloads.train.FluidGovernor`) consult it at every

@@ -122,7 +122,7 @@ class TrainGovernor:
         self._streak = 0
         self._next_k = 1
         self._per_burst_wall: Optional[float] = None
-        # -- counters (tests and the perf harness read these) --
+        # -- counters (tests read these) --
         self.trains = 0
         self.coalesced_bursts = 0
         self.decoalesce_events = 0

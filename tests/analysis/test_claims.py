@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import ClaimCheck, claims_for, verify_result
-from repro.experiments import get_experiment
 from repro.experiments.base import ExperimentResult
 
 
@@ -13,8 +12,8 @@ def test_every_simulated_experiment_has_claims():
         assert claims_for(name), f"{name} has no registered claims"
 
 
-def test_verify_result_checks_all_claims_for_experiment():
-    result = get_experiment("fig08").run(fidelity="quick")
+def test_verify_result_checks_all_claims_for_experiment(results):
+    result = results("fig08")
     checks = verify_result(result)
     assert len(checks) == len(claims_for("fig08"))
     assert all(isinstance(c, ClaimCheck) for c in checks)
@@ -44,14 +43,14 @@ def test_verify_result_for_unclaimed_experiment_is_empty():
     assert verify_result(result) == []
 
 
-def test_fig12_claim_passes_on_real_run():
-    result = get_experiment("fig12").run(fidelity="quick")
+def test_fig12_claim_passes_on_real_run(results):
+    result = results("fig12")
     assert all(c.passed for c in verify_result(result))
 
 
-def test_render_result_includes_table_and_verdicts():
+def test_render_result_includes_table_and_verdicts(results):
     from repro.analysis import render_result
-    result = get_experiment("fig08").run(fidelity="quick")
+    result = results("fig08")
     text = render_result(result)
     assert "fig08" in text
     assert "| pkt_bytes |" in text

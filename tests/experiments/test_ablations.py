@@ -2,22 +2,6 @@
 
 import pytest
 
-from repro.experiments import get_experiment
-
-FIDELITY = "quick"
-
-
-@pytest.fixture(scope="module")
-def results():
-    cache = {}
-
-    def run(name):
-        if name not in cache:
-            cache[name] = get_experiment(name).run(fidelity=FIDELITY)
-        return cache[name]
-
-    return run
-
 
 def test_abl_wiring_tradeoffs(results):
     rows = {r["wiring"]: r for r in results("abl_wiring").as_dicts()}

@@ -9,20 +9,6 @@ import pytest
 
 from repro.experiments import all_experiment_names, get_experiment
 
-FIDELITY = "quick"
-
-
-@pytest.fixture(scope="module")
-def results():
-    cache = {}
-
-    def run(name):
-        if name not in cache:
-            cache[name] = get_experiment(name).run(fidelity=FIDELITY)
-        return cache[name]
-
-    return run
-
 
 def test_registry_lists_all_paper_experiments():
     names = all_experiment_names()

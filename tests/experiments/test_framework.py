@@ -2,14 +2,18 @@
 
 import pytest
 
+from repro.core.configurations import Testbed
 from repro.experiments import all_experiment_names, get_experiment
 from repro.experiments.base import (
     DURATIONS_MS,
     Experiment,
     ExperimentResult,
+    configure_accuracy,
     register,
 )
 from repro.experiments.cli import build_parser, main
+from repro.experiments.fig15_nvme import build_nvme_host
+from repro.sim.engine import Environment
 
 
 def test_result_add_checks_arity():
@@ -60,6 +64,31 @@ def test_register_rejects_duplicates():
 
 def test_registry_instances_are_fresh():
     assert get_experiment("fig02") is not get_experiment("fig02")
+
+
+@pytest.fixture
+def fluid_override():
+    configure_accuracy("fluid")
+    yield
+    configure_accuracy(None)
+
+
+def test_accuracy_override_reaches_every_environment(fluid_override):
+    """--accuracy reaches testbeds built without a tier, as fig12,
+    fig15, failover_ssd, abl_window and abl_octossd build them."""
+    assert Testbed("local").accuracy == "fluid"
+    host, _ = build_nvme_host(octo_mode=False, dual_port=False)
+    assert host.machine.env.accuracy == "fluid"
+    for name in all_experiment_names():
+        assert get_experiment(name).accuracy() == "fluid", name
+
+
+def test_bogus_repro_accuracy_is_rejected(monkeypatch):
+    monkeypatch.setenv("REPRO_ACCURACY", "bogus")
+    with pytest.raises(ValueError, match="REPRO_ACCURACY"):
+        Environment()
+    with pytest.raises(ValueError, match="REPRO_ACCURACY"):
+        get_experiment("fig08").accuracy()
 
 
 def test_cli_list(capsys):

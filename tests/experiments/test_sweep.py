@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.experiments import sweep
+from repro.experiments.base import configure_accuracy
 from repro.experiments.runners import run_pktgen
 from repro.experiments.sweep import sweep_map
 
@@ -70,6 +71,20 @@ def test_cache_miss_on_param_change(tmp_path):
     sweep_map(point_fn, [dict(x=1)], cache_dir=str(tmp_path))
     sweep_map(point_fn, [dict(x=1, seed=7)], cache_dir=str(tmp_path))
     assert CALLS == [(1, 0), (1, 7)]
+
+
+def test_cache_miss_on_accuracy_override(tmp_path, monkeypatch):
+    """A point that names no tier runs the --accuracy override, so a
+    result cached under one tier must not serve another."""
+    monkeypatch.delenv("REPRO_ACCURACY", raising=False)
+    sweep_map(point_fn, [dict(x=1)], cache_dir=str(tmp_path))
+    configure_accuracy("fluid")
+    try:
+        sweep_map(point_fn, [dict(x=1)], cache_dir=str(tmp_path))
+    finally:
+        configure_accuracy(None)
+    sweep_map(point_fn, [dict(x=1)], cache_dir=str(tmp_path))
+    assert CALLS == [(1, 0), (1, 0)]
 
 
 def test_cache_invalidated_on_code_change(tmp_path, monkeypatch):

@@ -4,10 +4,14 @@ train apportionment, fleet merge, and the fig09 breakdown."""
 import pytest
 
 from repro.cluster import FleetSpec, run_fleet
+from repro.core.configurations import Testbed
+from repro.experiments.runners import run_with_slack, warmup_of
+from repro.obs import ObsSession
 from repro.obs.blame import (BlameCollector, BlameDomain, build_report,
                              is_nudma_stage, render_text, run_blame_point,
                              stage_family)
 from repro.sim.tracing import Tracer
+from repro.workloads.pktgen import Pktgen
 
 #: Short simulated window for the tier sweeps (the CI smoke runs the
 #: full quick points; these tests care about the invariant, not the
@@ -138,6 +142,28 @@ def test_begin_blame_stride_samples_bursts():
     assert admitted[1] - admitted[0] == tracer.blame_stride
     tracer.clear()
     assert tracer.begin_blame(0) is not None   # phase restarts
+
+
+def test_blame_session_keeps_events_and_samples_bursts():
+    """Blame only reads.  On the pktgen remote exact point, a blame
+    session with no horizon (so no sampler) processes the same events
+    as an unobserved run, and every sealed flow conserves.  The stride
+    bounds the cost: at most one flow per ``blame_stride`` candidates."""
+    def events(obs=None):
+        testbed = Testbed("remote", seed=0, accuracy="exact")
+        Pktgen(testbed.server, testbed.server_core(0), 256, SHORT_NS,
+               warmup_of(SHORT_NS))
+        if obs is not None:
+            obs.attach(testbed)
+        run_with_slack(testbed, SHORT_NS)
+        return testbed.env.events_processed
+
+    obs = ObsSession(enabled=True, blame=True)
+    assert events(obs) == events()
+    assert obs.blame.conservation_ok
+    flows = obs.blame.domain("flow").flows
+    candidates = obs.tracer._blame_seen
+    assert 0 < flows <= -(-candidates // obs.tracer.blame_stride)
 
 
 def test_begin_blame_stride_one_admits_everything():
