@@ -8,7 +8,8 @@ to report "memory bandwidth" exactly the way the paper's figures do.
 from __future__ import annotations
 
 from repro.sim.engine import Environment
-from repro.sim.resources import ProcessorSharingServer, RateEstimator
+from repro.sim.errors import SimulationError
+from repro.sim.resources import RateEstimator
 
 #: Latency inflation strength: fill latency grows as 1 + ALPHA * u^2 with
 #: controller utilisation u (classic open-queue approximation).
@@ -16,35 +17,52 @@ _ALPHA = 3.0
 
 
 class DramController:
-    """One NUMA node's memory controller."""
+    """One NUMA node's memory controller.
+
+    Bandwidth is processor-shared: with N long-running consumers declared
+    (:meth:`enter`), each burst is served at rate/N.  Strict FIFO would be
+    too pessimistic for the small, interleaved accesses a controller sees;
+    the instantaneous consumer count is accurate when flows have similar
+    sizes (our accesses are cache-line batches).
+    """
 
     def __init__(self, env: Environment, node_id: int,
                  bytes_per_sec: float, miss_latency_ns: int):
+        if bytes_per_sec <= 0:
+            raise ValueError(f"bytes_per_sec must be > 0, got {bytes_per_sec}")
         self.env = env
         self.node_id = node_id
         self.miss_latency_ns = int(miss_latency_ns)
-        self.server = ProcessorSharingServer(
-            env, bytes_per_sec, name=f"dram{node_id}")
+        self.bytes_per_sec = float(bytes_per_sec)
         self.estimator = RateEstimator(env, bytes_per_sec)
         self.read_bytes = 0
         self.write_bytes = 0
+        self._active = 0            # declared long-running consumers
         self._window_start = 0
         self._window_read = 0
         self._window_write = 0
 
     def read(self, nbytes: int) -> int:
         """Charge a read burst; returns its bandwidth-limited service ns."""
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size {nbytes}")
         self.read_bytes += nbytes
         self._window_read += nbytes
         self.estimator.update(nbytes)
-        return self.server.account(nbytes)
+        active = self._active
+        return round(nbytes * (active if active > 1 else 1) * 1e9
+                     / self.bytes_per_sec)
 
     def write(self, nbytes: int) -> int:
         """Charge a write burst; returns its bandwidth-limited service ns."""
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size {nbytes}")
         self.write_bytes += nbytes
         self._window_write += nbytes
         self.estimator.update(nbytes)
-        return self.server.account(nbytes)
+        active = self._active
+        return round(nbytes * (active if active > 1 else 1) * 1e9
+                     / self.bytes_per_sec)
 
     def load_factor(self) -> float:
         """Multiplier applied to miss latencies under load (>= 1)."""
@@ -57,10 +75,13 @@ class DramController:
 
     def enter(self) -> None:
         """Declare a long-running bandwidth consumer (slows everyone)."""
-        self.server.enter()
+        self._active += 1
 
     def leave(self) -> None:
-        self.server.leave()
+        if self._active <= 0:
+            raise SimulationError(
+                f"leave() without enter() on dram{self.node_id}")
+        self._active -= 1
 
     # ---------------------------------------------------------- reporting
 

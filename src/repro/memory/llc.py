@@ -16,17 +16,17 @@ hinge on:
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Optional
 
-from repro.memory.batch import ddio_split
 from repro.memory.region import Region
 
 
-@dataclass
 class _Entry:
-    resident: int = 0       # bytes of the region currently cached
-    ddio: int = 0           # subset of `resident` allocated by DDIO
+    __slots__ = ("resident", "ddio")
+
+    def __init__(self):
+        self.resident = 0   # bytes of the region currently cached
+        self.ddio = 0       # subset of `resident` allocated by DDIO
 
 
 class LastLevelCache:
@@ -79,38 +79,33 @@ class LastLevelCache:
             return
         self._insert(region, nbytes, ddio=False)
 
-    def ddio_write(self, region: Region, nbytes: int) -> int:
-        """DDIO allocation by a local device's DMA write.
+    def ddio_write(self, region: Region, nbytes: int,
+                   nbursts: int = 1) -> int:
+        """DDIO allocation by a local device's DMA write of ``nbytes`` in
+        ``nbursts`` back-to-back bursts (more than one for a fluid
+        steady interval).
 
-        Returns the number of bytes actually absorbed by the DDIO ways;
-        the remainder (if the write burst exceeds the DDIO slice) goes to
-        DRAM at the caller's charge.
+        Each burst absorbs up to the DDIO slice capacity; the remainder
+        goes to DRAM at the caller's charge.  Returns the bytes absorbed
+        over all bursts.  The bursts are equal but for the last, which
+        takes the division remainder, so the per-burst sum has a closed
+        form.  Growth is capped by the region size and eviction runs
+        once at the end: the same final state as evicting after every
+        burst, since no other access interleaves within the batch.
         """
         if region.non_temporal:
             return 0
-        absorbed = min(nbytes, self.ddio_capacity)
+        cap = self.ddio_capacity
+        if nbursts == 1:
+            absorbed = nbytes if nbytes < cap else cap
+        else:
+            per_burst = nbytes // nbursts
+            last = nbytes - per_burst * (nbursts - 1)
+            absorbed = ((nbursts - 1) * (per_burst if per_burst < cap
+                                         else cap)
+                        + (last if last < cap else cap))
         self._insert(region, absorbed, ddio=True)
         return absorbed
-
-    def ddio_write_batch(self, region: Region, sizes) -> int:
-        """DDIO allocation for back-to-back local DMA bursts (fluid
-        steady intervals).
-
-        Equivalent to one :meth:`ddio_write` per element of ``sizes``:
-        each burst absorbs up to the DDIO slice capacity, growth is
-        capped by the region size, and eviction runs once at the end —
-        the same final state as evicting after every burst, since no
-        other access interleaves within the batch.  Returns the total
-        bytes absorbed; the remainder is the caller's DRAM spill.  The
-        per-burst absorb/spill classification is vectorised
-        (:func:`repro.memory.batch.ddio_split`).
-        """
-        if region.non_temporal:
-            return 0
-        absorbed, _spills = ddio_split(sizes, self.ddio_capacity)
-        total = sum(absorbed)
-        self._insert(region, total, ddio=True)
-        return total
 
     def invalidate(self, region: Region, nbytes: Optional[int] = None) -> int:
         """Drop (up to) ``nbytes`` of the region; returns bytes dropped."""
@@ -127,7 +122,12 @@ class LastLevelCache:
         self.invalidated_bytes += dropped
         if entry.resident <= 0:
             del self._entries[region]
-            self._clear_dma_freshness(region)
+            # A fully-evicted region's freshly DMA-written bytes are gone
+            # from this LLC; subsequent reads must miss (multi-core
+            # working sets exceeding the LLC reintroduce memory traffic
+            # even with DDIO, §5.1.1).
+            if region.dma_llc_node == self.node_id:
+                region.dma_llc_node = None
         return dropped
 
     def touch(self, region: Region) -> None:
@@ -173,66 +173,60 @@ class LastLevelCache:
         if ddio:
             entry.ddio += grow
             self._ddio_occupied += grow
-            self._evict_ddio_overflow(keep=region)
+            if self._ddio_occupied > self.ddio_capacity:
+                self._evict_ddio_overflow()
         if self._occupied > self.capacity:
-            self._evict_overflow(keep=region)
+            self._evict_overflow()
 
-    def _evict_overflow(self, keep: Region) -> None:
-        while self._occupied > self.capacity:
-            victim, entry = next(iter(self._entries.items()))
-            if victim is keep and len(self._entries) == 1:
-                # A single region larger than the cache: clamp it.
-                overflow = self._occupied - self.capacity
-                entry.resident -= overflow
-                entry.ddio = min(entry.ddio, entry.resident)
-                self._occupied = self.capacity
-                self._ddio_occupied = min(self._ddio_occupied,
-                                          self._occupied)
+    # Both evictions rely on the region just allocated being the newest
+    # entry (_insert moves it to the end), so its own bytes go last.
+
+    def _evict_overflow(self) -> None:
+        """Evict least-recently-used regions until the cache fits; a
+        single region larger than the cache is clamped to it."""
+        entries = self._entries
+        capacity = self.capacity
+        while self._occupied > capacity:
+            if len(entries) == 1:
+                (entry,) = entries.values()
+                entry.resident -= self._occupied - capacity
+                self._occupied = capacity
+                if entry.ddio > capacity:
+                    entry.ddio = self._ddio_occupied = capacity
                 return
-            if victim is keep:
-                # Skip the protected region: evict the next-oldest.
-                self._entries.move_to_end(victim)
-                continue
+            victim, entry = entries.popitem(last=False)
             self._occupied -= entry.resident
             self._ddio_occupied -= entry.ddio
-            del self._entries[victim]
-            self._clear_dma_freshness(victim)
+            if victim.dma_llc_node == self.node_id:   # as in invalidate()
+                victim.dma_llc_node = None
 
-    def _evict_ddio_overflow(self, keep: Region) -> None:
-        """DDIO may not overflow its slice: shrink oldest DDIO allocations."""
-        if self._ddio_occupied <= self.ddio_capacity:
-            return
-        for victim in list(self._entries):
-            if self._ddio_occupied <= self.ddio_capacity:
-                break
-            entry = self._entries[victim]
-            if entry.ddio == 0 or victim is keep:
-                continue
-            drop = min(entry.ddio,
-                       self._ddio_occupied - self.ddio_capacity)
-            entry.ddio -= drop
-            entry.resident -= drop
-            self._occupied -= drop
-            self._ddio_occupied -= drop
-            if entry.resident <= 0:
-                del self._entries[victim]
-        if self._ddio_occupied > self.ddio_capacity:
-            # Only `keep` holds DDIO bytes: clamp it too.
-            entry = self._entries[keep]
-            drop = self._ddio_occupied - self.ddio_capacity
-            drop = min(drop, entry.ddio)
-            entry.ddio -= drop
-            entry.resident -= drop
-            self._occupied -= drop
-            self._ddio_occupied -= drop
+    def _evict_ddio_overflow(self) -> None:
+        """DDIO may not overflow its slice: shrink the oldest DDIO
+        allocations until it fits, the newest region's last.
 
-    def _clear_dma_freshness(self, region: Region) -> None:
-        """A fully-evicted region's freshly-DMA-written bytes are gone
-        from this LLC; subsequent reads must miss (multi-core working
-        sets exceeding the LLC reintroduce memory traffic even with
-        DDIO, §5.1.1)."""
-        if getattr(region, "dma_llc_node", None) == self.node_id:
-            region.dma_llc_node = None
+        One walk in recency order; regions shrunk to nothing are deleted
+        after it.  Unlike :meth:`_evict_overflow` and :meth:`invalidate`,
+        a deleted region keeps its ``dma_llc_node`` (ROADMAP item 4):
+        fixing that moves exact-tier tables."""
+        over = self._ddio_occupied - self.ddio_capacity
+        # The walk always frees exactly `over`: the newest region, walked
+        # last, has just grown by at least that many DDIO bytes.
+        self._ddio_occupied -= over
+        self._occupied -= over
+        emptied = []
+        for region, entry in self._entries.items():
+            ddio = entry.ddio
+            if ddio:
+                drop = ddio if ddio < over else over
+                entry.ddio = ddio - drop
+                entry.resident -= drop
+                if entry.resident <= 0:
+                    emptied.append(region)
+                over -= drop
+                if not over:
+                    break
+        for region in emptied:
+            del self._entries[region]
 
     def __repr__(self) -> str:
         return (f"<LLC node={self.node_id} "

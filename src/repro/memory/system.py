@@ -20,7 +20,7 @@ paper measures are therefore *consequences* of three routing rules
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.interconnect.link import Interconnect
 from repro.memory.dram import DramController
@@ -154,7 +154,7 @@ class MemorySystem:
         llc = self.llcs[node]
         llc.touch(region)
         window = min(inflight_bytes, int(region.size * 0.9))
-        if (self._dma_resident_node(region) == node
+        if (region.dma_llc_node == node
                 and llc.resident_bytes(region) >= window):
             llc.hits_bytes += nbytes
             return 0
@@ -181,7 +181,7 @@ class MemorySystem:
         """Latency-critical single-line read of a just-DMA-written entry
         (a completion descriptor).  This is the ~80 ns that separates
         pktgen's local and remote rates (§5.1.1)."""
-        resident = self._dma_resident_node(region)
+        resident = region.dma_llc_node
         if resident == node:
             self.llcs[node].hits_bytes += CACHELINE
             return 0
@@ -210,7 +210,7 @@ class MemorySystem:
         Pure read: no counters move, no bandwidth is charged, so blame
         classification cannot perturb the model.
         """
-        resident = self._dma_resident_node(region)
+        resident = region.dma_llc_node
         if resident == node:
             return "ddio_hit"
         if resident is not None:
@@ -264,17 +264,13 @@ class MemorySystem:
         home = region.home_node
         if (device_node == home and self.ddio_enabled
                 and not region.non_temporal):
-            if nbursts == 1:
-                absorbed = self.llcs[home].ddio_write(region, nbytes)
-            else:
-                per_burst = nbytes // nbursts
-                sizes = [per_burst] * (nbursts - 1)
-                sizes.append(nbytes - per_burst * (nbursts - 1))
-                absorbed = self.llcs[home].ddio_write_batch(region, sizes)
+            absorbed = self.llcs[home].ddio_write(region, nbytes, nbursts)
             spill = nbytes - absorbed
-            delay = self.drams[home].write(spill) if spill else 0
-            self._set_dma_resident(region, home if spill == 0 else None)
-            return delay
+            if spill:
+                region.dma_llc_node = None
+                return self.drams[home].write(spill)
+            region.dma_llc_node = home
+            return 0
         dram_delay = self.drams[home].write(nbytes)
         qpi_delay = 0
         if device_node != home:
@@ -284,7 +280,7 @@ class MemorySystem:
             if serial > qpi_delay:
                 qpi_delay = serial
         self.llcs[home].invalidate(region, nbytes)
-        self._set_dma_resident(region, None)
+        region.dma_llc_node = None
         return dram_delay if dram_delay > qpi_delay else qpi_delay
 
     def dma_read(self, device_node: int, region: Region,
@@ -372,7 +368,7 @@ class MemorySystem:
         if engine is None:
             return duration
         now = self.env._now
-        free_at = getattr(engine, "dma_window_free_at", 0)
+        free_at = engine.dma_window_free_at
         start = free_at if free_at > now else now
         engine.dma_window_free_at = start + duration
         return (start - now) + duration
@@ -387,11 +383,3 @@ class MemorySystem:
             # backlog (a line interleaves between batches on real links).
             latency += self.interconnect.loaded_round_trip_ns(node, home)
         return latency
-
-    @staticmethod
-    def _dma_resident_node(region: Region) -> Optional[int]:
-        return getattr(region, "dma_llc_node", None)
-
-    @staticmethod
-    def _set_dma_resident(region: Region, node: Optional[int]) -> None:
-        region.dma_llc_node = node

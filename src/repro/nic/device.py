@@ -49,6 +49,9 @@ class NicDevice(MultiPfDevice):
         self.firmware = firmware
         self.wire = wire
         self.wire_side = wire_side
+        #: Wire directions of this device's receive and transmit traffic.
+        self._rx_direction = "a_to_b" if wire_side == "b" else "b_to_a"
+        self._tx_direction = "b_to_a" if wire_side == "b" else "a_to_b"
         self._pf_rx_bytes: Dict[int, int] = {pf.pf_id: 0 for pf in pfs}
         self._pf_tx_bytes: Dict[int, int] = {pf.pf_id: 0 for pf in pfs}
         self._pf_window_rx: Dict[int, int] = {pf.pf_id: 0 for pf in pfs}
@@ -90,16 +93,16 @@ class NicDevice(MultiPfDevice):
         if payload_bytes < 1:
             raise ValueError(
                 f"payload_bytes must be >= 1, got {payload_bytes}")
-        now = self.env.now
-        pf_id, queue = self.firmware.steer_rx(flow, dst_mac, now)
+        pf_id, queue = self.firmware.steer_rx(flow, dst_mac,
+                                              self.machine.env._now)
         pf = self.pfs[pf_id]
 
         # Wire reception and DMA pipeline inside the NIC: a batch's wall
         # time is the slower of the two stages plus the pipeline cost.
         wire_delay = 0
         if charge_wire and self.wire is not None:
-            direction = "a_to_b" if self.wire_side == "b" else "b_to_a"
-            wire_delay = self.wire.send(direction, npackets, payload_bytes)
+            wire_delay = self.wire.send(self._rx_direction, npackets,
+                                        payload_bytes)
 
         payload_total = npackets * payload_bytes
         # Sequential transfers on one PCIe link queue behind each other,
@@ -172,8 +175,8 @@ class NicDevice(MultiPfDevice):
         dma_delay = max(desc_delay, payload_delay)
         wire_delay = 0
         if self.wire is not None:
-            direction = "b_to_a" if self.wire_side == "b" else "a_to_b"
-            wire_delay = self.wire.send(direction, npackets, payload_bytes)
+            wire_delay = self.wire.send(self._tx_direction, npackets,
+                                        payload_bytes)
         # Completion write-back pipelines with the payload DMA; it is the
         # entry whose read costs the CPU ~80 ns when the PF is remote
         # (§5.1.1, pktgen analysis).

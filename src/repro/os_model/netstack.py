@@ -174,9 +174,10 @@ class NetworkStack:
         total_bytes = npackets * payload
         # Blame-only interval (no trace records): the shared paths below
         # contribute their stage charges while it is active.
-        bflow = self.machine.tracer.begin_blame(self.machine.now)
+        now = self.machine.env._now
+        bflow = self.machine.tracer.begin_blame(now)
         cpu = sock.driver.completion.interrupt(queue, burst_packets,
-                                               ntrains, self.machine.now)
+                                               ntrains, now)
         stack = (npackets * self.costs.rx_pkt_ns
                  + total_messages * self.costs.syscall_ns)
         cpu += stack
@@ -236,7 +237,8 @@ class NetworkStack:
             ndesc = npackets
             stack_cost = npackets * self.costs.tx_pkt_ns
 
-        bflow = self.machine.tracer.begin_blame(self.machine.now)
+        now = self.machine.env._now
+        bflow = self.machine.tracer.begin_blame(now)
         kernel = total_messages * self.costs.syscall_ns + stack_cost
         cpu = kernel
         # Copy userspace -> kernel skbs.
@@ -254,7 +256,7 @@ class NetworkStack:
         cpu += sock.driver.completion.consume(txq, ndesc, node)
         # Interrupt per completion batch.
         cpu += sock.driver.completion.interrupt(txq, burst_desc, ntrains,
-                                                self.machine.now)
+                                                now)
         # Incoming TCP ACKs (~1 per 2 MSS, GRO-coalesced ~8:1).  They are
         # DMA-written like any Rx traffic, so their descriptor reads miss
         # when the serving PF is remote.
@@ -299,7 +301,7 @@ class NetworkStack:
         payload = max(1, min(message_bytes, MSS))
         # One flow per message: the device and completion path contribute
         # their steps (wire, DMA, CQ reads) while it is active.
-        flow = self.machine.tracer.begin_flow(self.machine.now)
+        flow = self.machine.tracer.begin_flow(self.machine.env._now)
         queue, dev_ns = sock.driver.device.rx_deliver(
             sock.flow, sock.dst_mac, pkts, payload, charge_wire=charge_wire)
         queue.outstanding = max(0, queue.outstanding - pkts)
@@ -348,7 +350,7 @@ class NetworkStack:
         total = pkts * payload
         per_pkt = self.costs.udp_pkt_ns if udp else self.costs.tx_pkt_ns
 
-        flow = self.machine.tracer.begin_flow(self.machine.now)
+        flow = self.machine.tracer.begin_flow(self.machine.env._now)
         kernel = self.costs.syscall_ns + pkts * per_pkt
         app = int(total * self.costs.copy_ns_per_byte)
         app += self.memory.cpu_stream_read(node, sock.app_buffer, total)

@@ -98,6 +98,8 @@ class PhysicalFunction:
         self.alive = True
 
     def _check_alive(self, operation: str) -> None:
+        """Raise for ``operation`` on a removed PF.  The DMA and MMIO
+        paths test ``alive`` inline and call this only to raise."""
         if not self.alive:
             raise DeviceGoneError(
                 f"{operation} on removed PF {self.name} "
@@ -113,23 +115,28 @@ class PhysicalFunction:
         the DDIO absorb nonlinearity and per-burst rounding match the
         exact path's burst-by-burst execution.
         """
-        self._check_alive("dma_write")
-        per_burst, remainder = divmod(nbytes, nbursts)
-        if nbursts == 1 or remainder:
+        if not self.alive:
+            self._check_alive("dma_write")
+        if nbursts == 1:
             pcie_delay = self.link.upstream.account(nbytes)
         else:
-            pcie_delay = self.link.upstream.account_batch(per_burst, nbursts)
+            per_burst, remainder = divmod(nbytes, nbursts)
+            if remainder:
+                pcie_delay = self.link.upstream.account(nbytes)
+            else:
+                pcie_delay = self.link.upstream.account_batch(per_burst,
+                                                              nbursts)
         mem_delay = self._memory.dma_write(self.attach_node, region,
-                                           nbytes, engine=self,
-                                           nbursts=nbursts)
+                                           nbytes, self, nbursts)
         return mem_delay if mem_delay > pcie_delay else pcie_delay
 
     def dma_read(self, region, nbytes: int) -> int:
         """Memory -> device read through this PF; returns delay ns."""
-        self._check_alive("dma_read")
+        if not self.alive:
+            self._check_alive("dma_read")
         pcie_delay = self.link.downstream.account(nbytes)
         mem_delay = self._memory.dma_read(self.attach_node, region,
-                                          nbytes, engine=self)
+                                          nbytes, self)
         return mem_delay if mem_delay > pcie_delay else pcie_delay
 
     # ------------------------------------------------------------- MMIO
@@ -140,7 +147,8 @@ class PhysicalFunction:
         Crossing the interconnect to reach a remote PF is one of the
         nonuniform I/O interactions Fig 1 depicts.
         """
-        self._check_alive("mmio")
+        if not self.alive:
+            self._check_alive("mmio")
         latency = self._half_rtt
         if from_node != self.attach_node:
             link = self._mmio_links.get(from_node)
@@ -154,7 +162,8 @@ class PhysicalFunction:
 
     def interrupt_latency(self, to_node: int) -> int:
         """Latency for an MSI-X message to reach a core on ``to_node``."""
-        self._check_alive("interrupt")
+        if not self.alive:
+            self._check_alive("interrupt")
         latency = self._half_rtt
         if to_node != self.attach_node:
             link = self._irq_links.get(to_node)

@@ -16,7 +16,6 @@ from repro.sim.errors import (
 )
 from repro.sim.resources import (
     BandwidthServer,
-    ProcessorSharingServer,
     Request,
     Resource,
     Store,
@@ -34,7 +33,6 @@ __all__ = [
     "Interrupt",
     "NULL_TRACER",
     "Process",
-    "ProcessorSharingServer",
     "Request",
     "Resource",
     "ScheduleInPastError",

@@ -12,8 +12,9 @@ Three abstractions cover every piece of contended hardware in the simulator:
 :class:`BandwidthServer`
     A byte-serial link: transfers are serviced FIFO at a fixed byte rate, so
     queueing delay under load *emerges* rather than being modelled
-    analytically.  QPI links, PCIe links, DRAM channels and the Ethernet
-    wire are all BandwidthServers.
+    analytically.  QPI links, PCIe links and the Ethernet wire are all
+    BandwidthServers (DRAM controllers share their bandwidth instead; see
+    :class:`repro.memory.dram.DramController`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from collections import deque
 from typing import Any, Deque, Optional
 
 from repro.sim.engine import Environment, Event
-from repro.sim.errors import SimulationError
 
 
 class Request(Event):
@@ -440,56 +440,3 @@ class RateEstimator:
         weight = elapsed / self.bucket_ns
         return (1.0 - weight) * self._last_utilization + weight * current
 
-
-class ProcessorSharingServer:
-    """Approximate processor-sharing bandwidth: N concurrent flows each get
-    rate/N.  Used for DRAM controllers where many agents interleave, making
-    strict FIFO too pessimistic for small accesses.
-
-    The approximation recomputes per-flow delay from the instantaneous flow
-    count, which is accurate when flows have similar sizes (our accesses are
-    cache-line batches).
-    """
-
-    def __init__(self, env: Environment, bytes_per_sec: float, name: str = ""):
-        if bytes_per_sec <= 0:
-            raise ValueError(f"bytes_per_sec must be > 0, got {bytes_per_sec}")
-        self.env = env
-        self.name = name
-        self.bytes_per_sec = float(bytes_per_sec)
-        self._active = 0
-        self._bytes_total = 0
-        self._window_start = 0
-        self._window_bytes = 0
-
-    def account(self, nbytes: int) -> int:
-        """Charge bytes; return the slowed-down service time in ns."""
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size {nbytes}")
-        self._bytes_total += nbytes
-        self._window_bytes += nbytes
-        active = self._active
-        share = active if active > 1 else 1
-        return round(nbytes * share * 1e9 / self.bytes_per_sec)
-
-    def enter(self) -> None:
-        self._active += 1
-
-    def leave(self) -> None:
-        if self._active <= 0:
-            raise SimulationError(f"leave() without enter() on {self.name}")
-        self._active -= 1
-
-    @property
-    def bytes_total(self) -> int:
-        return self._bytes_total
-
-    def reset_window(self) -> None:
-        self._window_start = self.env.now
-        self._window_bytes = 0
-
-    def window_throughput_bps(self) -> float:
-        elapsed = self.env.now - self._window_start
-        if elapsed <= 0:
-            return 0.0
-        return self._window_bytes * 1e9 / elapsed

@@ -16,19 +16,16 @@ class Workload:
             raise ValueError(
                 f"duration {duration_ns} must exceed warmup {warmup_ns}")
         self.host = host
+        self.env = host.machine.env
         self.duration_ns = int(duration_ns)
         self.warmup_ns = int(warmup_ns)
         self.threads: list = []
 
-    @property
-    def env(self):
-        return self.host.machine.env
-
     def in_measurement(self) -> bool:
-        return self.warmup_ns <= self.env.now < self.duration_ns
+        return self.warmup_ns <= self.env._now < self.duration_ns
 
     def done(self) -> bool:
-        return self.env.now >= self.duration_ns
+        return self.env._now >= self.duration_ns
 
     def _spawn(self, name: str, body, core) -> SimThread:
         thread = self.host.scheduler.spawn(name, body, core=core)

@@ -174,3 +174,77 @@ def test_occupancy_never_negative_after_mixed_ops():
     assert llc.occupied >= 0
     assert llc._ddio_occupied >= 0
     assert llc.occupied <= llc.capacity
+
+
+def _entries(llc):
+    return [(r.name, e.resident, e.ddio) for r, e in llc._entries.items()]
+
+
+def test_ddio_eviction_shrinks_oldest_ddio_first_and_keeps_freshness():
+    """DDIO overflow shrinks the oldest DDIO allocations: entries without
+    DDIO bytes (even an empty one) are left alone, a victim may shrink
+    partially, and one shrunk to nothing is deleted *without* clearing
+    its ``dma_llc_node`` — a known quirk, kept on purpose (ROADMAP item
+    4), unlike capacity eviction and invalidate."""
+    llc = make_llc(capacity=10_000, ddio_fraction=0.1)  # slice = 1000
+    cpu = region("cpu", size=1000)
+    empty = region("empty", size=1000)
+    a = region("a", size=1000)
+    b = region("b", size=1000)
+    new = region("new", size=5000)
+    llc.load(cpu, 300)
+    llc.load(empty, 0)
+    llc.ddio_write(a, 200)
+    llc.ddio_write(b, 500)
+    a.dma_llc_node = b.dma_llc_node = 0
+    assert llc.ddio_write(new, 800) == 800
+    # Over by 500: a loses its 200 (deleted), b 300 of its 500.
+    assert _entries(llc) == [("cpu", 300, 0), ("empty", 0, 0),
+                             ("b", 200, 200), ("new", 800, 800)]
+    assert (llc.occupied, llc.ddio_occupied) == (1300, 1000)
+    assert llc.resident_bytes(a) == 0
+    assert a.dma_llc_node == 0          # the quirk
+    assert b.dma_llc_node == 0
+
+
+def test_ddio_eviction_shrinks_the_newest_region_last():
+    llc = make_llc(capacity=10_000, ddio_fraction=0.1)  # slice = 1000
+    old = region("old", size=1000)
+    new = region("new", size=5000)
+    llc.ddio_write(old, 300)
+    llc.ddio_write(new, 600)
+    assert llc.ddio_write(new, 900) == 900
+    # Over by 800: all of old's 300 go first, then 500 of new's own.
+    assert _entries(llc) == [("new", 1000, 1000)]
+    assert (llc.occupied, llc.ddio_occupied) == (1000, 1000)
+    # Alone, the region is clamped to the slice and stays resident.
+    assert llc.ddio_write(new, 1000) == 1000
+    assert _entries(llc) == [("new", 1000, 1000)]
+
+
+def test_capacity_eviction_clears_this_nodes_freshness():
+    llc = make_llc(capacity=1000, ddio_fraction=0.5)
+    ring = region("ring", size=400)
+    other = region("other", size=400)
+    llc.ddio_write(ring, 400)
+    llc.load(other, 400)
+    ring.dma_llc_node = 0
+    other.dma_llc_node = 1              # fresh in another node's LLC
+    llc.load(region("big", size=900), 900)
+    assert _entries(llc) == [("big", 900, 0)]
+    assert (llc.occupied, llc.ddio_occupied) == (900, 0)
+    assert ring.dma_llc_node is None
+    assert other.dma_llc_node == 1
+
+
+def test_capacity_eviction_clamps_a_lone_region():
+    llc = make_llc(capacity=1000, ddio_fraction=0.5)
+    llc.load(region("small", size=300), 300)
+    big = region("big", size=5000)
+    llc.ddio_write(big, 400)
+    big.dma_llc_node = 0
+    llc.load(big, 2000)
+    # small goes first; then big alone is clamped, keeping its DDIO bytes.
+    assert _entries(llc) == [("big", 1000, 400)]
+    assert (llc.occupied, llc.ddio_occupied) == (1000, 400)
+    assert big.dma_llc_node == 0

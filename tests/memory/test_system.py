@@ -27,6 +27,21 @@ def test_local_dma_write_lands_in_llc(machine):
     assert machine.nodes[0].dram.write_bytes == 0
 
 
+def test_local_dma_write_spilling_past_the_slice_is_not_fresh(machine):
+    """A write larger than the DDIO slice spills the rest to DRAM, and
+    the region stops counting as freshly cached, even when an earlier
+    write left it fresh."""
+    memory = machine.memory
+    slice_bytes = memory.ddio_slice_bytes(0)
+    r = ring(machine, size=4 * slice_bytes)
+    assert memory.dma_write(0, r, 1500) == 0
+    assert r.dma_llc_node == 0
+    assert memory.dma_write(0, r, slice_bytes + 4096) > 0
+    assert machine.nodes[0].dram.write_bytes == 4096
+    assert r.dma_llc_node is None
+    assert memory.read_fresh_dma_line(0, r) > 0
+
+
 def test_remote_dma_write_goes_to_dram_and_costs_a_miss(machine):
     r = ring(machine)
     machine.memory.dma_write(1, r, 1500)

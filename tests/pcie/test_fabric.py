@@ -3,6 +3,7 @@
 import pytest
 
 from repro.pcie import PhysicalFunction, bifurcate
+from repro.sim.errors import DeviceGoneError
 from repro.topology import dell_r730
 
 
@@ -106,7 +107,6 @@ def test_link_degrade_validates_lanes(machine):
 
 
 def test_dead_pf_rejects_all_operations(machine):
-    from repro.sim.errors import DeviceGoneError
     (pf,) = bifurcate(machine, 16, [0])
     ring = machine.alloc_region("ring", 0, 8192)
     pf.fail()
@@ -123,3 +123,38 @@ def test_dead_pf_rejects_all_operations(machine):
     pf.recover()
     assert pf.alive
     pf.dma_write(ring, 64)  # works again
+
+
+def test_dead_pf_dma_raises_before_charging(machine):
+    (pf,) = bifurcate(machine, 16, [0])
+    ring = machine.alloc_region("ring", 0, 8192)
+    pf.fail()
+    with pytest.raises(DeviceGoneError, match="dma_write on removed PF"):
+        pf.dma_write(ring, 64)
+    with pytest.raises(DeviceGoneError, match="dma_read on removed PF"):
+        pf.dma_read(ring, 64)
+    assert pf.link.upstream.bytes_total == 0
+    assert pf.link.downstream.bytes_total == 0
+    assert machine.memory.llcs[0].resident_bytes(ring) == 0
+    assert ring.dma_llc_node is None
+
+
+def test_dma_write_one_burst_path_matches_batch_path():
+    """One-burst writes skip the batch arithmetic: four of them at one
+    instant charge what one four-burst write does."""
+    bursts, size = 4, 1500
+    results = []
+    for calls in ([(size, 1)] * bursts, [(size * bursts, bursts)]):
+        machine = dell_r730()
+        (pf,) = bifurcate(machine, 16, [0])
+        ring = machine.alloc_region("ring", 0, 1 << 20)
+        delays = [pf.dma_write(ring, nbytes, nbursts=nbursts)
+                  for nbytes, nbursts in calls]
+        link = pf.link.upstream
+        results.append((delays[-1], link.busy_ns, link.bytes_total,
+                        link.queueing_delay(),
+                        machine.memory.llcs[0].resident_bytes(ring),
+                        ring.dma_llc_node))
+    one, batch = results
+    assert one == batch
+    assert one[2] == one[4] == bursts * size

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.memory.dram import DramController
 from repro.sim import (
     BandwidthServer,
     Environment,
-    ProcessorSharingServer,
     Resource,
     SimulationError,
     Store,
@@ -442,48 +442,66 @@ def test_estimator_reservation_expires():
     assert est._pending == {}               # expired slot dropped
 
 
-# -------------------------------------------- ProcessorSharingServer
+# ------------------------------------- processor sharing (DramController)
+# DRAM controllers share their bandwidth among the declared long-running
+# consumers; read() and write() charge the share.
+
+def _dram(rate):
+    return DramController(Environment(), 0, bytes_per_sec=rate,
+                          miss_latency_ns=80)
+
 
 def test_ps_server_single_flow_full_rate():
-    env = Environment()
-    dram = ProcessorSharingServer(env, bytes_per_sec=1e9)
-    assert dram.account(1000) == 1000
+    dram = _dram(1e9)
+    assert dram.read(1000) == 1000
+    assert dram.write(1000) == 1000
 
 
 def test_ps_server_shared_rate():
-    env = Environment()
-    dram = ProcessorSharingServer(env, bytes_per_sec=1e9)
+    dram = _dram(1e9)
     dram.enter()
     dram.enter()
-    assert dram.account(1000) == 2000
+    assert dram.read(1000) == 2000
+    assert dram.write(1000) == 2000
     dram.leave()
-    assert dram.account(1000) == 1000
+    assert dram.read(1000) == 1000
     dram.leave()
+    assert dram.write(1000) == 1000
 
 
 @pytest.mark.parametrize("active", [0, 1, 3])
 @pytest.mark.parametrize("rate", RATES)
 def test_ps_server_account_shares_rate(active, rate):
-    env = Environment()
-    dram = ProcessorSharingServer(env, bytes_per_sec=rate)
+    dram = _dram(rate)
     for _ in range(active):
         dram.enter()
+    assert dram._active == active
     for n in SIZES:
-        delay = dram.account(n)
-        assert type(delay) is int
-        assert delay == int(round(n * max(1, active) * 1e9 / rate))
+        expected = int(round(n * max(1, active) * 1e9 / rate))
+        for charge in (dram.read, dram.write):
+            delay = charge(n)
+            assert type(delay) is int
+            assert delay == expected
 
 
 def test_ps_server_leave_without_enter():
-    env = Environment()
-    dram = ProcessorSharingServer(env, bytes_per_sec=1e9)
+    dram = _dram(1e9)
+    with pytest.raises(SimulationError):
+        dram.leave()
+    dram.enter()
+    dram.leave()
     with pytest.raises(SimulationError):
         dram.leave()
 
 
 def test_ps_server_tracks_bytes():
-    env = Environment()
-    dram = ProcessorSharingServer(env, bytes_per_sec=1e9)
-    dram.account(123)
-    dram.account(877)
-    assert dram.bytes_total == 1000
+    dram = _dram(1e9)
+    dram.read(123)
+    dram.write(877)
+    dram.read(1000)
+    assert (dram.read_bytes, dram.write_bytes) == (1123, 877)
+    assert dram.window_bytes() == 2000
+    for charge in (dram.read, dram.write):
+        with pytest.raises(ValueError):
+            charge(-1)
+    assert (dram.read_bytes, dram.write_bytes) == (1123, 877)
