@@ -46,7 +46,6 @@ def fleet_parallel_when(npoints: int, jobs: int) -> bool:
 
 def run_fleets(specs: Sequence[Union[FleetSpec, dict]],
                master_seed: int = 0,
-               accuracy: Optional[str] = None,
                jobs: Optional[int] = None,
                cache_dir: Optional[str] = None,
                blame: bool = False) -> List[FleetResult]:
@@ -67,7 +66,7 @@ def run_fleets(specs: Sequence[Union[FleetSpec, dict]],
         spec_dict = spec.to_dict()
         for server in range(spec.servers):
             point = dict(server_id=server, spec=spec_dict,
-                         master_seed=master_seed, accuracy=accuracy,
+                         master_seed=master_seed,
                          plan_slice=planner.server_slice(spec, server))
             if blame:
                 point["blame"] = True
@@ -80,11 +79,9 @@ def run_fleets(specs: Sequence[Union[FleetSpec, dict]],
 
 
 def run_fleet(spec: Union[FleetSpec, dict], master_seed: int = 0,
-              accuracy: Optional[str] = None,
               jobs: Optional[int] = None,
               cache_dir: Optional[str] = None,
               blame: bool = False) -> FleetResult:
     """Simulate the whole fleet and merge the per-server shards (the
     one-spec :func:`run_fleets`)."""
-    return run_fleets([spec], master_seed, accuracy, jobs, cache_dir,
-                      blame)[0]
+    return run_fleets([spec], master_seed, jobs, cache_dir, blame)[0]

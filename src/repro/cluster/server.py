@@ -158,7 +158,6 @@ class ServerPlan:
 
 def run_fleet_server(server_id: int, spec: Union[FleetSpec, Dict],
                      master_seed: int = 0,
-                     accuracy: Optional[str] = None,
                      blame: bool = False,
                      plan_slice: Optional[Dict] = None) -> Dict:
     """Simulate one fleet server end to end; plain-JSON result.
@@ -182,8 +181,7 @@ def run_fleet_server(server_id: int, spec: Union[FleetSpec, Dict],
     gc.collect(1)
     plan = ServerPlan(spec, server_id, master_seed, plan_slice)
     testbed = Testbed(spec.config,
-                      seed=server_seed(master_seed, server_id),
-                      accuracy=accuracy)
+                      seed=server_seed(master_seed, server_id))
     host = testbed.server
     cores = host.machine.cores_on_node(
         testbed.server_workload_node)[:spec.workers]

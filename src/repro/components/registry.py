@@ -206,7 +206,7 @@ register_component(Component(
 _apply, _remove = _pair(_set_train_coalescing)
 register_component(Component(
     name="train_coalescing", layer="workload", paper_ref="simulator "
-    "(adaptive/fluid tiers)",
+    "(adaptive tier)",
     default=True,
     cost_note="steady-state bursts coalesce into packet trains "
               "(simulator fast path; inert in exact accuracy); off, "

@@ -35,6 +35,7 @@ from repro.experiments.base import DURATIONS_MS
 from repro.experiments.cli import positive_int
 from repro.experiments.runners import (run_pktgen, run_tcp_rr,
                                        run_tcp_stream)
+from repro.sim.engine import ACCURACY_MODES
 from repro.units import KB
 
 #: Leave-one-out deltas smaller than this (relative to baseline) are
@@ -282,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fidelity", default="quick",
                         choices=tuple(sorted(DURATIONS_MS)),
                         help="simulated duration per matrix row")
-    parser.add_argument("--accuracy", default=None,
-                        choices=("exact", "adaptive", "fluid"),
+    parser.add_argument("--accuracy", default=None, choices=ACCURACY_MODES,
                         help="accuracy tier (default: adaptive for "
                              "quick, exact otherwise)")
     parser.add_argument("--pairwise", action="store_true",

@@ -17,14 +17,24 @@ import sys
 from typing import List, Optional
 
 from repro.experiments.base import all_experiment_names, get_experiment
+from repro.sim.engine import ACCURACY_MODES
+
+
+def _int_at_least(text: str, floor: int) -> int:
+    value = int(text)
+    if value < floor:
+        raise argparse.ArgumentTypeError(f"must be >= {floor}, got {value}")
+    return value
 
 
 def positive_int(text: str) -> int:
     """argparse type for counts that must be >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type for counts where 0 switches the feature off."""
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,16 +51,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fidelity", default="normal",
                         choices=("quick", "normal", "long"),
                         help="simulated duration per data point")
-    parser.add_argument("--accuracy", default=None,
-                        choices=("exact", "adaptive", "fluid"),
+    parser.add_argument("--accuracy", default=None, choices=ACCURACY_MODES,
                         help="exact: per-burst simulation (bit-identical "
                              "goldens); adaptive: coalesce steady-state "
                              "packet trains and stop converged points "
-                             "early; fluid: additionally advance whole "
-                             "steady intervals in closed form (fastest, "
-                             "metrics within ~2%% of exact) (default: "
-                             "adaptive for --fidelity quick, exact "
-                             "otherwise)")
+                             "early (default: adaptive for --fidelity "
+                             "quick, exact otherwise)")
     parser.add_argument("--report", action="store_true",
                         help="emit a markdown report (tables + claim "
                              "verdicts) instead of plain tables")

@@ -31,7 +31,6 @@ from typing import Optional
 from repro.cluster import FleetSpec, run_fleets
 from repro.experiments.base import Experiment, ExperimentResult, register
 from repro.experiments.sweep import current_jobs
-from repro.sim.engine import resolve_accuracy
 
 DEFAULT_SERVERS = 8
 DEFAULT_CONNECTIONS = 1_048_576
@@ -62,28 +61,18 @@ class Fig16Fleet(Experiment):
                    "and without IOctopus, plus whole-PF and whole-server "
                    "failover under load (one worker process per server)")
 
-    def accuracy(self) -> str:
-        """Like the base resolution, but the fidelity default is
-        ``fluid`` at every fidelity — a fleet point is a whole server
-        simulation, and the closed-form tier is what makes six fleet
-        runs interactive.  Explicit --accuracy / REPRO_ACCURACY still
-        win."""
-        return resolve_accuracy("fluid")
-
     def run(self, fidelity: str = "normal") -> ExperimentResult:
         duration = self.duration_ns(fidelity)
         servers = _servers_override or DEFAULT_SERVERS
         connections = _connections_override or DEFAULT_CONNECTIONS
-        accuracy = self.accuracy()
         jobs = current_jobs()
         result = self.result(
             ["scenario", "config", "served", "lost", "dead",
              "ktps", "p50_us", "p99_us"],
             notes=f"{servers} servers x {connections} connections, "
-                  f"{duration / 1e6:.0f} ms, accuracy={accuracy}, "
-                  f"jobs={jobs}; pf-flap removes server 0's serving PF "
-                  f"mid-run (ioctopus fails over; standard firmware "
-                  f"loses the server)")
+                  f"{duration / 1e6:.0f} ms, jobs={jobs}; pf-flap removes "
+                  f"server 0's serving PF mid-run (ioctopus fails over; "
+                  f"standard firmware loses the server)")
         scenarios = (
             ("baseline", {}),
             ("pf-flap", {"pf_flap": (0, duration // 3, duration // 4)}),
@@ -97,7 +86,7 @@ class Fig16Fleet(Experiment):
         # One batch: the six fleets share one client population, which
         # run_fleets then generates once rather than once per fleet.
         fleets = run_fleets([spec for _, _, spec in cells], master_seed=0,
-                            accuracy=accuracy, jobs=jobs)
+                            jobs=jobs)
         for (scenario, config, _), fleet in zip(cells, fleets):
             summary = fleet.summary()
             result.add(

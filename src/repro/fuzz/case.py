@@ -66,8 +66,7 @@ COMPONENT_OFF_PROBABILITY = 0.15
 FLEET_WORKLOAD = "fleet"
 
 #: Rack sizes / fleet-wide connection counts the fleet fuzzer explores
-#: (small: a fleet case simulates every server, twice for replay, plus
-#: an exact-tier leg for agreement).
+#: (small: a fleet case simulates every server, twice for replay).
 FLEET_SERVERS = (2, 3, 4)
 FLEET_CONNECTIONS = (1024, 2048, 4096)
 FLEET_DURATIONS_NS = (2_000_000, 4_000_000)

@@ -16,7 +16,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.experiments.cli import positive_int
+from repro.experiments.cli import non_negative_int, positive_int
 from repro.experiments.sweep import configure
 from repro.fuzz.invariants import ALL_INVARIANTS, DEFAULT_INVARIANTS
 from repro.fuzz.shrink import DEFAULT_BUDGET
@@ -30,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed; every case derives from it "
                              "(default 0)")
-    parser.add_argument("--cases", type=int, default=25,
+    parser.add_argument("--cases", type=positive_int, default=25,
                         help="case budget (default 25)")
     parser.add_argument("--time-budget", type=float, default=None,
                         metavar="SECONDS",
@@ -47,8 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--replay-corpus", default=None, metavar="DIR",
                         help="replay committed repros from DIR and "
                              "verify recorded violations + fingerprints")
-    parser.add_argument("--fleet-every", type=int, default=None,
-                        metavar="N",
+    parser.add_argument("--fleet-every", type=non_negative_int,
+                        default=None, metavar="N",
                         help="make every Nth case a rack-scale fleet "
                              "topology case (default 5; 0 disables)")
     parser.add_argument("--shrink-budget", type=int,

@@ -27,8 +27,7 @@ list means the invariant held.  The catalogue:
   must sum to its end-to-end latency exactly, and attaching blame must
   not perturb the observation fingerprint (observability stays
   read-only).
-* ``agreement`` — (harness-level) exact and each fast accuracy tier
-  (adaptive and fluid) agree on
+* ``agreement`` — (harness-level) exact and adaptive accuracy agree on
   every primary metric within tolerance.  Only checked for cases whose
   faults are performance-only (degrade/loss/throttle): topology-killing
   faults land at different event boundaries under train coalescing, so
@@ -41,9 +40,9 @@ Fleet topology cases (workload ``fleet``) map the same names onto
 rack-scale properties in :func:`repro.fuzz.runner.run_fleet_case`:
 ``conservation`` is the transaction ledger, ``drained`` is "deaths are
 the only loss channel", ``obs_consistency`` is merged-registry /
-shard-obs / failure-bookkeeping coherence, ``replay`` is the fleet
-fingerprint, and ``agreement`` holds exact and fluid tiers to the same
-counts and tails.
+shard-obs / failure-bookkeeping coherence and ``replay`` is the fleet
+fingerprint.  A fleet server reads no accuracy tier, so ``agreement``
+does not apply to fleet cases.
 """
 
 from __future__ import annotations

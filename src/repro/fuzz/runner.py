@@ -370,12 +370,11 @@ def run_case(case: Dict, invariants: Optional[List[str]] = None,
                           f"{want[:16]} != {got[:16]}"})
 
     if "agreement" in names and needs_adaptive_run(case, obs):
-        # Every perf-only case is replayed under each fast accuracy
-        # tier; both must tell the exact mode's performance story.
-        for accuracy in ("adaptive", "fluid"):
-            fast_obs = execute(fuzz_case, accuracy, trace=False)
-            violations.extend(_check_agreement(obs, fast_obs,
-                                               agreement_rel, accuracy))
+        # Every perf-only case is replayed under the adaptive tier,
+        # which must tell the exact mode's performance story.
+        adaptive_obs = execute(fuzz_case, "adaptive", trace=False)
+        violations.extend(_check_agreement(obs, adaptive_obs,
+                                           agreement_rel))
 
     return {
         "case": case,
@@ -388,11 +387,6 @@ def run_case(case: Dict, invariants: Optional[List[str]] = None,
 
 
 # ----------------------------------------------------------- fleet cases
-
-#: Fleet agreement: exact and fluid tiers must plan and serve identical
-#: transaction counts; merged tail percentiles may differ within this.
-FLEET_AGREEMENT_P99_REL = 0.5
-
 
 def _fleet_violations(spec, fleet, names: List[str]) -> List[Dict]:
     """The invariant catalogue, mapped onto a merged fleet result.
@@ -476,11 +470,9 @@ def run_fleet_case(case: Dict,
     The fleet runs inline (``jobs=1``) because :func:`run_case` itself
     already executes inside a sweep worker during campaigns — nesting
     process pools buys nothing.  The replay unit is the fleet
-    fingerprint (canonical sha256 over every shard); agreement replays
-    the fleet under the exact tier and holds the transaction counts
-    identical (the plan is tier-independent) and the merged p99 within
-    :data:`FLEET_AGREEMENT_P99_REL` — skipped when the scenario kills a
-    server, where truncation timing legitimately differs across tiers.
+    fingerprint (canonical sha256 over every shard).  A fleet server
+    reads no accuracy tier, so ``agreement`` has nothing to compare
+    here.
     """
     from repro.cluster import FleetSpec, run_fleet
     from repro.fuzz.invariants import DEFAULT_INVARIANTS, validate_names
@@ -492,8 +484,7 @@ def run_fleet_case(case: Dict,
     metrics: Dict = {}
     fleet_fingerprint = ""
     try:
-        fleet = run_fleet(spec, master_seed=case["seed"],
-                          accuracy="fluid", jobs=1)
+        fleet = run_fleet(spec, master_seed=case["seed"], jobs=1)
     except SimulationError as exc:
         outcome = "crashed"
         error = f"{type(exc).__name__}: {exc}"
@@ -506,35 +497,13 @@ def run_fleet_case(case: Dict,
                               if fleet.digest.count else None)}
 
         if "replay" in names:
-            again = run_fleet(spec, master_seed=case["seed"],
-                              accuracy="fluid", jobs=1)
+            again = run_fleet(spec, master_seed=case["seed"], jobs=1)
             if again.fingerprint() != fleet_fingerprint:
                 violations.append({
                     "invariant": "replay",
                     "detail": f"same fleet diverged: "
                               f"{fleet_fingerprint[:16]} != "
                               f"{again.fingerprint()[:16]}"})
-
-        no_deaths = (spec.server_down is None and spec.pf_flap is None)
-        if "agreement" in names and no_deaths:
-            exact = run_fleet(spec, master_seed=case["seed"],
-                              accuracy="exact", jobs=1)
-            for key in ("planned", "served"):
-                want, got = getattr(exact, key), getattr(fleet, key)
-                if want != got:
-                    violations.append({
-                        "invariant": "agreement",
-                        "detail": f"fleet {key}: exact={want} "
-                                  f"fluid={got}"})
-            if exact.digest.count:
-                want = exact.percentile(99)
-                got = fleet.percentile(99)
-                if abs(got - want) > FLEET_AGREEMENT_P99_REL * want:
-                    violations.append({
-                        "invariant": "agreement",
-                        "detail": f"fleet p99: exact={want} fluid={got} "
-                                  f"(tolerance "
-                                  f"{FLEET_AGREEMENT_P99_REL:.0%})"})
 
     return {
         "case": case,
@@ -561,10 +530,8 @@ LEDGER_AGREEMENT_REL = 0.02
 LEDGER_AGREEMENT_SLACK_BYTES = 2 * 64 * KB
 
 
-def _check_agreement(exact: Dict, adaptive: Dict, rel: float,
-                     mode: str = "adaptive") -> List[Dict]:
-    """Exact and a fast accuracy tier (``mode``: adaptive or fluid)
-    must tell the same performance story.
+def _check_agreement(exact: Dict, adaptive: Dict, rel: float) -> List[Dict]:
+    """Exact and adaptive accuracy must tell the same performance story.
 
     Two layers: full-run byte ledgers (tight — trains conserve bytes, so
     totals must match almost exactly) and workload meter rates (looser,
@@ -575,7 +542,7 @@ def _check_agreement(exact: Dict, adaptive: Dict, rel: float,
         violations.append({
             "invariant": "agreement",
             "detail": f"outcome differs: exact={exact['outcome']} "
-                      f"{mode}={adaptive['outcome']}"})
+                      f"adaptive={adaptive['outcome']}"})
         return violations
 
     def close(want, got, tolerance):
@@ -596,7 +563,7 @@ def _check_agreement(exact: Dict, adaptive: Dict, rel: float,
         if abs(got - want) > slack:
             violations.append({
                 "invariant": "agreement",
-                "detail": f"{label}: exact={want} {mode}={got} "
+                "detail": f"{label}: exact={want} adaptive={got} "
                           f"(tolerance {LEDGER_AGREEMENT_REL:.0%} or "
                           f"{LEDGER_AGREEMENT_SLACK_BYTES} B)"})
 
@@ -609,6 +576,6 @@ def _check_agreement(exact: Dict, adaptive: Dict, rel: float,
         if not close(want, got, rel):
             violations.append({
                 "invariant": "agreement",
-                "detail": f"{name}: exact={want} {mode}={got} "
+                "detail": f"{name}: exact={want} adaptive={got} "
                           f"(tolerance {rel:.0%})"})
     return violations

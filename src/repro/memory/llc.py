@@ -82,8 +82,8 @@ class LastLevelCache:
     def ddio_write(self, region: Region, nbytes: int,
                    nbursts: int = 1) -> int:
         """DDIO allocation by a local device's DMA write of ``nbytes`` in
-        ``nbursts`` back-to-back bursts (more than one for a fluid
-        steady interval).
+        ``nbursts`` back-to-back bursts (more than one for an adaptive
+        train).
 
         Each burst absorbs up to the DDIO slice capacity; the remainder
         goes to DRAM at the caller's charge.  Returns the bytes absorbed

@@ -254,12 +254,10 @@ class MemorySystem:
         invalidate the CPU-side cached copy.
 
         ``nbytes`` is the total across ``nbursts`` back-to-back bursts.
-        With ``nbursts > 1`` (coalesced trains) the DDIO absorb/spill
+        With ``nbursts > 1`` (an adaptive train) the DDIO absorb/spill
         split and the DMA-window serialization are applied *per burst*,
         preserving the exact path's nonlinearity: K bursts each absorb up
-        to the DDIO slice, while one giant write would not — this is what
-        lets the fluid tier advance steady intervals far past the
-        2 MB-per-train byte cap without spilling where exact would not.
+        to the DDIO slice, while one giant write would not.
         """
         home = region.home_node
         if (device_node == home and self.ddio_enabled
@@ -346,11 +344,10 @@ class MemorySystem:
         behind each other, which is what throttles an SSD or NIC behind a
         congested interconnect (§5.2, §5.4).
 
-        With ``nbursts > 1`` the window is charged per burst at the
-        current loaded round trip (the fluid tier's closed-form rate
-        share: within a steady interval the crossing latency is taken as
-        constant), matching the exact path's per-burst integer
-        truncation.
+        With ``nbursts > 1`` (an adaptive train) the window is charged
+        per burst at the current loaded round trip (within a train the
+        crossing latency is taken as constant), matching the exact
+        path's per-burst integer truncation.
         """
         round_trip = self.interconnect.loaded_round_trip_ns(device_node,
                                                             home)

@@ -178,7 +178,7 @@ class LatencyDigest:
 
     def record(self, latency_ns: int, n: int = 1) -> None:
         """Record ``latency_ns``; ``n > 1`` records it with weight ``n``
-        (how adaptive/fluid packet trains apportion one coalesced
+        (how adaptive packet trains apportion one coalesced
         measurement across the requests it represents)."""
         if latency_ns < 0:
             raise ValueError(f"negative latency {latency_ns}")

@@ -85,7 +85,7 @@ class NicDevice(MultiPfDevice):
         delay until the last completion is visible.
 
         ``nbursts > 1`` marks the batch as that many back-to-back wire
-        bursts (a fluid steady interval): the payload/ring DMA is charged
+        bursts (an adaptive train): the payload/ring DMA is charged
         per burst so DDIO absorption matches burst-by-burst execution.
         """
         if npackets < 1:
@@ -155,7 +155,7 @@ class NicDevice(MultiPfDevice):
         queue's PF, puts the packets on the wire, and DMA-writes one
         completion per descriptor back into the ring.  Returns the
         device-side delay.  ``nbursts > 1`` charges the completion
-        write-back per burst (fluid steady intervals).
+        write-back per burst (an adaptive train).
         """
         if queue.pf is None:
             raise ValueError(f"{queue!r} is not bound to a PF")

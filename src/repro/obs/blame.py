@@ -25,7 +25,7 @@ Rx the wire stage owns ``wire_delay`` and the DMA stage owns
 construction and the check catches incomplete instrumentation rather
 than modelling slack.
 
-Adaptive/fluid packet trains seal once per train with
+Adaptive packet trains seal once per train with
 ``represented=k``; digests then record the per-request apportionment
 (``stage_ns // k`` with weight ``k``) while the raw integer sums stay
 unapportioned, keeping conservation exact in every tier.

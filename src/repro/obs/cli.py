@@ -29,6 +29,7 @@ from typing import List, Optional
 from repro.experiments.base import DURATIONS_MS
 from repro.experiments.cli import positive_int
 from repro.obs.session import ObsSession
+from repro.sim.engine import ACCURACY_MODES
 from repro.workloads.pktgen import MIN_PACKET_BYTES
 
 WORKLOADS = ("pktgen", "tcp_rx", "tcp_tx", "rr")
@@ -54,11 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fidelity", default="quick",
                         choices=tuple(sorted(DURATIONS_MS)))
     parser.add_argument("--accuracy", default="exact",
-                        choices=("exact", "adaptive"),
+                        choices=ACCURACY_MODES,
                         help="default exact: observability reads are "
                              "deterministic and comparable across runs")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--sample-interval-us", type=int, default=1000,
+    parser.add_argument("--sample-interval-us", type=positive_int,
+                        default=1000,
                         help="utilization sampling cadence in sim "
                              "microseconds (default: 1000)")
     parser.add_argument("--full", action="store_true",
@@ -118,7 +120,7 @@ def build_blame_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fidelity", default="quick",
                         choices=tuple(sorted(DURATIONS_MS)))
     parser.add_argument("--accuracy", default="exact",
-                        choices=("exact", "adaptive", "fluid"))
+                        choices=ACCURACY_MODES)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--client-config", default="local",
                         choices=("local", "remote", "ioctopus"),

@@ -245,6 +245,7 @@ def _load(path: str) -> Dict:
 def build_parser() -> argparse.ArgumentParser:
     from repro.experiments.base import DURATIONS_MS
     from repro.experiments.cli import positive_int
+    from repro.sim.engine import ACCURACY_MODES
     parser = argparse.ArgumentParser(
         prog="ioctopus-repro obs diff",
         description="Attribute the latency delta between two runs "
@@ -266,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fidelity", default="quick",
                         choices=tuple(sorted(DURATIONS_MS)))
     parser.add_argument("--accuracy", default="exact",
-                        choices=("exact", "adaptive", "fluid"))
+                        choices=ACCURACY_MODES)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--out", default=None, metavar="FILE",

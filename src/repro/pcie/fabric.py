@@ -110,7 +110,7 @@ class PhysicalFunction:
     def dma_write(self, region, nbytes: int, nbursts: int = 1) -> int:
         """Device -> memory write through this PF; returns delay ns.
 
-        ``nbursts > 1`` (fluid steady intervals) charges the PCIe link
+        ``nbursts > 1`` (an adaptive train) charges the PCIe link
         and the memory system per burst — ``nbytes`` is the total — so
         the DDIO absorb nonlinearity and per-burst rounding match the
         exact path's burst-by-burst execution.

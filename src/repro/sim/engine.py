@@ -56,15 +56,10 @@ _PENDING = object()
 #: * ``"exact"``    — today's per-packet, bit-identical behaviour; seeded
 #:   runs reproduce the determinism goldens byte-for-byte.
 #: * ``"adaptive"`` — steady-state packet-train coalescing in the
-#:   workloads plus early termination in the experiment runners; metrics
-#:   stay within ~1% of exact while processing far fewer events.
-#: * ``"fluid"``    — flow-level fluid modeling: while a flow's steady
-#:   token (plus the environment-wide :attr:`Environment.rate_epoch`) is
-#:   unchanged, whole steady intervals are advanced analytically with
-#:   per-burst byte/packet/interrupt/doorbell counts derived in closed
-#:   form; execution de-coalesces back to event granularity at every
-#:   rate-change boundary.  Metrics stay within ~2% of exact.
-ACCURACY_MODES = ("exact", "adaptive", "fluid")
+#:   workloads plus early termination in the experiment runners: far
+#:   fewer events, but not exact; README lists the quick-fidelity
+#:   cells it puts more than 2% off.
+ACCURACY_MODES = ("exact", "adaptive")
 
 
 #: Process-wide accuracy override, set by the CLI's --accuracy flag.
@@ -387,28 +382,11 @@ class Environment:
         self._active_process: Optional[Process] = None
         #: Total events dispatched (the determinism tests pin it).
         self.events_processed = 0
-        #: Bumped by every BandwidthServer.set_rate (fault throttles, link
-        #: retraining).  The fluid tier folds this into its steady tokens
-        #: so any rate change invalidates every in-flight steady interval.
-        self.rate_epoch = 0
         #: The ``train_coalescing`` component: when cleared,
         #: :func:`repro.workloads.train.make_governor` hands out
         #: governors that never coalesce (inert in exact mode, where
         #: trains never form anyway).
         self.train_coalescing = True
-        #: Wall span (ns) of the steady interval currently being charged,
-        #: or 0 outside one.  Set by FluidRegion.interval(); bandwidth
-        #: servers and rate estimators treat charges landing while it is
-        #: nonzero as spread uniformly over the span instead of stacked
-        #: at the current instant — the closed-form rate-share view that
-        #: keeps one flow's coalesced interval from presenting phantom
-        #: backlog or utilisation spikes to concurrent flows.
-        self.fluid_span_ns = 0
-        #: Identity of the flow charging the current steady interval
-        #: (rate estimators key reservations by it, so a flow's next
-        #: interval replaces its previous reservation instead of
-        #: stacking with a stale tail of it).
-        self.fluid_flow_id = 0
 
     @property
     def now(self) -> int:
@@ -417,14 +395,9 @@ class Environment:
 
     @property
     def adaptive(self) -> bool:
-        """True when the bounded-error fast paths may engage (any
-        non-exact tier: train coalescing, early termination)."""
+        """True when the fast paths may engage (train coalescing, early
+        termination)."""
         return self.accuracy != "exact"
-
-    @property
-    def fluid(self) -> bool:
-        """True for the fluid tier: closed-form steady-interval service."""
-        return self.accuracy == "fluid"
 
     @property
     def active_process(self) -> Optional[Process]:

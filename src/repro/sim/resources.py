@@ -186,9 +186,6 @@ class BandwidthServer:
         drains.  Events already created by :meth:`transfer` keep their
         scheduled completion times; only the server's future availability
         (and thus every transfer accounted after the change) moves.
-
-        Also bumps the environment's ``rate_epoch`` so the fluid tier
-        invalidates every steady interval that spans this boundary.
         """
         if bytes_per_sec <= 0:
             raise ValueError(f"bytes_per_sec must be > 0, got {bytes_per_sec}")
@@ -198,7 +195,6 @@ class BandwidthServer:
             self._free_at = now + int(round(
                 backlog * self.bytes_per_sec / bytes_per_sec))
         self.bytes_per_sec = float(bytes_per_sec)
-        self.env.rate_epoch += 1
 
     def transfer(self, nbytes: int) -> Event:
         """Enqueue a transfer; the event fires at service completion."""
@@ -248,8 +244,9 @@ class BandwidthServer:
         the current timestamp (same per-burst rounding, same final
         ``_free_at``/counters), collapsed into one call; the return value
         is the delay until the *final* burst completes — exactly what the
-        last of the sequential calls would have returned.  This is the
-        fluid tier's per-burst-faithful PCIe/interconnect charge.
+        last of the sequential calls would have returned.  This is how
+        an adaptive train charges the PCIe link and interconnect per
+        burst.
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
@@ -317,40 +314,9 @@ class RateEstimator:
         self._bucket_start = 0
         self._bucket_bytes = 0
         self._last_utilization = 0.0
-        #: Active steady-interval reservations, keyed by flow id:
-        #: ``{flow_id: [end_ns, rate_bps, span_ns, prev_rate_bps]}``.
-        #: A flow's charges within one interval accumulate into its
-        #: slot's rate; its next interval *replaces* the slot (keeping
-        #: the replaced block's final rate as ``prev_rate``), so an
-        #: overestimated span never leaves a stale tail stacked under
-        #: the successor.  Empty outside fluid accuracy.
-        self._pending: dict = {}
 
     def update(self, nbytes: int) -> None:
         now = self.env._now
-        span = self.env.fluid_span_ns
-        if span > 0:
-            # Steady-interval charge: the bytes arrive paced over the
-            # span.  Register the interval's average rate instead of
-            # depositing into the bucket stream — an instant deposit of
-            # a whole interval's bytes would read as a saturation spike
-            # the exact schedule never shows.
-            end = now + span
-            rate = nbytes * 1e9 / span
-            slot = self._pending.get(self.env.fluid_flow_id)
-            if slot is not None and slot[0] == end:
-                slot[1] += rate
-            else:
-                # New interval block: replace the flow's reservation.
-                # Its previous block's full rate is kept as prev_rate
-                # (the flow's own recent average) unless the flow went
-                # idle for more than a block — then the exact bucket
-                # would have decayed it too.
-                prev = (slot[1] if slot is not None
-                        and slot[0] + slot[2] > now else 0.0)
-                self._pending[self.env.fluid_flow_id] = [
-                    end, rate, span, prev]
-            return
         elapsed = now - self._bucket_start
         if elapsed >= self.bucket_ns:
             last = (self._bucket_bytes * 1e9
@@ -360,64 +326,25 @@ class RateEstimator:
             self._bucket_bytes = 0
         self._bucket_bytes += nbytes
 
-    def _reserved_rate(self, now: int, exclude: int = 0) -> float:
-        """Aggregate rate (bytes/sec) of the *currently active*
-        steady-interval reservations; expired ones are dropped.  A flow
-        issuing back-to-back intervals keeps exactly one reservation
-        alive at any instant, so its contribution equals its average
-        rate — no tails, no double counting.
-
-        ``exclude`` marks the flow currently *inside* its own interval
-        block: for it, the slot's still-accumulating current rate is
-        swapped for the previous block's full rate.  That mirrors the
-        exact schedule, where a charge reads the load factor before
-        depositing its own bytes but does see its *past* deposits in
-        the bucket blend — a flow's load slows itself down, just with
-        one block of lag."""
-        total = 0.0
-        expired = None
-        for fid, (end, rate, _span, prev) in self._pending.items():
-            if now < end:
-                total += prev if fid == exclude else rate
-            else:
-                expired = fid if expired is None else expired
-        if expired is not None:
-            self._pending = {fid: slot for fid, slot in
-                             self._pending.items() if slot[0] > now}
-        return total
-
     def utilization(self) -> float:
         now = self.env._now
         elapsed = now - self._bucket_start
         if elapsed <= 0:
-            base = self._last_utilization
-        else:
-            current = (self._bucket_bytes * 1e9
-                       / (self.bytes_per_sec * elapsed))
-            current = current if current < 1.0 else 1.0
-            # Blend: the current bucket only counts once it has some
-            # history, so a single burst at bucket start doesn't read as
-            # saturation.
-            weight = elapsed / self.bucket_ns
-            weight = weight if weight < 1.0 else 1.0
-            base = ((1.0 - weight) * self._last_utilization
-                    + weight * current)
-        if self._pending:
-            exclude = (self.env.fluid_flow_id
-                       if self.env.fluid_span_ns > 0 else 0)
-            base = min(1.0, base + self._reserved_rate(now, exclude)
-                       / self.bytes_per_sec)
-        return base
+            return self._last_utilization
+        current = (self._bucket_bytes * 1e9
+                   / (self.bytes_per_sec * elapsed))
+        current = current if current < 1.0 else 1.0
+        # Blend: the current bucket only counts once it has some
+        # history, so a single burst at bucket start doesn't read as
+        # saturation.
+        weight = elapsed / self.bucket_ns
+        weight = weight if weight < 1.0 else 1.0
+        return (1.0 - weight) * self._last_utilization + weight * current
 
     def update_utilization(self, nbytes: int) -> float:
         """Fused ``update(nbytes)`` followed by ``utilization()`` — the
         two always run back to back on the link hot path, and fusing them
         halves the call overhead.  Bit-identical to the pair."""
-        if self._pending or self.env.fluid_span_ns > 0:
-            # Fluid reservations in play: take the unfused path, which
-            # handles draining and the reserved-rate contribution.
-            self.update(nbytes)
-            return self.utilization()
         now = self.env._now
         elapsed = now - self._bucket_start
         if elapsed >= self.bucket_ns:

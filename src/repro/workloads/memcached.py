@@ -9,13 +9,11 @@ ioct/local advantage grows with the SET ratio.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import List
 
 from repro.nic.packet import Flow
 from repro.units import GB, KB
 from repro.workloads.base import Workload, measured_meter
-from repro.workloads.train import make_governor
 
 KEY_BYTES = 256
 VALUE_BYTES = 512 * KB
@@ -63,28 +61,6 @@ class MemcachedServer(Workload):
             self._spawn(f"memcached-{i}",
                         self._worker_body(i, per_worker), core)
 
-    def _same_type_run(self, set_accum: float, is_set: bool,
-                       limit: int) -> int:
-        """How many consecutive transactions (including the current one)
-        share the current type, unrolling the SET accumulator in closed
-        form from state ``set_accum``.  Bounded by ``limit``."""
-        f = self.set_fraction
-        if f <= 0.0:
-            return limit if not is_set else 1
-        if f >= 1.0:
-            return limit if is_set else 1
-        n = 1
-        a = set_accum
-        while n < limit:
-            a += f
-            nxt = a >= 1.0
-            if nxt != is_set:
-                break
-            if nxt:
-                a -= 1.0
-            n += 1
-        return n
-
     def _worker_body(self, worker_id: int, connections: int):
         def body(thread):
             host = self.host
@@ -96,15 +72,6 @@ class MemcachedServer(Workload):
                 Flow.make(100 + worker_id * 32 + c),
                 app_buffer_bytes=self.value_bytes)
                 for c in range(connections)]
-            # Fluid accuracy coalesces runs of consecutive same-type
-            # transactions into one steady-interval event (each run stays
-            # on one socket; ledger sums across the connection set are
-            # unchanged).  Disabled under offered-load pacing, where the
-            # inter-transaction idle gap dominates and coalescing would
-            # blur the pacing boundary.
-            governor = (make_governor(self.env)
-                        if self.env.fluid and not self._txn_interval_ns
-                        else None)
             set_accum = 0.0
             txn = 0
             while not self.done():
@@ -113,55 +80,33 @@ class MemcachedServer(Workload):
                 is_set = set_accum >= 1.0
                 if is_set:
                     set_accum -= 1.0
-                n = 1
-                if governor is not None:
-                    run = self._same_type_run(set_accum, is_set,
-                                              governor.max_bursts)
-                    n = governor.plan_train(
-                        (host.stack.steady_token(sock), is_set),
-                        self.env.now, self.warmup_ns, self.duration_ns,
-                        cap=run)
-                    # Advance the accumulator past the n-1 coalesced
-                    # transactions (all the same type by construction).
-                    for _ in range(n - 1):
-                        set_accum += self.set_fraction
-                        if set_accum >= 1.0:
-                            set_accum -= 1.0
-                with (governor.interval(n) if governor is not None
-                      else nullcontext()):
-                    cpu = n * costs.memcached_req_ns
-                    if is_set:
-                        # Receive key+value, store into the slab heap.
-                        rx_cpu, dev = host.stack.rx_burst(
-                            sock, 1, KEY_BYTES + self.value_bytes,
-                            ntrains=n)
-                        cpu += rx_cpu
-                        cpu += n * int(self.value_bytes
-                                       * costs.copy_ns_per_byte)
-                        cpu += machine.memory.cpu_stream_write(
-                            node, self.heap, n * self.value_bytes)
-                        tx_cpu, dev2 = host.stack.tx_burst(
-                            sock, 1, ACK_BYTES, ntrains=n)
-                        cpu += tx_cpu
-                        dev = max(dev, dev2)
-                    else:
-                        # Receive the GET request, stream the value out.
-                        rx_cpu, dev = host.stack.rx_burst(
-                            sock, 1, KEY_BYTES, ntrains=n)
-                        cpu += rx_cpu
-                        cpu += machine.memory.cpu_stream_read(
-                            node, self.heap, n * self.value_bytes)
-                        tx_cpu, dev2 = host.stack.tx_burst(
-                            sock, 1, self.value_bytes, ntrains=n)
-                        cpu += tx_cpu
-                        dev = max(dev, dev2)
-                txn += n
+                cpu = costs.memcached_req_ns
+                if is_set:
+                    # Receive key+value, store into the slab heap.
+                    rx_cpu, dev = host.stack.rx_burst(
+                        sock, 1, KEY_BYTES + self.value_bytes)
+                    cpu += rx_cpu
+                    cpu += int(self.value_bytes * costs.copy_ns_per_byte)
+                    cpu += machine.memory.cpu_stream_write(
+                        node, self.heap, self.value_bytes)
+                    tx_cpu, dev2 = host.stack.tx_burst(sock, 1, ACK_BYTES)
+                    cpu += tx_cpu
+                    dev = max(dev, dev2)
+                else:
+                    # Receive the GET request, stream the value out.
+                    rx_cpu, dev = host.stack.rx_burst(sock, 1, KEY_BYTES)
+                    cpu += rx_cpu
+                    cpu += machine.memory.cpu_stream_read(
+                        node, self.heap, self.value_bytes)
+                    tx_cpu, dev2 = host.stack.tx_burst(
+                        sock, 1, self.value_bytes)
+                    cpu += tx_cpu
+                    dev = max(dev, dev2)
+                txn += 1
                 busy = max(cpu, dev)
                 wall = max(busy, self._txn_interval_ns)
-                if governor is not None:
-                    governor.observe(wall, n)
                 if self.in_measurement():
-                    self.meter.record(n * self.value_bytes, n)
+                    self.meter.record(self.value_bytes, 1)
                     if self.env.adaptive:
                         # Progressive start/finish: keep the meter's
                         # window aligned with the workers' recorded

@@ -41,8 +41,8 @@ class TcpStream(Workload):
         self.driver = driver or host.driver
         self.meter = measured_meter(self)
         self.batch = max(1, BURST_BYTES // message_bytes)
-        #: Packet-train coalescing state (drives the adaptive/fluid fast
-        #: paths; idle in exact mode).  Tests read its counters.
+        #: Packet-train coalescing state (drives the adaptive fast path;
+        #: idle in exact mode).  Tests read its counters.
         self.governor = make_governor(host.machine.env)
         self.thread = self._spawn(f"netperf-{direction}", self._body, core)
 

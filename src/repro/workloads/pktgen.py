@@ -33,8 +33,8 @@ class Pktgen(Workload):
         self.driver = driver or host.driver
         self.meter = measured_meter(self)
         self._ring_home_node = ring_home_node
-        #: Packet-train coalescing state (drives the adaptive/fluid fast
-        #: paths; idle in exact mode).  Tests read its counters.
+        #: Packet-train coalescing state (drives the adaptive fast path;
+        #: idle in exact mode).  Tests read its counters.
         self.governor = make_governor(host.machine.env)
         self.thread = self._spawn("pktgen", self._body, core)
 

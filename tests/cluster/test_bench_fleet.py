@@ -34,9 +34,8 @@ def test_gate_fails_on_fingerprint_mismatch(fleet_smoke, monkeypatch,
     # run inline) must fail the gate.
     run_fleet = fleet_smoke.run_fleet
 
-    def divergent(spec, master_seed, accuracy, jobs):
-        return run_fleet(spec, master_seed=master_seed + (jobs > 1),
-                         accuracy=accuracy, jobs=1)
+    def divergent(spec, master_seed, jobs):
+        return run_fleet(spec, master_seed=master_seed + (jobs > 1), jobs=1)
 
     monkeypatch.setattr(fleet_smoke, "run_fleet", divergent)
     assert fleet_smoke.main(TINY_RACK) == 1

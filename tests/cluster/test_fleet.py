@@ -6,7 +6,7 @@ import pytest
 from repro.cluster import FleetSpec, run_fleet, run_fleet_server
 from repro.experiments import sweep
 
-#: The pinned 4-server quick fleet (fluid tier).  Any change to the
+#: The pinned 4-server quick fleet.  Any change to the
 #: fleet planner, the client generators, the workload service loop or
 #: the simulator's timing shows up here first — regenerate deliberately
 #: with tools/fleet_smoke.py --print-fingerprint.
@@ -19,8 +19,7 @@ GOLDEN_FINGERPRINT = (
 
 @pytest.fixture(scope="module")
 def golden_fleet():
-    return run_fleet(FleetSpec(**GOLDEN_SPEC), master_seed=GOLDEN_SEED,
-                     accuracy="fluid")
+    return run_fleet(FleetSpec(**GOLDEN_SPEC), master_seed=GOLDEN_SEED)
 
 
 def test_golden_fleet_fingerprint(golden_fleet):
@@ -28,8 +27,7 @@ def test_golden_fleet_fingerprint(golden_fleet):
 
 
 def test_fleet_is_deterministic_across_repeats(golden_fleet):
-    again = run_fleet(FleetSpec(**GOLDEN_SPEC), master_seed=GOLDEN_SEED,
-                      accuracy="fluid")
+    again = run_fleet(FleetSpec(**GOLDEN_SPEC), master_seed=GOLDEN_SEED)
     assert again.fingerprint() == golden_fleet.fingerprint()
     assert again.servers == golden_fleet.servers
 
@@ -43,8 +41,7 @@ def test_fleet_fingerprint_independent_of_jobs(golden_fleet):
     """
     try:
         parallel = run_fleet(FleetSpec(**GOLDEN_SPEC),
-                             master_seed=GOLDEN_SEED, accuracy="fluid",
-                             jobs=2)
+                             master_seed=GOLDEN_SEED, jobs=2)
     finally:
         sweep.shutdown_pool()
     assert parallel.fingerprint() == golden_fleet.fingerprint()
@@ -63,15 +60,13 @@ def test_transaction_conservation(golden_fleet):
 def test_pf_flap_survives_under_ioctopus_only():
     base = dict(servers=2, connections=4096, duration_ns=4_000_000,
                 epochs=4, pf_flap=(0, 1_500_000, 1_000_000))
-    ioct = run_fleet(FleetSpec(config="ioctopus", **base),
-                     master_seed=1, accuracy="fluid")
+    ioct = run_fleet(FleetSpec(config="ioctopus", **base), master_seed=1)
     assert ioct.dead_servers() == []
     assert ioct.lost == 0
     # The team driver really failed over and recovered (2 fault events).
     assert ioct.servers[0]["failover_events"] == 2
 
-    remote = run_fleet(FleetSpec(config="remote", **base),
-                       master_seed=1, accuracy="fluid")
+    remote = run_fleet(FleetSpec(config="remote", **base), master_seed=1)
     assert remote.dead_servers() == [0]
     assert remote.lost > 0
     assert remote.servers[0]["died_at"] == 1_500_000
@@ -83,7 +78,7 @@ def test_pf_flap_survives_under_ioctopus_only():
 def test_server_down_truncates_and_reroutes():
     spec = FleetSpec(servers=3, connections=4096, duration_ns=4_000_000,
                      epochs=4, server_down=(1, 2_000_000))
-    fleet = run_fleet(spec, master_seed=2, accuracy="fluid")
+    fleet = run_fleet(spec, master_seed=2)
     assert fleet.dead_servers() == [1]
     assert fleet.lost > 0
     dead = fleet.servers[1]
@@ -125,7 +120,6 @@ def test_single_server_result_is_plain_json():
     import json
     spec = FleetSpec(servers=2, connections=1024, duration_ns=2_000_000,
                      epochs=2)
-    shard = run_fleet_server(0, spec.to_dict(), master_seed=0,
-                             accuracy="fluid")
+    shard = run_fleet_server(0, spec.to_dict(), master_seed=0)
     json.dumps(shard)  # the sweep cache contract
     assert shard["planned"] == shard["served"] + shard["lost"]

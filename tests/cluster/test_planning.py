@@ -36,13 +36,11 @@ def _count_blocks(monkeypatch):
 
 def test_one_call_generates_each_non_empty_block_once(monkeypatch):
     calls = _count_blocks(monkeypatch)
-    run_fleets([SPEC_A, SPEC_B], master_seed=SEED, accuracy="fluid",
-               jobs=1)
+    run_fleets([SPEC_A, SPEC_B], master_seed=SEED, jobs=1)
     assert sorted(calls) == list(range(SPEC_A.connections))
     # Nothing outlives the call: a second one pays the same again.
     calls.clear()
-    run_fleets([SPEC_A, SPEC_B], master_seed=SEED, accuracy="fluid",
-               jobs=1)
+    run_fleets([SPEC_A, SPEC_B], master_seed=SEED, jobs=1)
     assert sorted(calls) == list(range(SPEC_A.connections))
 
 
@@ -86,21 +84,19 @@ def test_point_fed_the_parent_slice_matches_self_planning():
         # The slice reaches a worker process, or the cache, as JSON.
         shipped = json.loads(json.dumps(
             planner.server_slice(SPEC_B, server_id)))
-        fed = run_fleet_server(server_id, SPEC_B.to_dict(), SEED, "fluid",
+        fed = run_fleet_server(server_id, SPEC_B.to_dict(), SEED,
                                plan_slice=shipped)
-        alone = run_fleet_server(server_id, SPEC_B.to_dict(), SEED,
-                                 "fluid")
+        alone = run_fleet_server(server_id, SPEC_B.to_dict(), SEED)
         assert fed == alone
 
 
 def test_batch_matches_separate_runs_inline_and_sharded():
-    alone = [run_fleet(spec, master_seed=SEED, accuracy="fluid")
-             .fingerprint() for spec in (SPEC_A, SPEC_B)]
+    alone = [run_fleet(spec, master_seed=SEED).fingerprint()
+             for spec in (SPEC_A, SPEC_B)]
     inline = run_fleets([SPEC_A, SPEC_B.to_dict()], master_seed=SEED,
-                        accuracy="fluid", jobs=1)
+                        jobs=1)
     try:
-        sharded = run_fleets([SPEC_A, SPEC_B], master_seed=SEED,
-                             accuracy="fluid", jobs=2)
+        sharded = run_fleets([SPEC_A, SPEC_B], master_seed=SEED, jobs=2)
     finally:
         sweep.shutdown_pool()
     assert [fleet.spec for fleet in inline] == [SPEC_A, SPEC_B]

@@ -1,11 +1,10 @@
 """Fleet workload behaviour: open-loop queueing, incast spikes, the
-slow-client starvation bound, accuracy-tier sanity."""
-
-import pytest
+slow-client starvation bound, independence from the accuracy tier."""
 
 from repro.cluster import FleetSpec, run_fleet_server
 from repro.cluster.workload import FLEET_MAX_BATCH, SLOW_HOLD_CAP_NS
 from repro.metrics.collect import LatencyDigest
+from repro.sim.engine import ACCURACY_MODES, configure_accuracy
 
 BASE = dict(servers=2, connections=8192, duration_ns=4_000_000,
             epochs=4, conn_rate_tps=16.0)
@@ -17,9 +16,9 @@ def _digest(shard) -> LatencyDigest:
 
 def test_incast_bursts_create_queueing_tails():
     calm = run_fleet_server(
-        0, FleetSpec(incast_per_epoch=0, **BASE).to_dict(), 3, "fluid")
+        0, FleetSpec(incast_per_epoch=0, **BASE).to_dict(), 3)
     burst = run_fleet_server(
-        0, FleetSpec(incast_fanin=256, **BASE).to_dict(), 3, "fluid")
+        0, FleetSpec(incast_fanin=256, **BASE).to_dict(), 3)
     assert _digest(burst).percentile(99) > 10 * _digest(calm).percentile(99)
     # The burst is extra load, not replacement load.
     assert burst["planned"] > calm["planned"]
@@ -28,10 +27,10 @@ def test_incast_bursts_create_queueing_tails():
 def test_slow_clients_hurt_but_are_bounded():
     quiet = dict(BASE, incast_per_epoch=0)
     fast = run_fleet_server(
-        0, FleetSpec(slow_fraction=0.0, **quiet).to_dict(), 3, "fluid")
+        0, FleetSpec(slow_fraction=0.0, **quiet).to_dict(), 3)
     slow = run_fleet_server(
         0, FleetSpec(slow_fraction=0.1, slow_factor=8.0,
-                     **quiet).to_dict(), 3, "fluid")
+                     **quiet).to_dict(), 3)
     d_fast, d_slow = _digest(fast), _digest(slow)
     # Slow readers visibly stretch the distribution...
     assert d_slow.average() > 1.5 * d_fast.average()
@@ -46,14 +45,14 @@ def test_slow_clients_hurt_but_are_bounded():
 def test_diurnal_peak_carries_more_arrivals():
     shard = run_fleet_server(
         0, FleetSpec(incast_per_epoch=0, diurnal_amplitude=0.5,
-                     **BASE).to_dict(), 3, "fluid")
+                     **BASE).to_dict(), 3)
     counts = [shard["epoch_digests"][str(e)]["count"] for e in range(4)]
     # Epochs 1-2 straddle the mid-run peak; 0 and 3 the troughs.
     assert min(counts[1], counts[2]) > max(counts[0], counts[3])
 
 
 def test_churn_is_counted_not_simulated():
-    shard = run_fleet_server(0, FleetSpec(**BASE).to_dict(), 3, "fluid")
+    shard = run_fleet_server(0, FleetSpec(**BASE).to_dict(), 3)
     assert sum(shard["churn_by_epoch"]) > 0
     # Replacement is instant: the active population never shrinks.
     assert all(c == shard["conns_by_epoch"][0]
@@ -61,23 +60,37 @@ def test_churn_is_counted_not_simulated():
 
 
 def test_shard_determinism_per_accuracy_tier():
+    """A shard repeats exactly under every --accuracy override."""
     spec = FleetSpec(servers=2, connections=2048, duration_ns=2_000_000,
-                     epochs=2)
-    for accuracy in ("exact", "fluid"):
-        first = run_fleet_server(1, spec.to_dict(), 11, accuracy)
-        again = run_fleet_server(1, spec.to_dict(), 11, accuracy)
-        assert first == again, f"{accuracy} shard not deterministic"
+                     epochs=2).to_dict()
+    for mode in ACCURACY_MODES:
+        configure_accuracy(mode)
+        try:
+            first = run_fleet_server(1, spec, 11)
+            assert run_fleet_server(1, spec, 11) == first, mode
+        finally:
+            configure_accuracy(None)
 
 
 def test_exact_and_fluid_agree_on_counts():
+    """The fleet reads no accuracy tier, so exact and the coarsest tier
+    (adaptive, since the fluid tier was retired) agree on every count
+    and percentile: the whole shard is the same as with no override."""
     spec = FleetSpec(servers=2, connections=2048, duration_ns=2_000_000,
-                     epochs=2)
-    exact = run_fleet_server(0, spec.to_dict(), 11, "exact")
-    fluid = run_fleet_server(0, spec.to_dict(), 11, "fluid")
-    # Conservation is tier-independent; latency percentiles may differ
-    # within the fluid tier's tolerance.
-    assert exact["planned"] == fluid["planned"]
-    assert exact["served"] == fluid["served"]
+                     epochs=2).to_dict()
+    default = run_fleet_server(0, spec, 11)
+    shards = {}
+    for mode in ACCURACY_MODES:
+        configure_accuracy(mode)
+        try:
+            shards[mode] = run_fleet_server(0, spec, 11)
+        finally:
+            configure_accuracy(None)
+    exact, coarse = shards["exact"], shards["adaptive"]
+    assert exact["planned"] == coarse["planned"]
+    assert exact["served"] == coarse["served"]
     p99_exact = LatencyDigest.from_dict(exact["digest"]).percentile(99)
-    p99_fluid = LatencyDigest.from_dict(fluid["digest"]).percentile(99)
-    assert p99_fluid == pytest.approx(p99_exact, rel=0.25)
+    p99_coarse = LatencyDigest.from_dict(coarse["digest"]).percentile(99)
+    assert p99_coarse == p99_exact
+    for mode, shard in shards.items():
+        assert shard == default, mode

@@ -150,9 +150,9 @@ def test_rerun_is_pure_cache_hits(fake_target, tmp_path):
 
 
 def test_real_matrix_row_through_simulator():
-    """One genuine fluid-tier fig08 row end to end: removing ddio must
-    rank first and be flagged load-bearing."""
-    report = run_ablation("fig08", accuracy="fluid", duration_ns=SHORT,
+    """One genuine adaptive-tier fig08 row end to end: removing ddio
+    must rank first and be flagged load-bearing."""
+    report = run_ablation("fig08", accuracy="adaptive", duration_ns=SHORT,
                           components=["ddio", "xps"])
     assert report["rows"][0]["components"] == ["ddio"]
     assert report["rows"][0]["importance"] > 0

@@ -120,13 +120,10 @@ class _Recorder:
      481, 481),
     (run_tcp_rr, ("local", "local", True, 1024, D),
      dict(seed=0, accuracy="exact"), 1_015, 1_015),
-    # The fast tiers' train loop.
+    # The adaptive tier's train loop.
     (run_tcp_stream, ("ioctopus", 4096, "rx", D),
      dict(seed=0, accuracy="adaptive"), 30, 31),
-    (run_tcp_stream, ("local", 4096, "tx", D),
-     dict(seed=1, accuracy="fluid"), 18, 19),
-], ids=["stream-exact", "pktgen-exact", "rr-exact", "rx-adaptive",
-        "tx-fluid"])
+], ids=["stream-exact", "pktgen-exact", "rr-exact", "rx-adaptive"])
 def test_event_counts_golden(run, args, kwargs, processed, scheduled):
     """Pin the events behind the goldens, not just their metrics: how
     many entries the kernel dispatched and how many it ever scheduled."""

@@ -67,28 +67,30 @@ def test_registry_instances_are_fresh():
 
 
 @pytest.fixture
-def fluid_override():
-    configure_accuracy("fluid")
+def adaptive_override(monkeypatch):
+    monkeypatch.setenv("REPRO_ACCURACY", "exact")
+    configure_accuracy("adaptive")
     yield
     configure_accuracy(None)
 
 
-def test_accuracy_override_reaches_every_environment(fluid_override):
+def test_accuracy_override_reaches_every_environment(adaptive_override):
     """--accuracy reaches testbeds built without a tier, as fig12,
     fig15, failover_ssd, abl_window and abl_octossd build them."""
-    assert Testbed("local").accuracy == "fluid"
+    assert Testbed("local").accuracy == "adaptive"
     host, _ = build_nvme_host(octo_mode=False, dual_port=False)
-    assert host.machine.env.accuracy == "fluid"
+    assert host.machine.env.accuracy == "adaptive"
     for name in all_experiment_names():
-        assert get_experiment(name).accuracy() == "fluid", name
+        assert get_experiment(name).accuracy() == "adaptive", name
 
 
 def test_bogus_repro_accuracy_is_rejected(monkeypatch):
-    monkeypatch.setenv("REPRO_ACCURACY", "bogus")
-    with pytest.raises(ValueError, match="REPRO_ACCURACY"):
-        Environment()
-    with pytest.raises(ValueError, match="REPRO_ACCURACY"):
-        get_experiment("fig08").accuracy()
+    for bogus in ("bogus", "fluid"):
+        monkeypatch.setenv("REPRO_ACCURACY", bogus)
+        with pytest.raises(ValueError, match="REPRO_ACCURACY"):
+            Environment()
+        with pytest.raises(ValueError, match="REPRO_ACCURACY"):
+            get_experiment("fig08").accuracy()
 
 
 def test_cli_list(capsys):
@@ -153,6 +155,30 @@ def test_cli_unknown_experiment(capsys):
     pytest.param(["obs", "diff", "--fidelity", "warp"],
                  "argument --fidelity: invalid choice: 'warp'",
                  id="obs-diff--fidelity"),
+    pytest.param(["fig08", "--accuracy", "fluid"],
+                 "argument --accuracy: invalid choice: 'fluid'",
+                 id="--accuracy"),
+    pytest.param(["ablate", "--accuracy", "fluid"],
+                 "argument --accuracy: invalid choice: 'fluid'",
+                 id="ablate--accuracy"),
+    pytest.param(["obs", "--accuracy", "fluid"],
+                 "argument --accuracy: invalid choice: 'fluid'",
+                 id="obs--accuracy"),
+    pytest.param(["obs", "blame", "--accuracy", "fluid"],
+                 "argument --accuracy: invalid choice: 'fluid'",
+                 id="obs-blame--accuracy"),
+    pytest.param(["obs", "diff", "--accuracy", "fluid"],
+                 "argument --accuracy: invalid choice: 'fluid'",
+                 id="obs-diff--accuracy"),
+    pytest.param(["fuzz", "--cases", "-3"],
+                 "argument --cases: must be >= 1, got -3",
+                 id="fuzz--cases"),
+    pytest.param(["fuzz", "--fleet-every", "-2"],
+                 "argument --fleet-every: must be >= 0, got -2",
+                 id="fuzz--fleet-every"),
+    pytest.param(["obs", "--sample-interval-us", "-5"],
+                 "argument --sample-interval-us: must be >= 1, got -5",
+                 id="obs--sample-interval-us"),
 ])
 def test_cli_rejects_non_positive_counts(argv, error, capsys):
     with pytest.raises(SystemExit) as exit_info:

@@ -78,7 +78,7 @@ def test_cache_miss_on_accuracy_override(tmp_path, monkeypatch):
     result cached under one tier must not serve another."""
     monkeypatch.delenv("REPRO_ACCURACY", raising=False)
     sweep_map(point_fn, [dict(x=1)], cache_dir=str(tmp_path))
-    configure_accuracy("fluid")
+    configure_accuracy("adaptive")
     try:
         sweep_map(point_fn, [dict(x=1)], cache_dir=str(tmp_path))
     finally:

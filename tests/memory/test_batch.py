@@ -1,4 +1,4 @@
-"""Golden tests for the DDIO split of a fluid burst train.
+"""Golden tests for the DDIO split of an adaptive burst train.
 
 ``LastLevelCache.ddio_write(region, nbytes, nbursts)`` absorbs a train
 of equal bursts (the last one takes the division remainder) in closed
@@ -58,7 +58,7 @@ def _state(llc):
 
 @pytest.mark.parametrize("rate", RATES)
 def test_service_durations_match_scalar_expression(numpy_mode, rate):
-    # A local fluid burst train: the PF charges the PCIe link per burst
+    # A local adaptive burst train: the PF charges the PCIe link per burst
     # (account_batch) and the LLC absorbs the bursts in closed form.
     machine = dell_r730()
     (pf,) = bifurcate(machine, 16, [0])

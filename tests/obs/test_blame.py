@@ -10,6 +10,7 @@ from repro.obs import ObsSession
 from repro.obs.blame import (BlameCollector, BlameDomain, build_report,
                              is_nudma_stage, render_text, run_blame_point,
                              stage_family)
+from repro.sim.engine import ACCURACY_MODES
 from repro.sim.tracing import Tracer
 from repro.workloads.pktgen import Pktgen
 
@@ -25,7 +26,7 @@ def _stage_sum(report):
 
 # --------------------------------------------------------- conservation
 
-@pytest.mark.parametrize("accuracy", ["exact", "adaptive", "fluid"])
+@pytest.mark.parametrize("accuracy", ACCURACY_MODES)
 def test_pktgen_blame_conserves_in_every_tier(accuracy):
     """fig08 point: per-stage raw sums equal end-to-end latency exactly
     even when trains seal once for K represented bursts."""
@@ -36,7 +37,7 @@ def test_pktgen_blame_conserves_in_every_tier(accuracy):
     assert _stage_sum(report) == report["e2e"]["total_ns"]
 
 
-@pytest.mark.parametrize("accuracy", ["exact", "adaptive", "fluid"])
+@pytest.mark.parametrize("accuracy", ACCURACY_MODES)
 def test_rr_blame_conserves_in_every_tier(accuracy):
     """fig09 point: the latency path's flow decomposition (wire, DMA,
     doorbell, irq, stack, cq, app) sums to the RTT-derived latency."""
@@ -177,13 +178,13 @@ def test_begin_blame_stride_one_admits_everything():
 def test_fleet_blame_merges_txn_domains():
     spec = FleetSpec(servers=2, connections=512, duration_ns=2_000_000,
                      epochs=2)
-    fleet = run_fleet(spec, master_seed=3, accuracy="fluid", blame=True)
+    fleet = run_fleet(spec, master_seed=3, blame=True)
     report = fleet.blame_report("txn")
     names = {row["stage"] for row in report["stages"]}
     assert names == {"queue.wait", "app.service"}
     assert report["conservation"]["ok"]
     assert report["flows"] == fleet.served
-    plain = run_fleet(spec, master_seed=3, accuracy="fluid")
+    plain = run_fleet(spec, master_seed=3)
     assert plain.blame is None
     with pytest.raises(ValueError):
         plain.blame_report()

@@ -49,20 +49,16 @@ def main(argv=None) -> int:
 
     if args.print_fingerprint:
         fleet = run_fleet(FleetSpec(**GOLDEN_SPEC),
-                          master_seed=GOLDEN_SEED, accuracy="fluid",
-                          jobs=1)
+                          master_seed=GOLDEN_SEED, jobs=1)
         print(fleet.fingerprint())
         return 0
 
     spec = FleetSpec(servers=args.servers, connections=args.connections,
                      duration_ns=args.duration_ns, epochs=args.epochs)
-    inline = run_fleet(spec, master_seed=args.seed, accuracy="fluid",
-                       jobs=1)
-    again = run_fleet(spec, master_seed=args.seed, accuracy="fluid",
-                      jobs=1)
+    inline = run_fleet(spec, master_seed=args.seed, jobs=1)
+    again = run_fleet(spec, master_seed=args.seed, jobs=1)
     try:
-        sharded = run_fleet(spec, master_seed=args.seed,
-                            accuracy="fluid", jobs=args.jobs)
+        sharded = run_fleet(spec, master_seed=args.seed, jobs=args.jobs)
     finally:
         sweep.shutdown_pool()
 
