@@ -105,10 +105,10 @@ class AblSg(Experiment):
                 for i in range(n_fragments)]
             hints = plan_fragments(device, fragments)
             hinted = transmit_with_hints(device, hints)
-            before = sum(link.server.bytes_total
+            before = sum(link.bytes_total
                          for link in machine.interconnect.links())
             fixed = transmit_without_hints(device, 0, hints)
-            crossed = sum(link.server.bytes_total
+            crossed = sum(link.bytes_total
                           for link in machine.interconnect.links()) - before
             result.add(n_fragments, round(hinted / 1000, 2),
                        round(fixed / 1000, 2),

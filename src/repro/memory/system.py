@@ -58,7 +58,10 @@ class MemorySystem:
         self.spec = spec
         self.llcs = llcs
         self.drams = drams
-        self.interconnect = interconnect
+        #: The ``[src][dst]`` link table: every access below has already
+        #: told the nodes apart, so it charges both links of a round trip
+        #: itself.
+        self._qpi = interconnect.table
         self.ddio_enabled = True
         #: In-flight cache-line window per DMA engine (ablation knob).
         self.dma_outstanding_lines = _DMA_OUTSTANDING_LINES
@@ -90,8 +93,10 @@ class MemorySystem:
         dram_delay = dram.read(miss)
         delay = dram_delay if dram_delay > stall else stall
         if home != node:
-            qpi_delay = self.interconnect.round_trip(
-                node, home, int(miss * _REQUEST_OVERHEAD), miss)
+            qpi = self._qpi
+            qpi_delay = (qpi[node][home].traverse(
+                int(miss * _REQUEST_OVERHEAD))
+                + qpi[home][node].traverse(miss))
             if qpi_delay > delay:
                 delay = qpi_delay
         llc.load(region, nbytes)
@@ -108,7 +113,7 @@ class MemorySystem:
             # fill read; they stall the CPU very little.
             delay = dram.write(nbytes)
             if home != node:
-                qpi_delay = self.interconnect.traverse(node, home, nbytes)
+                qpi_delay = self._qpi[node][home].traverse(nbytes)
                 if qpi_delay > delay:
                     delay = qpi_delay
             return delay
@@ -123,9 +128,9 @@ class MemorySystem:
         dram_delay = (dram.read(miss) + dram.write(miss)) // 2
         delay = dram_delay if dram_delay > stall else stall
         if home != node:
-            qpi_delay = (self.interconnect.round_trip(
-                node, home, int(miss * _REQUEST_OVERHEAD), miss)
-                + self.interconnect.traverse(node, home, miss))
+            out, back = self._qpi[node][home], self._qpi[home][node]
+            qpi_delay = (out.traverse(int(miss * _REQUEST_OVERHEAD))
+                         + back.traverse(miss) + out.traverse(miss))
             if qpi_delay > delay:
                 delay = qpi_delay
         llc.load(region, nbytes)
@@ -172,8 +177,9 @@ class MemorySystem:
         dram_delay = max(dram_delay, self.drams[home].write(nbytes))
         qpi_delay = 0
         if home != node:
-            qpi_delay = self.interconnect.round_trip(
-                node, home, int(nbytes * _REQUEST_OVERHEAD), nbytes)
+            qpi_delay = (self._qpi[node][home].traverse(
+                int(nbytes * _REQUEST_OVERHEAD))
+                + self._qpi[home][node].traverse(nbytes))
         llc.load(region, nbytes)
         return max(stall, dram_delay, qpi_delay)
 
@@ -272,7 +278,7 @@ class MemorySystem:
         dram_delay = self.drams[home].write(nbytes)
         qpi_delay = 0
         if device_node != home:
-            qpi_delay = self.interconnect.traverse(device_node, home, nbytes)
+            qpi_delay = self._qpi[device_node][home].traverse(nbytes)
             serial = self._dma_serialization(device_node, home, nbytes,
                                              engine, nbursts)
             if serial > qpi_delay:
@@ -299,8 +305,9 @@ class MemorySystem:
                 return 0
             return self.drams[home].read(nbytes)
         dram_delay = self.drams[home].read(nbytes)  # parallel probe
-        qpi_delay = self.interconnect.round_trip(
-            device_node, home, int(nbytes * _REQUEST_OVERHEAD), nbytes)
+        qpi_delay = (self._qpi[device_node][home].traverse(
+            int(nbytes * _REQUEST_OVERHEAD))
+            + self._qpi[home][device_node].traverse(nbytes))
         serial = self._dma_serialization(device_node, home, nbytes, engine)
         if serial > qpi_delay:
             qpi_delay = serial
@@ -349,8 +356,8 @@ class MemorySystem:
         crossing latency is taken as constant), matching the exact
         path's per-burst integer truncation.
         """
-        round_trip = self.interconnect.loaded_round_trip_ns(device_node,
-                                                            home)
+        round_trip = (self._qpi[device_node][home].loaded_crossing_ns()
+                      + self._qpi[home][device_node].loaded_crossing_ns())
         if nbursts == 1:
             lines = nbytes // CACHELINE
             if lines < 1:
@@ -378,5 +385,6 @@ class MemorySystem:
             # Latency-bound single-line fills see the congestion-inflated
             # crossing latency, not the bulk servers' transient batch
             # backlog (a line interleaves between batches on real links).
-            latency += self.interconnect.loaded_round_trip_ns(node, home)
+            latency += (self._qpi[node][home].loaded_crossing_ns()
+                        + self._qpi[home][node].loaded_crossing_ns())
         return latency

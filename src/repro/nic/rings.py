@@ -68,19 +68,21 @@ class QueueSet:
         self.machine = machine
         self.rx: list = []
         self.tx: list = []
+        # A queue's core never changes, so each core's first queue is
+        # found once, here.  Cores hash by identity.
+        self._rx_by_core: dict = {}
+        self._tx_by_core: dict = {}
         for i, core in enumerate(cores):
             pf = pf_for_core(core) if pf_for_core else None
-            self.rx.append(RxQueue(i, core, machine, pf))
-            self.tx.append(TxQueue(i, core, machine, pf))
+            rx = RxQueue(i, core, machine, pf)
+            tx = TxQueue(i, core, machine, pf)
+            self.rx.append(rx)
+            self.tx.append(tx)
+            self._rx_by_core.setdefault(core, rx)
+            self._tx_by_core.setdefault(core, tx)
 
     def rx_for_core(self, core) -> Optional[RxQueue]:
-        for queue in self.rx:
-            if queue.core is core:
-                return queue
-        return None
+        return self._rx_by_core.get(core)
 
     def tx_for_core(self, core) -> Optional[TxQueue]:
-        for queue in self.tx:
-            if queue.core is core:
-                return queue
-        return None
+        return self._tx_by_core.get(core)

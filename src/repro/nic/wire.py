@@ -63,6 +63,7 @@ class EthernetWire:
         rate = bytes_per_sec(gigabits)
         self.a_to_b = BandwidthServer(env, rate, name="wire.a->b")
         self.b_to_a = BandwidthServer(env, rate, name="wire.b->a")
+        self._servers = {"a_to_b": self.a_to_b, "b_to_a": self.b_to_a}
         self._impairment: Optional[WireImpairment] = None
         self.drops_total = 0
         self.corruptions_total = 0
@@ -95,7 +96,10 @@ class EthernetWire:
         """Charge a packet batch; returns the wire delay in ns."""
         if npackets < 0:
             raise ValueError(f"negative packet count {npackets}")
-        server = self._server(direction)
+        try:
+            server = self._servers[direction]
+        except KeyError:
+            raise ValueError(f"unknown direction {direction!r}") from None
         self.packets_offered[direction] += npackets
         self.payload_bytes_offered[direction] += npackets * payload_bytes
         total = npackets * wire_bytes(payload_bytes)
@@ -116,10 +120,3 @@ class EthernetWire:
     def line_rate_packets_per_sec(self, payload_bytes: int) -> float:
         """Maximum packet rate the wire sustains at this payload size."""
         return bytes_per_sec(self.gigabits) / wire_bytes(payload_bytes)
-
-    def _server(self, direction: str) -> BandwidthServer:
-        if direction == "a_to_b":
-            return self.a_to_b
-        if direction == "b_to_a":
-            return self.b_to_a
-        raise ValueError(f"unknown direction {direction!r}")

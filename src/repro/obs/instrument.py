@@ -24,10 +24,9 @@ def instrument_machine(reg: MetricsRegistry, machine, prefix: str) -> None:
         return
     for link in machine.interconnect.links():
         base = f"{prefix}.qpi.{link.src_node}to{link.dst_node}"
-        server = link.server
-        reg.gauge(f"{base}.occupancy", fn=server.utilization,
+        reg.gauge(f"{base}.occupancy", fn=link.utilization,
                   help="QPI link busy fraction since t=0")
-        reg.gauge(f"{base}.bytes", fn=lambda s=server: s.bytes_total,
+        reg.gauge(f"{base}.bytes", fn=lambda ln=link: ln.bytes_total,
                   help="bytes carried")
         reg.gauge(f"{base}.throttle",
                   fn=lambda ln=link: ln.throttle_factor,

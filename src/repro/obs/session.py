@@ -99,7 +99,7 @@ class ObsSession:
         for link in machine.interconnect.links():
             sampler.add_rate(
                 f"srv.qpi.{link.src_node}to{link.dst_node}.util",
-                lambda s=link.server: s.busy_ns)
+                lambda ln=link: ln.busy_ns)
         for node in machine.nodes:
             dram = node.dram
             sampler.add_rate(

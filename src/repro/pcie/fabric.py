@@ -80,11 +80,11 @@ class PhysicalFunction:
         #: False after a surprise removal until the PF is recovered.
         self.alive = True
         #: TLP route constants, resolved once: the PCIe half round trip
-        #: and the interconnect link per peer node (the topology is fixed
-        #: at construction, so per-call lookups are pure overhead).
+        #: and the interconnect's ``[src][dst]`` link table (the topology
+        #: is fixed at construction, so per-call lookups are pure
+        #: overhead).
         self._half_rtt = machine.spec.pcie.round_trip_ns // 2
-        self._mmio_links: dict = {}
-        self._irq_links: dict = {}
+        self._qpi = machine.interconnect.table
         self._memory = machine.memory
 
     # ------------------------------------------------------- fault state
@@ -151,13 +151,8 @@ class PhysicalFunction:
             self._check_alive("mmio")
         latency = self._half_rtt
         if from_node != self.attach_node:
-            link = self._mmio_links.get(from_node)
-            if link is None:
-                link = self.machine.interconnect.link(from_node,
-                                                      self.attach_node)
-                self._mmio_links[from_node] = link
-            link.estimator.update(8)
-            latency += link.loaded_crossing_ns()
+            latency += self._qpi[from_node][
+                self.attach_node].posted_crossing_ns(8)
         return latency
 
     def interrupt_latency(self, to_node: int) -> int:
@@ -166,13 +161,8 @@ class PhysicalFunction:
             self._check_alive("interrupt")
         latency = self._half_rtt
         if to_node != self.attach_node:
-            link = self._irq_links.get(to_node)
-            if link is None:
-                link = self.machine.interconnect.link(self.attach_node,
-                                                      to_node)
-                self._irq_links[to_node] = link
-            link.estimator.update(8)
-            latency += link.loaded_crossing_ns()
+            latency += self._qpi[self.attach_node][
+                to_node].posted_crossing_ns(8)
         return latency
 
     def is_local_to(self, node: int) -> bool:

@@ -24,6 +24,15 @@ from typing import Any, Deque, Optional
 
 from repro.sim.engine import Environment, Event
 
+#: Width of the load bucket that each DRAM controller and each QPI link
+#: direction keeps beside its byte counters.  The owner adds every charge
+#: to the current bucket; its load estimate blends the last completed
+#: bucket's utilization with the current one's, weighted by how far the
+#: current bucket has run.  Latencies inflate with that estimate — the
+#: standard queueing-delay approximation that turns "STREAM is hammering
+#: the QPI" into "remote cache-line fills got slower" (paper §5.2).
+LOAD_BUCKET_NS = 20_000
+
 
 class Request(Event):
     """Pending acquisition of a :class:`Resource` slot.
@@ -272,9 +281,9 @@ class BandwidthServer:
         """Cumulative service time — the numerator of utilization()."""
         return self._busy_ns
 
-    def utilization(self, since: int = 0) -> float:
-        """Fraction of wall time busy between ``since`` and now."""
-        elapsed = self.env.now - since
+    def utilization(self) -> float:
+        """Fraction of wall time busy since t=0."""
+        elapsed = self.env.now
         if elapsed <= 0:
             return 0.0
         return min(1.0, self._busy_ns / elapsed)
@@ -294,76 +303,3 @@ class BandwidthServer:
         return (f"<BandwidthServer {self.name or '?'} "
                 f"{self.bytes_per_sec / 1e9:.1f} GB/s "
                 f"backlog={self.queueing_delay()}ns>")
-
-
-class RateEstimator:
-    """Rolling estimate of a server's offered load vs. capacity.
-
-    Buckets bytes into fixed windows; ``utilization()`` blends the last
-    completed bucket with the current one.  Used to inflate memory and
-    interconnect latencies under load — the standard queueing-delay
-    approximation that turns "STREAM is hammering the QPI" into "remote
-    cache-line fills got slower" (paper §5.2).
-    """
-
-    def __init__(self, env: Environment, bytes_per_sec: float,
-                 bucket_ns: int = 20_000):
-        self.env = env
-        self.bytes_per_sec = float(bytes_per_sec)
-        self.bucket_ns = int(bucket_ns)
-        self._bucket_start = 0
-        self._bucket_bytes = 0
-        self._last_utilization = 0.0
-
-    def update(self, nbytes: int) -> None:
-        now = self.env._now
-        elapsed = now - self._bucket_start
-        if elapsed >= self.bucket_ns:
-            last = (self._bucket_bytes * 1e9
-                    / (self.bytes_per_sec * (elapsed if elapsed > 1 else 1)))
-            self._last_utilization = last if last < 1.0 else 1.0
-            self._bucket_start = now
-            self._bucket_bytes = 0
-        self._bucket_bytes += nbytes
-
-    def utilization(self) -> float:
-        now = self.env._now
-        elapsed = now - self._bucket_start
-        if elapsed <= 0:
-            return self._last_utilization
-        current = (self._bucket_bytes * 1e9
-                   / (self.bytes_per_sec * elapsed))
-        current = current if current < 1.0 else 1.0
-        # Blend: the current bucket only counts once it has some
-        # history, so a single burst at bucket start doesn't read as
-        # saturation.
-        weight = elapsed / self.bucket_ns
-        weight = weight if weight < 1.0 else 1.0
-        return (1.0 - weight) * self._last_utilization + weight * current
-
-    def update_utilization(self, nbytes: int) -> float:
-        """Fused ``update(nbytes)`` followed by ``utilization()`` — the
-        two always run back to back on the link hot path, and fusing them
-        halves the call overhead.  Bit-identical to the pair."""
-        now = self.env._now
-        elapsed = now - self._bucket_start
-        if elapsed >= self.bucket_ns:
-            last = (self._bucket_bytes * 1e9
-                    / (self.bytes_per_sec * (elapsed if elapsed > 1 else 1)))
-            last = last if last < 1.0 else 1.0
-            self._last_utilization = last
-            self._bucket_start = now
-            self._bucket_bytes = nbytes
-            # elapsed is now zero: utilization() would return the stored
-            # last-bucket figure unchanged.
-            return last
-        bucket_bytes = self._bucket_bytes + nbytes
-        self._bucket_bytes = bucket_bytes
-        if elapsed <= 0:
-            return self._last_utilization
-        current = bucket_bytes * 1e9 / (self.bytes_per_sec * elapsed)
-        current = current if current < 1.0 else 1.0
-        # 0 < elapsed < bucket_ns here, so the weight needs no clamp.
-        weight = elapsed / self.bucket_ns
-        return (1.0 - weight) * self._last_utilization + weight * current
-

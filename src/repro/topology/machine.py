@@ -151,7 +151,7 @@ class Machine:
         for core in self.cores:
             core.reset_window()
         for link in self.interconnect.links():
-            link.server.reset_window()
+            link.reset_window()
 
     def __repr__(self) -> str:
         return (f"<Machine {self.spec.name} nodes={self.spec.num_nodes} "

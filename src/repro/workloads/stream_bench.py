@@ -42,26 +42,28 @@ class StreamThread(Workload):
         dram = machine.memory.drams[self.target_node]
         # Nearly every event of a STREAM-loaded run is one of these
         # chunks, so everything that does not change between chunks is
-        # bound once here and the clock is read directly.
+        # bound once here, the clock is read directly, and the loop does
+        # what ``meter.record`` and ``thread.compute`` would: it adds to
+        # the meter's counters and charges the thread's current core.
         env = self.env
         duration_ns = self.duration_ns
         warmup_ns = self.warmup_ns
         base = int(CHUNK * costs.stream_cpu_ns_per_byte)
         stream = (machine.memory.cpu_stream_read if self.kind == "read"
                   else machine.memory.cpu_stream_write)
-        record = self.meter.record
-        compute = thread.compute
+        meter = self.meter
         dram.enter()  # long-running bandwidth consumer
         try:
             while env._now < duration_ns:
                 stall = stream(node, array, CHUNK)
                 # The loop test already holds now < duration_ns.
                 if warmup_ns <= env._now:
-                    record(CHUNK)
-                yield compute(stall if stall > base else base)
+                    meter.bytes_total += CHUNK
+                    meter.messages_total += 1
+                yield thread.core.charge(stall if stall > base else base)
         finally:
             dram.leave()
-        self.meter.finish(min(env._now, duration_ns))
+        meter.finish(min(env._now, duration_ns))
 
     def bandwidth_gbps(self) -> float:
         return self.meter.gbps()

@@ -57,7 +57,7 @@ def test_ioctopus_dma_never_crosses_interconnect():
     testbed.run(DUR + 3_000_000)
     assert workload.throughput_gbps() > 10
     for link in testbed.server.machine.interconnect.links():
-        assert link.server.bytes_total == 0
+        assert link.bytes_total == 0
 
 
 def test_remote_dma_all_crosses_interconnect():
@@ -66,6 +66,6 @@ def test_remote_dma_all_crosses_interconnect():
                          Flow.make(0), 65536, "rx", DUR, WARM)
     testbed.run(DUR + 3_000_000)
     crossed = testbed.server.machine.interconnect.link(
-        0, 1).server.bytes_total
+        0, 1).bytes_total
     # At least the payload itself crossed NIC-socket -> thread-socket.
     assert crossed >= workload.meter.bytes_total

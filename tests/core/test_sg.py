@@ -51,7 +51,7 @@ def test_hinted_transmit_avoids_interconnect(setup):
     hints = plan_fragments(device, fragments)
     transmit_with_hints(device, hints)
     for link in machine.interconnect.links():
-        assert link.server.bytes_total == 0
+        assert link.bytes_total == 0
 
 
 def test_unhinted_transmit_crosses_interconnect(setup):
@@ -59,7 +59,7 @@ def test_unhinted_transmit_crosses_interconnect(setup):
     hints = plan_fragments(device, fragments)
     transmit_without_hints(device, 0, hints)
     # Fragment on node 1 read through PF 0 crosses the interconnect.
-    crossed = sum(link.server.bytes_total
+    crossed = sum(link.bytes_total
                   for link in machine.interconnect.links())
     assert crossed >= 4096
 

@@ -101,14 +101,14 @@ def test_qpi_throttle_and_release():
                   src_node=0, dst_node=1, throttle_factor=0.25))
     testbed, injector = make_injector(plan)
     link = testbed.server.machine.interconnect.link(0, 1)
-    base = link.server.bytes_per_sec
+    base = link.bytes_per_sec
     injector.start()
     testbed.run(100)
     assert link.is_throttled
-    assert link.server.bytes_per_sec == pytest.approx(base * 0.25)
+    assert link.bytes_per_sec == pytest.approx(base * 0.25)
     testbed.run(10_000)
     assert not link.is_throttled
-    assert link.server.bytes_per_sec == pytest.approx(base)
+    assert link.bytes_per_sec == pytest.approx(base)
 
 
 def test_injector_validates_targets_up_front():

@@ -38,8 +38,8 @@ def test_backlog_accumulates(qpi):
 
 def test_round_trip_charges_both_directions(qpi):
     delay = qpi.round_trip(0, 1, 64, 2800)
-    fwd = qpi.link(0, 1).server.bytes_total
-    back = qpi.link(1, 0).server.bytes_total
+    fwd = qpi.link(0, 1).bytes_total
+    back = qpi.link(1, 0).bytes_total
     assert (fwd, back) == (64, 2800)
     assert delay >= 60  # two crossings
 
@@ -71,23 +71,25 @@ def test_traverse_matches_load_factor(preload, cap, factor):
                                    max_latency_inflation=cap)
                   for _ in range(2))
     for each in (link, twin):
-        each.estimator.update(preload)
-        each.server.account(preload)
+        each.traverse(preload)
     # Charge at the next bucket start: u is the preloaded bucket's load.
-    env._now = link.estimator.bucket_ns
+    env._now = link.bucket_ns
     got = link.traverse(64)
-    twin.estimator.update(64)
+    twin.posted_crossing_ns(64)     # the bucket charge alone
     assert twin.load_factor() == pytest.approx(factor)
+    assert (twin._last_utilization, twin._bucket_start,
+            twin._bucket_bytes) == (link._last_utilization,
+                                    link._bucket_start, link._bucket_bytes)
     assert got == (int(twin.crossing_latency_ns * twin.load_factor())
-                   + twin.server.account(64))
+                   + twin.account(64))
     assert link.loaded_crossing_ns() == int(
         link.crossing_latency_ns * link.load_factor())
 
 
 def test_probe_delay_does_not_charge(qpi):
-    before = qpi.link(0, 1).server.bytes_total
+    before = qpi.link(0, 1).bytes_total
     qpi.link(0, 1).probe_delay(64)
-    assert qpi.link(0, 1).server.bytes_total == before
+    assert qpi.link(0, 1).bytes_total == before
 
 
 def test_num_links_for_n_nodes():
@@ -105,14 +107,20 @@ def test_invalid_node_count():
 
 def test_throttle_reduces_rate_and_estimates(qpi):
     link = qpi.link(0, 1)
-    base = link.server.bytes_per_sec
+    base = link.bytes_per_sec
     link.throttle(0.5)
     assert link.is_throttled
-    assert link.server.bytes_per_sec == pytest.approx(base * 0.5)
-    assert link.estimator.bytes_per_sec == pytest.approx(base * 0.5)
+    assert link.bytes_per_sec == pytest.approx(base * 0.5)
+    # The load bucket reads against the throttled rate too: a bucket
+    # of traffic at a quarter of the rated bandwidth loads the
+    # half-rate link to u = 0.5, an inflation of 1 + 0.6 * 0.5 / 0.5.
+    link.traverse(int(base / 4 * link.bucket_ns / 1e9))
+    link.env._now = link.bucket_ns
+    assert link.load_factor() == pytest.approx(1.6)
     link.unthrottle()
     assert not link.is_throttled
-    assert link.server.bytes_per_sec == pytest.approx(base)
+    assert link.bytes_per_sec == pytest.approx(base)
+    assert link.load_factor() == pytest.approx(1.0 + 0.6 * 0.25 / 0.75)
 
 
 def test_throttled_crossing_is_slower(qpi):
@@ -120,6 +128,39 @@ def test_throttled_crossing_is_slower(qpi):
     qpi.link(0, 1).throttle(0.25)
     slow = qpi.traverse(0, 1, 28_000)
     assert slow > fast
+
+
+def test_negative_traverse_charges_nothing(qpi):
+    """A rejected transfer leaves the queue, the load bucket and the
+    counters as they were."""
+    link = qpi.link(0, 1)
+    link.traverse(1000)
+    link.env._now = 50
+
+    def state():
+        return (link._free_at, link.busy_ns, link.bytes_total,
+                link._window_bytes, link._last_utilization,
+                link._bucket_start, link._bucket_bytes)
+
+    before = state()
+    with pytest.raises(ValueError, match="negative transfer size -500"):
+        link.traverse(-500)
+    with pytest.raises(ValueError, match="negative transfer size -500"):
+        qpi.traverse(0, 1, -500)
+    assert state() == before
+    assert link._bucket_bytes == 1000
+
+
+def test_link_utilization_is_busy_fraction_since_t0(qpi):
+    """What the obs occupancy gauge reads: busy over [0, 100) ns, then
+    idle, reads 0.1 at t = 1000.  There is no ``since`` window."""
+    link = qpi.link(0, 1)
+    link.traverse(2800)                 # 100 ns of service at 28 GB/s
+    link.env._now = 1000
+    assert link.busy_ns == 100
+    assert link.utilization() == pytest.approx(0.1)
+    with pytest.raises(TypeError):
+        link.utilization(since=500)
 
 
 def test_throttle_validates_factor(qpi):

@@ -70,18 +70,18 @@ def test_ddio_disabled_forces_dram_even_locally(machine):
 def test_remote_dma_write_crosses_interconnect(machine):
     r = ring(machine)
     link = machine.interconnect.link(1, 0)
-    before = link.server.bytes_total
+    before = link.bytes_total
     machine.memory.dma_write(1, r, 1500)
-    assert link.server.bytes_total - before == 1500
+    assert link.bytes_total - before == 1500
 
 
 def test_local_dma_write_does_not_cross_interconnect(machine):
     r = ring(machine)
     for link in machine.interconnect.links():
-        assert link.server.bytes_total == 0
+        assert link.bytes_total == 0
     machine.memory.dma_write(0, r, 1500)
     for link in machine.interconnect.links():
-        assert link.server.bytes_total == 0
+        assert link.bytes_total == 0
 
 
 # ------------------------------------------------------- DMA read rules
@@ -120,7 +120,7 @@ def test_cpu_stream_read_remote_crosses_interconnect(machine):
     remote = machine.alloc_region("remote", 1, 64 * 1024)
     link_back = machine.interconnect.link(1, 0)
     machine.memory.cpu_stream_read(0, remote, remote.size)
-    assert link_back.server.bytes_total >= remote.size
+    assert link_back.bytes_total >= remote.size
 
 
 def test_cpu_stream_delay_is_the_largest_term(machine):

@@ -1,5 +1,8 @@
 """Tests for NIC queues and queue sets."""
 
+import pytest
+
+from repro.core.configurations import Testbed
 from repro.nic.rings import RING_ENTRIES, QueueSet, RxQueue, TxQueue
 from repro.pcie.fabric import bifurcate
 from repro.topology import dell_r730
@@ -52,3 +55,25 @@ def test_fresh_queue_has_enabled_moderation():
     queue = RxQueue(0, machine.core(0), machine)
     assert queue.moderation.enabled
     assert queue.is_drained()
+
+
+@pytest.mark.parametrize("config", ["local", "remote", "ioctopus"])
+def test_queue_lookup_matches_scan_on_every_testbed_core(config):
+    """The core -> queue maps return what a scan of the queue lists in
+    order returns, for every core of the server; a core the set does not
+    serve gives None from the set and LookupError from the driver."""
+    testbed = Testbed(config)
+    driver = testbed.server.driver
+    queues = driver.queues
+    for core in testbed.server.machine.cores:
+        for found, listed in ((queues.rx_for_core(core), queues.rx),
+                              (queues.tx_for_core(core), queues.tx)):
+            assert found is next(
+                (queue for queue in listed if queue.core is core), None)
+    stranger = testbed.client.machine.core(0)
+    assert queues.rx_for_core(stranger) is None
+    assert queues.tx_for_core(stranger) is None
+    with pytest.raises(LookupError):
+        driver.rx_queue_for_core(stranger)
+    with pytest.raises(LookupError):
+        driver.tx_queue_for_core(stranger)

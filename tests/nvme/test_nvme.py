@@ -74,7 +74,7 @@ def test_remote_read_crosses_interconnect(machine):
     driver = NvmeDriver(machine, ssd)
     link = machine.interconnect.link(0, 1)
     driver.submit_read(core, 128 * 1024)
-    assert link.server.bytes_total >= 128 * 1024
+    assert link.bytes_total >= 128 * 1024
 
 
 def test_octo_mode_requires_dual_port(machine):
@@ -101,7 +101,7 @@ def test_octossd_avoids_interconnect_for_far_node(machine):
     core = machine.cores_on_node(1)[0]
     driver.submit_read(core, 128 * 1024)
     for link in machine.interconnect.links():
-        assert link.server.bytes_total == 0
+        assert link.bytes_total == 0
 
 
 def test_driver_reuses_queue_pairs(machine):

@@ -69,7 +69,7 @@ def test_peer_to_peer_avoids_dram_and_interconnect(machine):
     for dram in machine.memory.drams:
         assert dram.read_bytes == 0 and dram.write_bytes == 0
     for link in machine.interconnect.links():
-        assert link.server.bytes_total == 0
+        assert link.bytes_total == 0
 
 
 def test_peer_to_peer_requires_switch_members(machine):

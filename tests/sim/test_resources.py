@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.interconnect.link import InterconnectLink
 from repro.memory.dram import DramController
 from repro.sim import (
     BandwidthServer,
@@ -10,6 +11,7 @@ from repro.sim import (
     SimulationError,
     Store,
 )
+from repro.sim.resources import LOAD_BUCKET_NS
 
 
 # ---------------------------------------------------------------- Resource
@@ -321,24 +323,79 @@ def test_account_batch_rejects_bad_args():
         link.account_batch(-1, 4)
 
 
-# ----------------------------------------------------- RateEstimator
+# ------------------------------------------------------ load buckets
+# DramController and InterconnectLink each keep a 20 us load bucket and
+# charge and read it inline on their hot paths.  _Bucket is the reference
+# they must match bit-for-bit, written with the builtins.
 
-def _estimator():
-    from repro.sim.resources import RateEstimator
-    env = Environment()
-    return env, RateEstimator(env, bytes_per_sec=1e9)
+class _Bucket:
+    def __init__(self, bytes_per_sec, bucket_ns=LOAD_BUCKET_NS):
+        self.bytes_per_sec = bytes_per_sec
+        self.bucket_ns = bucket_ns
+        self.start = 0
+        self.bytes = 0
+        self.last = 0.0
+
+    def charge(self, now, nbytes):
+        elapsed = now - self.start
+        if elapsed >= self.bucket_ns:
+            self.last = min(1.0, self.bytes * 1e9
+                            / (self.bytes_per_sec * max(1, elapsed)))
+            self.start = now
+            self.bytes = 0
+        self.bytes += nbytes
+
+    def load(self, now):
+        elapsed = now - self.start
+        if elapsed <= 0:
+            return self.last
+        current = min(1.0, self.bytes * 1e9 / (self.bytes_per_sec * elapsed))
+        weight = min(1.0, elapsed / self.bucket_ns)
+        return (1.0 - weight) * self.last + weight * current
+
+    def state(self):
+        return self.last, self.start, self.bytes
+
+
+def _bucket_of(owner):
+    return owner._last_utilization, owner._bucket_start, owner._bucket_bytes
+
+
+def _crossing_ns(u, cap=12.0):
+    return int(30 * min(cap, 1.0 + 0.6 * u / max(1e-6, 1.0 - u)))
+
+
+def _links(env, bucket_ns):
+    """One unthrottled 1 B/ns link and one 2 B/ns link throttled to it."""
+    plain = InterconnectLink(env, 0, 1, 1e9, 30)
+    throttled = InterconnectLink(env, 1, 0, 2e9, 30)
+    throttled.throttle(0.5)
+    for link in (plain, throttled):
+        link.bucket_ns = bucket_ns
+    return plain, throttled
 
 
 def test_estimator_bucket_blend_outside_fluid_span():
-    env, est = _estimator()
-    est.update(10_000)
-    env._now = est.bucket_ns // 2
+    env = Environment()
+    dram = DramController(env, 0, 1e9, miss_latency_ns=80)
+    links = _links(env, LOAD_BUCKET_NS)
+    dram.read(10_000)
+    for link in links:
+        link.traverse(10_000)
+    ref = _Bucket(1e9)
+    ref.charge(0, 10_000)
     # Half a bucket at 10 KB over 10 us = 1.0 capped, weighted by 0.5.
-    assert est.utilization() == pytest.approx(0.5)
     # Two buckets on with no charge in between: the weight caps at 1.0,
     # so the read is the current bucket's own 10 KB over 40 us.
-    env._now = est.bucket_ns * 2
-    assert est.utilization() == 0.25
+    for now, u in ((LOAD_BUCKET_NS // 2, 0.5), (LOAD_BUCKET_NS * 2, 0.25)):
+        env._now = now
+        assert ref.load(now) == u
+        assert dram.load_factor() == 1.0 + 3.0 * u * u
+        for link in links:
+            assert link.load_factor() == min(12.0, 1.0 + 0.6 * u / (1 - u))
+            assert link.loaded_crossing_ns() == _crossing_ns(u)
+            assert _bucket_of(link) == ref.state()
+    assert _bucket_of(dram) == ref.state()
 
 
 #: (bucket_ns, [(now, nbytes), ...], {charge index: pinned utilization})
@@ -361,21 +418,47 @@ _ESTIMATOR_TIMELINES = [
 
 
 def test_estimator_update_utilization_matches_pair():
-    from repro.sim.resources import RateEstimator
+    """Every inlined bucket copy matches the reference after each charge:
+    DramController.read/write and load_factor, and on an unthrottled
+    and a throttled link traverse, the doorbell call
+    (posted_crossing_ns), loaded_crossing_ns and load_factor."""
     for bucket_ns, timeline, pinned in _ESTIMATOR_TIMELINES:
         env = Environment()
-        est1 = RateEstimator(env, bytes_per_sec=1e9, bucket_ns=bucket_ns)
-        est2 = RateEstimator(env, bytes_per_sec=1e9, bucket_ns=bucket_ns)
+        dram = DramController(env, 0, 1e9, miss_latency_ns=80)
+        dram.bucket_ns = bucket_ns
+        ref = _Bucket(1e9, bucket_ns)
         for i, (now, nbytes) in enumerate(timeline):
             env._now = now
-            est1.update(nbytes)
-            want = est1.utilization()
-            assert est2.update_utilization(nbytes) == want
-            assert want == pinned.get(i, want)
-            assert (est2._last_utilization, est2._bucket_start,
-                    est2._bucket_bytes) == (est1._last_utilization,
-                                            est1._bucket_start,
-                                            est1._bucket_bytes)
+            (dram.read if i % 2 else dram.write)(nbytes)
+            ref.charge(now, nbytes)
+            u = ref.load(now)
+            assert u == pinned.get(i, u)
+            assert _bucket_of(dram) == ref.state()
+            assert dram.load_factor() == 1.0 + 3.0 * u * u
+        for posted in (False, True):
+            env = Environment()
+            links = _links(env, bucket_ns)
+            ref = _Bucket(1e9, bucket_ns)
+            queue = BandwidthServer(env, bytes_per_sec=1e9)
+            for i, (now, nbytes) in enumerate(timeline):
+                env._now = now
+                ref.charge(now, nbytes)
+                u = ref.load(now)
+                assert u == pinned.get(i, u)
+                want = _crossing_ns(u)
+                if not posted:
+                    want += queue.account(nbytes)
+                for link in links:
+                    got = (link.posted_crossing_ns(nbytes) if posted
+                           else link.traverse(nbytes))
+                    assert got == want
+                    assert _bucket_of(link) == ref.state()
+                    assert link.loaded_crossing_ns() == _crossing_ns(u)
+                    assert link.load_factor() == min(
+                        12.0, 1.0 + 0.6 * u / max(1e-6, 1.0 - u))
+                    assert (link._free_at, link.busy_ns,
+                            link.bytes_total) == (
+                        queue._free_at, queue.busy_ns, queue.bytes_total)
 
 
 # ------------------------------------- processor sharing (DramController)

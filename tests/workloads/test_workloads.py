@@ -96,7 +96,7 @@ def test_stream_thread_moves_bytes_across_interconnect():
     testbed.run(DUR + 2_000_000)
     assert stream.bandwidth_gbps() > 5
     assert testbed.server.machine.interconnect.link(
-        0, 1).server.bytes_total > 0
+        0, 1).bytes_total > 0
 
 
 @pytest.mark.parametrize("warmup_ns", [0, WARM])
