@@ -36,12 +36,15 @@ def run(config: str) -> None:
               f"(node 0) => core {target.core_id} (node 1)")
 
     def sampler():
+        # Difference the NIC's cumulative per-PF receive byte counters.
+        last = [host.nic.pf_rx_bytes(0), host.nic.pf_rx_bytes(1)]
         while testbed.env.now < DURATION_NS:
-            host.nic.reset_pf_windows()
             yield testbed.env.timeout(SAMPLE_NS)
             t_ms = testbed.env.now / 1e6
-            pf0 = host.nic.pf_window_rx_gbps(0)
-            pf1 = host.nic.pf_window_rx_gbps(1)
+            counts = [host.nic.pf_rx_bytes(0), host.nic.pf_rx_bytes(1)]
+            pf0, pf1 = ((b - a) * 8 / SAMPLE_NS
+                        for a, b in zip(last, counts))
+            last = counts
             print(f"    t={t_ms:5.0f} ms  pf0={pf0:6.2f} Gb/s  "
                   f"pf1={pf1:6.2f} Gb/s")
 

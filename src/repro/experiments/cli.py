@@ -37,6 +37,14 @@ def non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
+def positive_float(text: str) -> float:
+    """argparse type for budgets that must be > 0."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ioctopus-repro",

@@ -7,7 +7,6 @@ from typing import Optional
 from repro.core.configurations import Testbed
 from repro.experiments.base import Experiment, ExperimentResult, register
 from repro.experiments.runners import (MembwProbe, meter_elapsed,
-                                       window_membw_gbps,
                                        run_until_converged, run_with_slack,
                                        warmup_of)
 from repro.workloads.memcached import MemcachedServer
@@ -26,11 +25,12 @@ def run_memcached(config: str, set_fraction: float, duration_ns: int,
     server = MemcachedServer(host, cores, set_fraction, duration_ns,
                              warmup_of(duration_ns))
     if testbed.env.adaptive:
-        run_until_converged(testbed, duration_ns, server.meter.ktps)
+        window = run_until_converged(testbed, duration_ns,
+                                     server.meter.ktps)
         elapsed = meter_elapsed(server.meter)
         return {
             "ktps": server.transactions_ktps(),
-            "membw_gbps": window_membw_gbps(testbed, elapsed),
+            "membw_gbps": window.membw_gbps(elapsed),
         }
     probe = MembwProbe(testbed, duration_ns)
     run_with_slack(testbed, duration_ns)

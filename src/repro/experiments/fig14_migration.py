@@ -8,10 +8,12 @@ is pinned to its PF and throughput drops to the remote level.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from functools import partial
+from typing import Dict
 
 from repro.core.configurations import Testbed
 from repro.experiments.base import Experiment, ExperimentResult, register
+from repro.experiments.runners import sample_gbps
 from repro.metrics.collect import TimeSeries
 from repro.nic.packet import Flow
 from repro.units import KB
@@ -33,19 +35,10 @@ def run_migration(config: str, duration_ns: int,
         yield testbed.env.timeout(migrate_at_ns)
         host.scheduler.set_affinity(workload.thread, target_core)
 
-    series = {f"pf{pf.pf_id}": TimeSeries(f"pf{pf.pf_id}")
-              for pf in host.nic.pfs}
-
-    def sampler():
-        while testbed.env.now < duration_ns:
-            host.nic.reset_pf_windows()
-            yield testbed.env.timeout(SAMPLE_NS)
-            for pf in host.nic.pfs:
-                series[f"pf{pf.pf_id}"].sample(
-                    testbed.env.now, host.nic.pf_window_rx_gbps(pf.pf_id))
-
     testbed.env.process(migrator(), name="migrator")
-    testbed.env.process(sampler(), name="sampler")
+    series = sample_gbps(testbed.env, {
+        f"pf{pf.pf_id}": [partial(host.nic.pf_rx_bytes, pf.pf_id)]
+        for pf in host.nic.pfs}, SAMPLE_NS, duration_ns)
     testbed.run(duration_ns + SAMPLE_NS)
     return series
 

@@ -19,11 +19,13 @@ port returns.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.core.configurations import Testbed
 from repro.experiments.base import Experiment, ExperimentResult, register
 from repro.experiments.fig15_nvme import FIO_THREADS, build_nvme_host
+from repro.experiments.runners import sample_gbps
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.metrics.collect import TimeSeries
 from repro.nic.packet import Flow
@@ -75,18 +77,9 @@ def run_failover(duration_ns: int, fail_at_ns: Optional[int] = None,
                              rng=host.machine.rng)
     injector.start()
 
-    series = {f"pf{pf.pf_id}": TimeSeries(f"pf{pf.pf_id}")
-              for pf in host.nic.pfs}
-
-    def sampler():
-        while testbed.env.now < duration_ns:
-            host.nic.reset_pf_windows()
-            yield testbed.env.timeout(SAMPLE_NS)
-            for pf in host.nic.pfs:
-                series[f"pf{pf.pf_id}"].sample(
-                    testbed.env.now, host.nic.pf_window_rx_gbps(pf.pf_id))
-
-    testbed.env.process(sampler(), name="sampler")
+    series = sample_gbps(testbed.env, {
+        f"pf{pf.pf_id}": [partial(host.nic.pf_rx_bytes, pf.pf_id)]
+        for pf in host.nic.pfs}, SAMPLE_NS, duration_ns)
     testbed.run(duration_ns + SAMPLE_NS)
 
     trace = injector.rendered_events() + [
@@ -140,20 +133,10 @@ def run_ssd_failover(duration_ns: int, fail_at_ns: Optional[int] = None,
     for injector in injectors:
         injector.start()
 
-    series = {"pf0": TimeSeries("pf0"), "pf1": TimeSeries("pf1")}
-
-    def sampler():
-        while machine.env.now < duration_ns:
-            for ssd in controllers:
-                ssd.reset_pf_windows()
-            yield machine.env.timeout(sample_ns)
-            for pf_id, name in ((0, "pf0"), (1, "pf1")):
-                series[name].sample(
-                    machine.env.now,
-                    sum(ssd.pf_window_read_gbps(pf_id)
-                        for ssd in controllers))
-
-    machine.env.process(sampler(), name="ssd-sampler")
+    series = sample_gbps(machine.env, {
+        f"pf{pf_id}": [partial(ssd.pf_read_bytes, pf_id)
+                       for ssd in controllers]
+        for pf_id in (0, 1)}, sample_ns, duration_ns)
     machine.env.run(until=duration_ns + sample_ns)
 
     trace = [event for injector in injectors

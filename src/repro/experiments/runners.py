@@ -11,14 +11,21 @@ see :func:`repro.sim.engine.resolve_accuracy`):
   stops the point early once its primary estimate has converged
   (:func:`run_until_converged`), reading metrics over the train-aligned
   covered time instead of the full window.
+
+Every window is measured the same way: snapshot the cumulative counters
+when it opens and difference them when it is read (:class:`Window`,
+:func:`sample_gbps`).  No component keeps a resettable copy, so any
+number of windows may be open on one testbed without disturbing each
+other.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.components import SystemConfig
 from repro.core.configurations import Testbed
+from repro.metrics.collect import TimeSeries
 from repro.nic.packet import Flow
 from repro.units import gbps
 from repro.workloads.netperf import TcpRr, TcpStream
@@ -68,11 +75,70 @@ def run_with_slack(testbed: Testbed, duration_ns: int) -> None:
     testbed.run(duration_ns + duration_ns // SLACK_DIVISOR)
 
 
-def server_membw_gbps(testbed: Testbed, duration_ns: int) -> float:
-    """Server DRAM read+write traffic in Gb/s over the whole run."""
-    total = sum(d.read_bytes + d.write_bytes
-                for d in testbed.server.machine.memory.drams)
-    return total * 8 / duration_ns
+# ------------------------------------------------------------ windows
+
+class Window:
+    """The server's DRAM traffic and per-core busy time since it opened.
+
+    Opening one snapshots the cumulative counters (every DRAM
+    controller's read and write bytes, every core's ``busy_ns``); each
+    reading is the difference against that snapshot.  The caller
+    supplies the elapsed time: the exact runners use the fixed
+    measurement window, the adaptive ones the train-aligned
+    :func:`meter_elapsed`, so charge-ahead trains do not skew the
+    readings.
+    """
+
+    def __init__(self, machine):
+        self._drams = machine.memory.drams
+        self._dram_bytes = self._dram_total()
+        self._busy_ns = {core.core_id: core.busy_ns for core in machine.cores}
+
+    def _dram_total(self) -> int:
+        return sum(d.read_bytes + d.write_bytes for d in self._drams)
+
+    def membw_gbps(self, elapsed_ns: int) -> float:
+        """DRAM read+write traffic since the window opened, in Gb/s
+        over ``elapsed_ns``."""
+        return (self._dram_total() - self._dram_bytes) * 8 / elapsed_ns
+
+    def busy_ns(self, core) -> int:
+        """Busy ns charged to ``core`` since the window opened."""
+        return core.busy_ns - self._busy_ns[core.core_id]
+
+
+def sample_gbps(env, sources: Mapping[str, Sequence[Callable[[], int]]],
+                sample_ns: int, until_ns: int) -> Dict[str, TimeSeries]:
+    """Sample throughput series every ``sample_ns`` until ``until_ns``.
+
+    ``sources`` maps each series name to the cumulative byte counters it
+    adds up (a PF's ``pf_rx_bytes``, say, or one port's
+    ``pf_read_bytes`` on every drive).  One process records, for each
+    series, the sum over its sources of ``delta * 8 / elapsed`` in Gb/s,
+    in source order.  Started at time 0, it samples first at
+    ``sample_ns`` and last at the first multiple of it at or past
+    ``until_ns``.
+    """
+    if sample_ns <= 0:
+        raise ValueError(f"sample_ns must be > 0, got {sample_ns}")
+    series = {key: TimeSeries(key) for key in sources}
+
+    def sampler():
+        last = {key: [read() for read in reads]
+                for key, reads in sources.items()}
+        while env.now < until_ns:
+            start = env.now
+            yield env.timeout(sample_ns)
+            elapsed = env.now - start
+            for key, reads in sources.items():
+                counts = [read() for read in reads]
+                series[key].sample(env.now, sum(
+                    (count - before) * 8 / elapsed
+                    for before, count in zip(last[key], counts)))
+                last[key] = counts
+
+    env.process(sampler(), name="sampler")
+    return series
 
 
 # --------------------------------------------------------------- adaptive
@@ -93,21 +159,22 @@ def _converged(estimates: List[Optional[float]]) -> bool:
 
 
 def run_until_converged(testbed: Testbed, duration_ns: int,
-                        estimate: Callable[[], float]) -> int:
+                        estimate: Callable[[], float]) -> Window:
     """Adaptive steady-state early termination for one point.
 
-    Runs the warmup, resets the measurement windows, then advances the
-    testbed one slice of the measurement window at a time, re-reading the
-    primary ``estimate`` after each.  Stops as soon as the estimate has
-    converged (or the full window elapses).  Returns the warmup ns.
+    Runs the warmup, opens a :class:`Window` on the server, then
+    advances the testbed one slice of the measurement window at a time,
+    re-reading the primary ``estimate`` after each.  Stops as soon as
+    the estimate has converged (or the full window elapses).  Returns
+    the window.
     """
     warmup = warmup_of(duration_ns)
     testbed.run(warmup)
-    testbed.server.machine.reset_measurement_windows()
-    window = duration_ns - warmup
+    window = Window(testbed.server.machine)
+    span = duration_ns - warmup
     estimates: List[Optional[float]] = []
     for i in range(1, CONVERGE_SLICES + 1):
-        testbed.run(warmup + window * i // CONVERGE_SLICES)
+        testbed.run(warmup + span * i // CONVERGE_SLICES)
         try:
             estimates.append(estimate())
         except ValueError:
@@ -115,22 +182,17 @@ def run_until_converged(testbed: Testbed, duration_ns: int,
             estimates.append(None)
         if i >= CONVERGE_MIN_SLICES and _converged(estimates):
             break
-    return warmup
-
-
-def window_membw_gbps(testbed: Testbed, elapsed_ns: int) -> float:
-    drams = testbed.server.machine.memory.drams
-    return sum(d.window_bytes() for d in drams) * 8 / elapsed_ns
+    return window
 
 
 def meter_elapsed(meter) -> int:
     """Covered time of an adaptive run: first record to the (train-
     aligned, progressively finished) end.  Adaptive workload bodies snap
     ``start_ns`` to their first recorded train and project ``end_ns``
-    past their last, so dividing window counters by this — instead of
-    env.now − warmup — cancels both boundary effects: the dead gap
-    before the first post-warmup train and the charge-ahead of the last
-    one."""
+    past their last, so dividing a :class:`Window`'s differences by
+    this — instead of env.now − warmup — cancels both boundary effects:
+    the dead gap before the first post-warmup train and the charge-ahead
+    of the last one."""
     end = meter.end_ns if meter.end_ns is not None else meter.start_ns
     return max(1, end - meter.start_ns)
 
@@ -144,20 +206,18 @@ class MembwProbe:
     def __init__(self, testbed: Testbed, duration_ns: int):
         self.gbps = 0.0
         self._cpu_by_core = {}
-        # Resolve the machine (and its DRAM controllers) once up front
-        # instead of re-walking testbed.server.machine inside the probe.
-        machine = self._machine = testbed.server.machine
-        drams = machine.memory.drams
+        machine = testbed.server.machine
         warmup = warmup_of(duration_ns)
+        elapsed = duration_ns - warmup
 
         def probe():
             yield machine.env.timeout(warmup)
-            machine.reset_measurement_windows()
-            yield machine.env.timeout(duration_ns - warmup)
-            total = sum(d.window_bytes() for d in drams)
-            self.gbps = total * 8 / (duration_ns - warmup)
-            self._cpu_by_core = {core.core_id: core.window_utilization()
-                                 for core in machine.cores}
+            window = Window(machine)
+            yield machine.env.timeout(elapsed)
+            self.gbps = window.membw_gbps(elapsed)
+            self._cpu_by_core = {
+                core.core_id: min(1.0, window.busy_ns(core) / elapsed)
+                for core in machine.cores}
 
         machine.env.process(probe(), name="membw-probe")
 
@@ -186,13 +246,13 @@ def run_tcp_stream(config: str, message_bytes: int, direction: str,
         spawn_stream_pairs(host, stream_pairs, duration_ns, warmup,
                            skip_cores=[testbed.server_core(0)])
     if testbed.env.adaptive:
-        run_until_converged(testbed, duration_ns,
-                            workload.meter.gbps)
+        window = run_until_converged(testbed, duration_ns,
+                                     workload.meter.gbps)
         elapsed = meter_elapsed(workload.meter)
         return {
             "throughput_gbps": workload.throughput_gbps(),
-            "membw_gbps": window_membw_gbps(testbed, elapsed),
-            "cpu_cores": min(1.0, workload.thread.core.window_busy_ns
+            "membw_gbps": window.membw_gbps(elapsed),
+            "cpu_cores": min(1.0, window.busy_ns(workload.thread.core)
                              / elapsed),
         }
     probe = MembwProbe(testbed, duration_ns)
@@ -219,12 +279,13 @@ def run_pktgen(config: str, packet_bytes: int, duration_ns: int,
                       duration_ns, warmup_of(duration_ns),
                       ring_home_node=ring_home_node)
     if testbed.env.adaptive:
-        run_until_converged(testbed, duration_ns, workload.meter.mpps)
+        window = run_until_converged(testbed, duration_ns,
+                                     workload.meter.mpps)
         elapsed = meter_elapsed(workload.meter)
         return {
             "throughput_gbps": workload.throughput_gbps(),
             "mpps": workload.mpps(),
-            "membw_gbps": window_membw_gbps(testbed, elapsed),
+            "membw_gbps": window.membw_gbps(elapsed),
         }
     probe = MembwProbe(testbed, duration_ns)
     run_with_slack(testbed, duration_ns)

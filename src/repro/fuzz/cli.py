@@ -16,9 +16,11 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.experiments.cli import non_negative_int, positive_int
+from repro.experiments.cli import (non_negative_int, positive_float,
+                                   positive_int)
 from repro.experiments.sweep import configure
-from repro.fuzz.invariants import ALL_INVARIANTS, DEFAULT_INVARIANTS
+from repro.fuzz.invariants import (ALL_INVARIANTS, DEFAULT_INVARIANTS,
+                                   validate_names)
 from repro.fuzz.shrink import DEFAULT_BUDGET
 
 
@@ -32,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default 0)")
     parser.add_argument("--cases", type=positive_int, default=25,
                         help="case budget (default 25)")
-    parser.add_argument("--time-budget", type=float, default=None,
+    parser.add_argument("--time-budget", type=positive_float, default=None,
                         metavar="SECONDS",
                         help="stop generating new chunks after this much "
                              "wall time")
@@ -51,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None, metavar="N",
                         help="make every Nth case a rack-scale fleet "
                              "topology case (default 5; 0 disables)")
-    parser.add_argument("--shrink-budget", type=int,
+    parser.add_argument("--shrink-budget", type=non_negative_int,
                         default=DEFAULT_BUDGET, metavar="N",
                         help=f"max executions per shrink "
                              f"(default {DEFAULT_BUDGET})")
@@ -65,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(
-        sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
 
     if args.list_invariants:
         for name in ALL_INVARIANTS:
@@ -78,9 +80,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.jobs is not None:
         configure(jobs=args.jobs)
 
-    if args.replay_corpus:
-        from repro.fuzz.corpus import replay_corpus
-        summary = replay_corpus(args.replay_corpus)
+    if args.replay_corpus is not None:
+        from repro.fuzz.corpus import load_corpus, replay_corpus
+        entries = load_corpus(args.replay_corpus)  # [] when DIR is missing
+        if not entries:
+            parser.error(f"argument --replay-corpus: no .json corpus "
+                         f"entries in {args.replay_corpus}")
+        summary = replay_corpus(args.replay_corpus, entries)
         for replay in summary["replays"]:
             status = "ok" if replay["ok"] else "MISMATCH"
             print(f"[{status}] {replay['case_id']} ({replay['file']})")
@@ -94,6 +100,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.invariants:
         invariants = [n.strip() for n in args.invariants.split(",")
                       if n.strip()]
+        try:
+            validate_names(invariants)
+        except ValueError as error:
+            parser.error(f"argument --invariants: {error}")
     if args.mutate:
         invariants = list(invariants or DEFAULT_INVARIANTS)
         if "mutation_smoke" not in invariants:

@@ -190,7 +190,6 @@ class InterconnectLink(BandwidthServer):
         self._free_at = start + duration
         self._busy_ns += duration
         self._bytes_total += nbytes
-        self._window_bytes += nbytes
         return (int(self.crossing_latency_ns * inflation)
                 + (start - now) + duration)
 

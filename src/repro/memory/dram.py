@@ -47,16 +47,12 @@ class DramController:
         self.read_bytes = 0
         self.write_bytes = 0
         self._active = 0            # declared long-running consumers
-        self._window_start = 0
-        self._window_read = 0
-        self._window_write = 0
 
     def read(self, nbytes: int) -> int:
         """Charge a read burst; returns its bandwidth-limited service ns."""
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
         self.read_bytes += nbytes
-        self._window_read += nbytes
         now = self.env._now
         elapsed = now - self._bucket_start
         if elapsed >= self.bucket_ns:
@@ -76,7 +72,6 @@ class DramController:
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
         self.write_bytes += nbytes
-        self._window_write += nbytes
         now = self.env._now
         elapsed = now - self._bucket_start
         if elapsed >= self.bucket_ns:
@@ -121,23 +116,6 @@ class DramController:
             raise SimulationError(
                 f"leave() without enter() on dram{self.node_id}")
         self._active -= 1
-
-    # ---------------------------------------------------------- reporting
-
-    def reset_window(self) -> None:
-        self._window_start = self.env.now
-        self._window_read = 0
-        self._window_write = 0
-
-    def window_bytes(self) -> int:
-        return self._window_read + self._window_write
-
-    def window_bandwidth_bps(self) -> float:
-        """Bytes/sec of combined read+write traffic since the last reset."""
-        elapsed = self.env.now - self._window_start
-        if elapsed <= 0:
-            return 0.0
-        return self.window_bytes() * 1e9 / elapsed
 
     def __repr__(self) -> str:
         return (f"<DramController node={self.node_id} "

@@ -317,10 +317,6 @@ class MemorySystem:
     # Reporting
     # ------------------------------------------------------------------
 
-    def reset_windows(self) -> None:
-        for dram in self.drams:
-            dram.reset_window()
-
     def ddio_slice_bytes(self, node: int) -> int:
         """Capacity of the node's DDIO LLC slice.
 
@@ -330,12 +326,6 @@ class MemorySystem:
         exact path would not.
         """
         return self.llcs[node].ddio_capacity
-
-    def total_window_bandwidth_bps(self) -> float:
-        return sum(d.window_bandwidth_bps() for d in self.drams)
-
-    def node_window_bandwidth_bps(self, node: int) -> float:
-        return self.drams[node].window_bandwidth_bps()
 
     # ------------------------------------------------------------------
     # Internals

@@ -54,8 +54,6 @@ class NicDevice(MultiPfDevice):
         self._tx_direction = "b_to_a" if wire_side == "b" else "a_to_b"
         self._pf_rx_bytes: Dict[int, int] = {pf.pf_id: 0 for pf in pfs}
         self._pf_tx_bytes: Dict[int, int] = {pf.pf_id: 0 for pf in pfs}
-        self._pf_window_rx: Dict[int, int] = {pf.pf_id: 0 for pf in pfs}
-        self._window_start = machine.env.now
 
     # ------------------------------------------------------------ helpers
 
@@ -141,7 +139,6 @@ class NicDevice(MultiPfDevice):
             queue.outstanding_hwm = queue.outstanding
         queue.account(npackets, payload_total)
         self._pf_rx_bytes[pf_id] += payload_total
-        self._pf_window_rx[pf_id] += payload_total
         return queue, delay
 
     # ---------------------------------------------------------- transmit
@@ -227,19 +224,6 @@ class NicDevice(MultiPfDevice):
 
     def pf_tx_bytes(self, pf_id: int) -> int:
         return self._pf_tx_bytes[pf_id]
-
-    def reset_pf_windows(self) -> None:
-        self._window_start = self.env.now
-        for pf_id in self._pf_window_rx:
-            self._pf_window_rx[pf_id] = 0
-
-    def pf_window_rx_gbps(self, pf_id: int) -> float:
-        """Per-PF receive throughput since the last window reset — the
-        quantity Fig 14 samples every 50 ms."""
-        elapsed = self.env.now - self._window_start
-        if elapsed <= 0:
-            return 0.0
-        return self._pf_window_rx[pf_id] * 8 / elapsed
 
     def __repr__(self) -> str:
         return (f"<NicDevice {self.name} firmware={self.firmware.name} "

@@ -74,8 +74,6 @@ class NvmeController(MultiPfDevice):
         self.read_bytes = 0
         self.write_bytes = 0
         self._pf_read_bytes: Dict[int, int] = {pf.pf_id: 0 for pf in pfs}
-        self._pf_window_read: Dict[int, int] = {pf.pf_id: 0 for pf in pfs}
-        self._window_start = machine.env.now
 
     # ---------------------------------------------------------- commands
 
@@ -123,7 +121,6 @@ class NvmeController(MultiPfDevice):
         qp.account(ncmds, total)
         self.read_bytes += total
         self._pf_read_bytes[pf.pf_id] += total
-        self._pf_window_read[pf.pf_id] += total
         return max(flash_delay, dma_delay)
 
     def write(self, qp: NvmeQueuePair, nbytes: int, ncmds: int = 1) -> int:
@@ -159,19 +156,6 @@ class NvmeController(MultiPfDevice):
 
     def pf_read_bytes(self, pf_id: int) -> int:
         return self._pf_read_bytes[pf_id]
-
-    def reset_pf_windows(self) -> None:
-        self._window_start = self.env.now
-        for pf_id in self._pf_window_read:
-            self._pf_window_read[pf_id] = 0
-
-    def pf_window_read_gbps(self, pf_id: int) -> float:
-        """Per-PF read throughput since the last window reset — what the
-        octoSSD failover experiment samples every 50 ms."""
-        elapsed = self.env.now - self._window_start
-        if elapsed <= 0:
-            return 0.0
-        return self._pf_window_read[pf_id] * 8 / elapsed
 
     def __repr__(self) -> str:
         return (f"<NvmeController {self.name} ports={len(self.pfs)} "

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -293,6 +294,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.workload == "pktgen" and size < MIN_PACKET_BYTES:
         parser.error(f"argument --size: must be >= {MIN_PACKET_BYTES} "
                      f"for pktgen, got {size}")
+    for flag, path in (("--a", args.a), ("--b", args.b)):
+        if path and not os.path.isfile(path):
+            parser.error(f"argument {flag}: no such file: {path}")
     duration = DURATIONS_MS[args.fidelity] * 1_000_000
 
     def side(path: Optional[str], config: str) -> Tuple[Dict, str]:

@@ -10,9 +10,6 @@ never draws from the simulation RNG, and never charges a resource, so
 its timeout events interleave with the workload's without changing any
 model-visible value — exact-mode goldens stay bit-identical with a
 sampler attached (pinned by tests/obs/test_determinism_with_obs.py).
-The sampler keeps private previous-value snapshots rather than calling
-any ``reset_window`` helper, because those *are* shared state the
-experiment runners depend on.
 """
 
 from __future__ import annotations

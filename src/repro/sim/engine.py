@@ -310,7 +310,6 @@ class Process(Event):
             event = cause
         self._waiting_on = None
         env = self.env
-        env._active_process = self
         try:
             if event is None:
                 target = self._generator.send(None)
@@ -320,18 +319,15 @@ class Process(Event):
                 target = self._generator.send(
                     None if event._value is _PENDING else event._value)
         except StopIteration as stop:
-            env._active_process = None
             self.succeed(stop.value)
             return
         except Interrupt:
             # The process chose not to handle its interruption: treat the
             # process as failed so waiters see the error.
-            env._active_process = None
             self._exception = SimulationError(
                 f"process {self.name!r} killed by unhandled interrupt")
             env.schedule(self)
             return
-        env._active_process = None
         if target.__class__ is int:
             if target < 0:
                 raise ScheduleInPastError(
@@ -379,7 +375,6 @@ class Environment:
         #: heap.
         self._lane: deque = deque()
         self._sequence = 0
-        self._active_process: Optional[Process] = None
         #: Total events dispatched (the determinism tests pin it).
         self.events_processed = 0
         #: The ``train_coalescing`` component: when cleared,
@@ -398,10 +393,6 @@ class Environment:
         """True when the fast paths may engage (train coalescing, early
         termination)."""
         return self.accuracy != "exact"
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     # -- event construction ------------------------------------------------
 

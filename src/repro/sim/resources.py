@@ -177,8 +177,6 @@ class BandwidthServer:
         self._free_at = 0          # time the server next becomes idle
         self._busy_ns = 0          # cumulative service time
         self._bytes_total = 0
-        self._window_start = 0     # for windowed utilisation/byte queries
-        self._window_bytes = 0
 
     def service_time(self, nbytes: int) -> int:
         """Pure service time for ``nbytes`` (no queueing), in ns."""
@@ -217,7 +215,6 @@ class BandwidthServer:
         self._free_at = start + duration
         self._busy_ns += duration
         self._bytes_total += nbytes
-        self._window_bytes += nbytes
         event = Event(self.env)
         event.succeed(delay=self._free_at - now)
         return event
@@ -243,7 +240,6 @@ class BandwidthServer:
         self._free_at = start + duration
         self._busy_ns += duration
         self._bytes_total += nbytes
-        self._window_bytes += nbytes
         return (start - now) + duration
 
     def account_batch(self, nbytes: int, nbursts: int) -> int:
@@ -269,7 +265,6 @@ class BandwidthServer:
         self._free_at = start + total
         self._busy_ns += total
         self._bytes_total += nbytes * nbursts
-        self._window_bytes += nbytes * nbursts
         return (start - now) + total
 
     @property
@@ -287,17 +282,6 @@ class BandwidthServer:
         if elapsed <= 0:
             return 0.0
         return min(1.0, self._busy_ns / elapsed)
-
-    def reset_window(self) -> None:
-        self._window_start = self.env.now
-        self._window_bytes = 0
-
-    def window_throughput_bps(self) -> float:
-        """Bytes/sec moved since the last ``reset_window()``."""
-        elapsed = self.env.now - self._window_start
-        if elapsed <= 0:
-            return 0.0
-        return self._window_bytes * 1e9 / elapsed
 
     def __repr__(self) -> str:
         return (f"<BandwidthServer {self.name or '?'} "

@@ -31,37 +31,17 @@ class Core:
         self.node_id = node_id
         self.resource = Resource(env, capacity=1)
         self._busy_ns = 0
-        self._window_start = 0
-        self._window_busy = 0
 
     def charge(self, ns: int) -> int:
         """Account ``ns`` of busy time; returns ns for yield convenience."""
         if ns < 0:
             raise ValueError(f"negative CPU charge {ns}")
         self._busy_ns += ns
-        self._window_busy += ns
         return ns
 
     @property
     def busy_ns(self) -> int:
         return self._busy_ns
-
-    def reset_window(self) -> None:
-        self._window_start = self.env.now
-        self._window_busy = 0
-
-    @property
-    def window_busy_ns(self) -> int:
-        """Busy ns charged since the last window reset.  The adaptive
-        runners divide by their own (train-aligned) elapsed time instead
-        of ``env.now``, so charge-ahead trains do not skew utilisation."""
-        return self._window_busy
-
-    def window_utilization(self) -> float:
-        elapsed = self.env.now - self._window_start
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self._window_busy / elapsed)
 
     def __repr__(self) -> str:
         return f"<Core {self.core_id} node={self.node_id}>"
@@ -142,16 +122,6 @@ class Machine:
                              f"{self.spec.num_nodes}-node machine")
         return Region(name=name, home_node=node, size=size,
                       non_temporal=non_temporal)
-
-    def reset_measurement_windows(self) -> None:
-        """Start a fresh measurement window on every counter the
-        experiments report (DRAM bandwidth, link utilisation, core
-        utilisation)."""
-        self.memory.reset_windows()
-        for core in self.cores:
-            core.reset_window()
-        for link in self.interconnect.links():
-            link.reset_window()
 
     def __repr__(self) -> str:
         return (f"<Machine {self.spec.name} nodes={self.spec.num_nodes} "

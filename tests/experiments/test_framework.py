@@ -179,6 +179,28 @@ def test_cli_unknown_experiment(capsys):
     pytest.param(["obs", "--sample-interval-us", "-5"],
                  "argument --sample-interval-us: must be >= 1, got -5",
                  id="obs--sample-interval-us"),
+    pytest.param(["fuzz", "--replay-corpus", "no-such-corpus"],
+                 "argument --replay-corpus: no .json corpus entries in "
+                 "no-such-corpus",
+                 id="fuzz--replay-corpus-missing"),
+    pytest.param(["fuzz", "--replay-corpus", "examples"],
+                 "argument --replay-corpus: no .json corpus entries in "
+                 "examples",
+                 id="fuzz--replay-corpus-empty"),
+    pytest.param(["fuzz", "--cases", "1", "--invariants", "bogus"],
+                 "argument --invariants: unknown invariants ['bogus']; "
+                 "known: ['agreement', ",
+                 id="fuzz--invariants"),
+    pytest.param(["fuzz", "--time-budget", "-1"],
+                 "argument --time-budget: must be > 0, got -1",
+                 id="fuzz--time-budget"),
+    pytest.param(["fuzz", "--shrink-budget", "-5"],
+                 "argument --shrink-budget: must be >= 0, got -5",
+                 id="fuzz--shrink-budget"),
+    pytest.param(["obs", "diff", "--a", "missing.json", "--b",
+                  "missing.json"],
+                 "argument --a: no such file: missing.json",
+                 id="obs-diff--a"),
 ])
 def test_cli_rejects_non_positive_counts(argv, error, capsys):
     with pytest.raises(SystemExit) as exit_info:

@@ -6,6 +6,7 @@ from repro.experiments.cli import main as top_main
 from repro.fuzz.cli import main as fuzz_main
 from repro.fuzz.corpus import load_corpus
 from repro.fuzz.harness import fuzz
+from repro.fuzz.invariants import ALL_INVARIANTS
 
 
 def test_small_campaign_is_clean():
@@ -79,9 +80,15 @@ def test_cli_replay_corpus_exit_codes(tmp_path, capsys):
     assert "0 mismatched" in capsys.readouterr().out
 
 
-def test_cli_rejects_bad_invariant_selection():
-    with pytest.raises(ValueError):
+def test_cli_rejects_bad_invariant_selection(capsys):
+    """An unknown invariant is a usage error listing the known ones."""
+    with pytest.raises(SystemExit) as exit_info:
         fuzz_main(["--cases", "1", "--invariants", "conservation,nope"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown invariants ['nope']" in err
+    for name in ALL_INVARIANTS:
+        assert repr(name) in err
 
 
 def test_top_level_cli_dispatches_fuzz(capsys):

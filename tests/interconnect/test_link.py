@@ -139,8 +139,8 @@ def test_negative_traverse_charges_nothing(qpi):
 
     def state():
         return (link._free_at, link.busy_ns, link.bytes_total,
-                link._window_bytes, link._last_utilization,
-                link._bucket_start, link._bucket_bytes)
+                link._last_utilization, link._bucket_start,
+                link._bucket_bytes)
 
     before = state()
     with pytest.raises(ValueError, match="negative transfer size -500"):

@@ -5,7 +5,7 @@ queue and 20 us load bucket, and each DRAM controller's byte counters
 and load bucket, inline.  These pins hold the state two runs leave
 behind to the values captured before that charge path was folded into
 the links and controllers: for each link, the queue's ``_free_at``, its
-busy, byte and window totals and the load bucket (last utilization,
+busy and byte totals and the load bucket (last utilization,
 bucket start, bucket bytes); for each DRAM, its read and write bytes and
 its bucket; and each STREAM thread's meter.  The floats are compared
 exactly: the path must stay bit-identical.
@@ -29,7 +29,7 @@ D = 10_000_000  # 10 ms simulated
 
 def _links(machine):
     return [(link.src_node, link.dst_node, link._free_at, link.busy_ns,
-             link.bytes_total, link._window_bytes,
+             link.bytes_total,
              (link._last_utilization, link._bucket_start,
               link._bucket_bytes))
             for link in machine.interconnect.links()]
@@ -69,9 +69,9 @@ def test_udp_latency_point_stream_golden():
     machine = testbed.server.machine
     assert workload.average_one_way_us() == 4.8719919816723944
     assert _links(machine) == [
-        (0, 1, 9999893, 6683383, 187420065, 187420065,
+        (0, 1, 9999893, 6683383, 187420065,
          (0.6639983579638752, 9991080, 168226)),
-        (1, 0, 9999873, 6376714, 178680585, 178680585,
+        (1, 0, 9999873, 6376714, 178680585,
          (0.6348044419908272, 9991080, 160794)),
     ]
     assert _drams(machine) == [
@@ -106,9 +106,9 @@ def test_tcp_rx_point_stream_golden(monkeypatch):
     machine = recorder.testbed.server.machine
     assert result["throughput_gbps"] == 16.407130352941177
     assert _links(machine) == [
-        (0, 1, 9999878, 7015114, 196649778, 166801946,
+        (0, 1, 9999878, 7015114, 196649778,
          (0.6706981005618459, 9992431, 169660)),
-        (1, 0, 9999976, 6072407, 170142790, 144137946,
+        (1, 0, 9999976, 6072407, 170142790,
          (0.5885483744725664, 9995256, 82330)),
     ]
     assert _drams(machine) == [

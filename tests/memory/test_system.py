@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.runners import Window
 from repro.topology import dell_r730
 
 
@@ -189,11 +190,16 @@ def test_fresh_dma_hit_requires_matching_node(machine):
 
 
 def test_window_bandwidth_reporting(machine):
+    """A window's memory bandwidth counts only the DRAM bytes moved
+    since it opened, on every node."""
     r = ring(machine)
-    machine.memory.reset_windows()
+    machine.memory.dma_write(1, r, 5_000)
+    dram0 = machine.nodes[0].dram
+    before = dram0.read_bytes + dram0.write_bytes
+    window = Window(machine)
     machine.memory.dma_write(1, r, 10_000)
-    machine.env._now = 1000  # 10 KB in 1 us = 10 GB/s
-    assert machine.memory.node_window_bandwidth_bps(0) == pytest.approx(
-        1e10, rel=0.01)
-    assert machine.memory.total_window_bandwidth_bps() == pytest.approx(
-        1e10, rel=0.01)
+    machine.env._now = 1000  # 10 KB in 1 us = 10 GB/s = 80 Gb/s
+    node0 = dram0.read_bytes + dram0.write_bytes - before
+    assert node0 * 1e9 / machine.env.now == pytest.approx(1e10, rel=0.01)
+    assert window.membw_gbps(machine.env.now) == pytest.approx(
+        80.0, rel=0.01)

@@ -1,7 +1,10 @@
 """Tests for the NIC device: delivery, transmit, per-PF accounting."""
 
+from functools import partial
+
 import pytest
 
+from repro.experiments.runners import sample_gbps
 from repro.nic.device import NicDevice
 from repro.nic.firmware import OctoFirmware, StandardFirmware
 from repro.nic.packet import Flow
@@ -125,15 +128,28 @@ def test_tx_remote_completion_misses(machine):
 
 
 def test_pf_window_throughput(machine):
+    """Per-PF receive throughput over a window, from the cumulative
+    ``pf_rx_bytes`` counters: only bytes received in the window count."""
     device = make_octonic(machine)
     core0 = machine.cores_on_node(0)[0]
     queue = RxQueue(0, core0, machine, pf=device.pf(0))
     device.firmware.register_default_queues(0, [queue])
-    device.reset_pf_windows()
-    device.rx_deliver(Flow.make(0), OctoFirmware.MAC, 100, 1250)
-    machine.env._now = 100_000  # 125000 B in 100 us => 10 Gb/s
-    assert device.pf_window_rx_gbps(0) == pytest.approx(10.0, rel=0.01)
-    assert device.pf_window_rx_gbps(1) == 0.0
+    device.rx_deliver(Flow.make(0), OctoFirmware.MAC, 10, 1250)
+    env = machine.env
+    series = sample_gbps(env, {
+        f"pf{pf_id}": [partial(device.pf_rx_bytes, pf_id)]
+        for pf_id in (0, 1)}, 100_000, 100_000)
+
+    def deliver():
+        yield env.timeout(40_000)
+        device.rx_deliver(Flow.make(0), OctoFirmware.MAC, 100, 1250)
+
+    env.process(deliver())
+    env.run()
+    # 125000 B in 100 us => 10 Gb/s
+    assert series["pf0"].times_ns == [100_000]
+    assert series["pf0"].values == [pytest.approx(10.0, rel=0.01)]
+    assert series["pf1"].values == [0.0]
 
 
 def test_rx_deliver_validates_payload_bytes(machine):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.runners import Window
 from repro.topology import (
     Machine,
     dell_r730,
@@ -49,12 +50,16 @@ def test_core_charge_accumulates():
 
 
 def test_core_window_utilization():
+    """A window's busy time is the difference of the cores' cumulative
+    ``busy_ns``: charges before it opened do not count."""
     m = dell_r730()
     core = m.core(3)
-    core.reset_window()
+    core.charge(250)
+    window = Window(m)
     core.charge(400)
     m.env._now = 1000
-    assert core.window_utilization() == pytest.approx(0.4)
+    assert window.busy_ns(core) / m.env.now == pytest.approx(0.4)
+    assert window.busy_ns(m.core(4)) == 0
 
 
 def test_alloc_region_places_on_node():
@@ -66,13 +71,19 @@ def test_alloc_region_places_on_node():
 
 
 def test_reset_measurement_windows():
+    """A newly opened window reads zero, and opening it resets nothing:
+    an earlier window still reports everything since it opened."""
     m = dell_r730()
     r = m.alloc_region("buf", 0, 4096)
-    m.memory.dma_write(1, r, 4096)
+    earlier = Window(m)
+    m.memory.dma_write(1, r, 4096)  # remote: lands in node 0's DRAM
     m.core(0).charge(100)
-    m.reset_measurement_windows()
-    assert m.memory.total_window_bandwidth_bps() == 0.0
-    assert m.core(0).window_utilization() == 0.0
+    m.env._now = 1000
+    window = Window(m)
+    assert window.membw_gbps(1000) == 0.0
+    assert window.busy_ns(m.core(0)) == 0
+    assert earlier.membw_gbps(1000) == 4096 * 8 / 1000
+    assert earlier.busy_ns(m.core(0)) == 100
 
 
 def test_seed_controls_rng():
