@@ -30,7 +30,7 @@ def run(config: str) -> None:
                          DURATION_NS)
 
     def migrator():
-        yield testbed.env.timeout(MIGRATE_AT_NS)
+        yield MIGRATE_AT_NS
         host.scheduler.set_affinity(workload.thread, target)
         print(f"    -> sched_setaffinity: core {start.core_id} "
               f"(node 0) => core {target.core_id} (node 1)")
@@ -39,7 +39,7 @@ def run(config: str) -> None:
         # Difference the NIC's cumulative per-PF receive byte counters.
         last = [host.nic.pf_rx_bytes(0), host.nic.pf_rx_bytes(1)]
         while testbed.env.now < DURATION_NS:
-            yield testbed.env.timeout(SAMPLE_NS)
+            yield SAMPLE_NS
             t_ms = testbed.env.now / 1e6
             counts = [host.nic.pf_rx_bytes(0), host.nic.pf_rx_bytes(1)]
             pf0, pf1 = ((b - a) * 8 / SAMPLE_NS

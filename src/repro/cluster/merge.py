@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.cluster.spec import FleetSpec
 from repro.metrics.collect import LatencyDigest
@@ -97,12 +97,6 @@ class FleetResult:
             raise ValueError("fleet ran without blame=True shards")
         from repro.obs.blame import build_report
         return build_report(self.blame, domain=domain)
-
-    def epoch_percentile(self, epoch: int, p: float) -> Optional[int]:
-        digest = self.epoch_digests.get(epoch)
-        if digest is None or not digest.count:
-            return None
-        return digest.percentile(p)
 
     # ------------------------------------------------------- observability
 

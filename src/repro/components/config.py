@@ -53,13 +53,6 @@ class SystemConfig:
 
     # ------------------------------------------------------ construction
 
-    @classmethod
-    def for_preset(cls, preset: str,
-                   overrides: Optional[Mapping[str, bool]] = None,
-                   ) -> "SystemConfig":
-        return cls(preset=preset,
-                   overrides=tuple((overrides or {}).items()))
-
     def without(self, *names: str) -> "SystemConfig":
         """This config with ``names`` switched off (leave-one-out)."""
         merged = dict(self.overrides)

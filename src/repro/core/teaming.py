@@ -167,7 +167,7 @@ class OctoTeamDriver(OctoTeam, NetDriver):
 
         def worker():
             while True:
-                yield self.env.timeout(period_ns)
+                yield period_ns
                 now = self.env.now
                 expired = set(firmware.expire_idle(now, idle_ns))
                 for pf_id in range(firmware.num_pfs):

@@ -82,7 +82,7 @@ class DeviceDriver:
                     and self.env.now - started_ns + backoff > deadline_ns):
                 break
             self.retries += 1
-            yield self.env.timeout(backoff)
+            yield backoff
         raise RetriesExhausted(
             f"{self.name}: operation still failing after {attempts} "
             f"attempts over {self.env.now - started_ns} ns "
@@ -97,7 +97,7 @@ class DeviceDriver:
         """Run ``apply_fn`` after ``delay_ns`` via an asynchronous kernel
         worker — the deferred-steering discipline of §4.2."""
         def worker():
-            yield self.env.timeout(delay_ns)
+            yield int(delay_ns)
             apply_fn()
             self.steering_updates += 1
         self.env.process(worker(), name=f"{self.name}-steer-worker")

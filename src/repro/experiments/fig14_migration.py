@@ -32,7 +32,7 @@ def run_migration(config: str, duration_ns: int,
                          duration_ns)
 
     def migrator():
-        yield testbed.env.timeout(migrate_at_ns)
+        yield int(migrate_at_ns)
         host.scheduler.set_affinity(workload.thread, target_core)
 
     testbed.env.process(migrator(), name="migrator")

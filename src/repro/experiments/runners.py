@@ -27,7 +27,6 @@ from repro.components import SystemConfig
 from repro.core.configurations import Testbed
 from repro.metrics.collect import TimeSeries
 from repro.nic.packet import Flow
-from repro.units import gbps
 from repro.workloads.netperf import TcpRr, TcpStream
 from repro.workloads.pktgen import Pktgen
 from repro.workloads.stream_bench import spawn_stream_pairs
@@ -128,7 +127,7 @@ def sample_gbps(env, sources: Mapping[str, Sequence[Callable[[], int]]],
                 for key, reads in sources.items()}
         while env.now < until_ns:
             start = env.now
-            yield env.timeout(sample_ns)
+            yield int(sample_ns)
             elapsed = env.now - start
             for key, reads in sources.items():
                 counts = [read() for read in reads]
@@ -211,9 +210,9 @@ class MembwProbe:
         elapsed = duration_ns - warmup
 
         def probe():
-            yield machine.env.timeout(warmup)
+            yield warmup
             window = Window(machine)
-            yield machine.env.timeout(elapsed)
+            yield int(elapsed)
             self.gbps = window.membw_gbps(elapsed)
             self._cpu_by_core = {
                 core.core_id: min(1.0, window.busy_ns(core) / elapsed)

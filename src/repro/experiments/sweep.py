@@ -48,18 +48,12 @@ _cache_misses = 0
 
 
 def cache_stats() -> Dict[str, int]:
-    """Cache hits/misses since process start (or the last reset), plus
-    the hit rate over all cache lookups."""
+    """Cache hits/misses since process start, plus the hit rate over
+    all cache lookups."""
     looked_up = _cache_hits + _cache_misses
     return {"hits": _cache_hits, "misses": _cache_misses,
             "lookups": looked_up,
             "hit_rate": _cache_hits / looked_up if looked_up else 0.0}
-
-
-def reset_cache_stats() -> None:
-    global _cache_hits, _cache_misses
-    _cache_hits = 0
-    _cache_misses = 0
 
 
 def would_parallelize(npoints: int, jobs: Optional[int] = None) -> bool:

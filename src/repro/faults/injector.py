@@ -56,14 +56,14 @@ class FaultInjector:
         for spec in self.plan.ordered():
             delay = spec.at_ns - self.env.now
             if delay > 0:
-                yield self.env.timeout(delay)
+                yield int(delay)
             self._inject(spec)
             if spec.is_transient:
                 self.env.process(self._recover_later(spec),
                                  name=f"fault-recover-{spec.kind}")
 
     def _recover_later(self, spec: FaultSpec):
-        yield self.env.timeout(spec.duration_ns)
+        yield int(spec.duration_ns)
         self._recover(spec)
 
     # ---------------------------------------------------------- injection

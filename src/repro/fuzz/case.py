@@ -179,10 +179,6 @@ class FuzzCase:
     def has_nvme(self) -> bool:
         return self.workload in ("fio", "colocated")
 
-    @property
-    def has_nic_traffic(self) -> bool:
-        return self.workload != "fio"
-
     @staticmethod
     def _spec_of(fault: Dict) -> FaultSpec:
         return FaultSpec(**{k: v for k, v in fault.items()

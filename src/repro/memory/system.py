@@ -237,16 +237,6 @@ class MemorySystem:
         llc.load(region, CACHELINE)
         return latency
 
-    def cacheline_write(self, node: int, region: Region) -> int:
-        """One read-for-ownership store (e.g. publishing a descriptor)."""
-        llc = self.llcs[node]
-        if llc.residency(region) >= _LINE_HIT_THRESHOLD:
-            llc.touch(region)
-            return 0
-        latency = self._line_fill_latency(node, region)
-        llc.load(region, CACHELINE)
-        return latency
-
     # ------------------------------------------------------------------
     # Device-side (DMA) accesses
     # ------------------------------------------------------------------

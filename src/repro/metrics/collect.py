@@ -149,23 +149,6 @@ class LatencyDigest:
                            if buckets_per_octave == DIGEST_BUCKETS_PER_OCTAVE
                            else math.log(2.0) / buckets_per_octave)
 
-    @staticmethod
-    def bucket_of(value_ns: int) -> int:
-        """Index of the log bucket holding ``value_ns`` (0 and 1 ns share
-        bucket 0) at the default resolution."""
-        if value_ns <= 1:
-            return 0
-        return int(math.log(value_ns) / _DIGEST_LOG_GAMMA) + 1
-
-    @staticmethod
-    def bucket_value(index: int) -> int:
-        """Representative latency of bucket ``index`` (geometric mean of
-        its edges) at the default resolution, the value percentiles
-        report."""
-        if index <= 0:
-            return 1
-        return int(round(_DIGEST_GAMMA ** (index - 0.5)))
-
     def _bucket_of(self, value_ns: int) -> int:
         if value_ns <= 1:
             return 0

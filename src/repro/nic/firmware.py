@@ -12,7 +12,7 @@ consulted after the PF is chosen.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.nic.packet import Flow
 from repro.nic.steering import ArfsTable, Mpfs, rss_hash
@@ -102,15 +102,6 @@ class BaseFirmware:
 
     def arfs_remove(self, pf_id: int, flow: Flow) -> bool:
         return self.arfs[pf_id].remove(flow)
-
-    def _queue_for(self, pf_id: int, flow: Flow, now: int):
-        queue = self.arfs[pf_id].lookup(flow, now)
-        if queue is not None:
-            return queue
-        defaults = self._default_queues.get(pf_id) or []
-        if not defaults:
-            raise LookupError(f"PF {pf_id} has no queues registered")
-        return defaults[rss_hash(flow, len(defaults))]
 
     def steer_rx(self, flow: Flow, dst_mac: str,
                  now: int = 0) -> Tuple[int, object]:

@@ -238,11 +238,6 @@ def render_text(report: Dict) -> str:
 
 # -------------------------------------------------------------------- CLI
 
-def _load(path: str) -> Dict:
-    with open(path) as handle:
-        return json.load(handle)
-
-
 def build_parser() -> argparse.ArgumentParser:
     from repro.experiments.base import DURATIONS_MS
     from repro.experiments.cli import positive_int
@@ -294,14 +289,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.workload == "pktgen" and size < MIN_PACKET_BYTES:
         parser.error(f"argument --size: must be >= {MIN_PACKET_BYTES} "
                      f"for pktgen, got {size}")
+    loaded: Dict[str, Dict] = {}
     for flag, path in (("--a", args.a), ("--b", args.b)):
-        if path and not os.path.isfile(path):
+        if not path:
+            continue
+        if not os.path.isfile(path):
             parser.error(f"argument {flag}: no such file: {path}")
+        try:
+            with open(path) as handle:
+                loaded[path] = json.load(handle)
+        except ValueError:  # not JSON, or not even text
+            parser.error(f"argument {flag}: not a JSON file: {path}")
     duration = DURATIONS_MS[args.fidelity] * 1_000_000
 
     def side(path: Optional[str], config: str) -> Tuple[Dict, str]:
         if path:
-            return _load(path), path
+            return loaded[path], path
         report = run_blame_point(args.workload, config, size=size,
                                  duration_ns=duration, seed=args.seed,
                                  accuracy=args.accuracy)

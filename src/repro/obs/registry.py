@@ -20,7 +20,6 @@ Design rules (the determinism section of DESIGN.md spells out why):
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from typing import Callable, Dict, List, Optional, Union
 
 
@@ -132,13 +131,6 @@ class Histogram:
             ordered = self._sorted = sorted(self.samples)
         rank = max(1, math.ceil(p / 100 * len(ordered)))
         return ordered[rank - 1]
-
-    def quantile_le(self, bound: float) -> int:
-        """Observations <= ``bound`` (a cumulative bucket count)."""
-        ordered = self._sorted
-        if ordered is None:
-            ordered = self._sorted = sorted(self.samples)
-        return bisect_right(ordered, bound)
 
     def summary(self) -> Dict[str, float]:
         if not self.samples:

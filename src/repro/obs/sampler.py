@@ -7,7 +7,7 @@ feeds per-interval deltas (or raw gauge values) into
 
 Determinism: the sampler only **reads**.  It never mutates model state,
 never draws from the simulation RNG, and never charges a resource, so
-its timeout events interleave with the workload's without changing any
+its sleeps interleave with the workload's without changing any
 model-visible value — exact-mode goldens stay bit-identical with a
 sampler attached (pinned by tests/obs/test_determinism_with_obs.py).
 """
@@ -76,7 +76,7 @@ class UtilizationSampler:
 
     def _body(self, horizon_ns: int):
         while self.env.now + self.interval_ns <= horizon_ns:
-            yield self.env.timeout(self.interval_ns)
+            yield self.interval_ns
             self._take()
 
     def _take(self) -> None:

@@ -25,7 +25,6 @@ from repro.obs.instrument import (
     instrument_machine,
     instrument_net_driver,
     instrument_netstack,
-    instrument_nvme_driver,
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sampler import DEFAULT_INTERVAL_NS, UtilizationSampler
@@ -84,13 +83,6 @@ class ObsSession:
         if self.enabled and horizon_ns and self.sample_interval_ns:
             self.sampler = self._build_sampler(testbed)
             self.sampler.start(horizon_ns)
-        return self
-
-    def attach_storage(self, driver, prefix: str = "ssd") -> "ObsSession":
-        """Bind an NVMe driver (fio/octoSSD setups) into the session."""
-        instrument_nvme_driver(self.registry, driver, prefix)
-        if self.tracer is not None:
-            driver.machine.tracer = self.tracer
         return self
 
     def _build_sampler(self, testbed) -> UtilizationSampler:
@@ -152,7 +144,3 @@ class ObsSession:
             raise ValueError("session was not built with blame=True")
         from repro.obs.blame import build_report
         return build_report(self.blame, domain=domain)
-
-    def blame_table(self, domain: str = "flow") -> str:
-        from repro.obs.blame import render_text
-        return render_text(self.blame_report(domain=domain))

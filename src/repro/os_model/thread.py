@@ -1,7 +1,7 @@
 """Simulated threads.
 
-A :class:`SimThread` wraps a generator body and a current core.  Bodies
-yield the delays the thread's helpers return::
+A :class:`SimThread` wraps a generator body and a current core.  A
+body yields only sleeps, the integer ns delays its helpers return::
 
     def body(thread):
         while True:
@@ -13,7 +13,7 @@ A helper returns the wall time in integer ns (``compute`` and
 resumption when the body yields it (see
 :class:`~repro.sim.engine.Process`).  Yield a helper's result at once:
 anything scheduled between the call and the yield would take its place
-in the event order.
+in the resumption order.
 
 ``overlap`` models the steady-state pipelining of CPU work with device
 work: the wall time of a batch is the *max* of the two, but only the CPU

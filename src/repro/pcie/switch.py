@@ -11,7 +11,7 @@ benches can quantify it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.pcie.fabric import PhysicalFunction
 from repro.topology.machine import Machine

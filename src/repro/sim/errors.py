@@ -6,11 +6,8 @@ class SimulationError(Exception):
 
 
 class ScheduleInPastError(SimulationError):
-    """An event was scheduled before the current simulation time."""
-
-
-class AlreadyTriggeredError(SimulationError):
-    """succeed()/fail() was called on an event that already fired."""
+    """A process slept a negative time, or a run was asked to stop
+    before the current simulation time."""
 
 
 class DeviceGoneError(SimulationError):
@@ -39,15 +36,3 @@ class RetriesExhausted(DeviceTimeoutError):
         self.attempts = attempts
         self.elapsed_ns = elapsed_ns
         self.last_error = last_error
-
-
-class Interrupt(SimulationError):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`repro.sim.engine.Process.interrupt`.
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-        self.cause = cause

@@ -138,10 +138,6 @@ class MachineSpec:
         if self.num_nodes < 1:
             raise ValueError(f"num_nodes must be >= 1, got {self.num_nodes}")
 
-    @property
-    def total_cores(self) -> int:
-        return self.num_nodes * self.cpu.cores
-
 
 def dell_r730_spec() -> MachineSpec:
     """The paper's networking testbed (§5): Dell PowerEdge R730,

@@ -16,20 +16,18 @@ from repro.memory.llc import LastLevelCache
 from repro.memory.region import Region
 from repro.memory.system import MemorySystem
 from repro.sim.engine import Environment
-from repro.sim.resources import Resource
 from repro.sim.rng import SimRandom
 from repro.sim.tracing import Tracer
 from repro.topology.constants import MachineSpec
 
 
 class Core:
-    """One CPU core: a capacity-1 resource with busy-time accounting."""
+    """One CPU core with busy-time accounting."""
 
     def __init__(self, env: Environment, core_id: int, node_id: int):
         self.env = env
         self.core_id = core_id
         self.node_id = node_id
-        self.resource = Resource(env, capacity=1)
         self._busy_ns = 0
 
     def charge(self, ns: int) -> int:

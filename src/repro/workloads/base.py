@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.metrics.collect import ThroughputMeter
 from repro.os_model.thread import SimThread
 

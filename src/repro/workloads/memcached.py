@@ -9,8 +9,6 @@ ioct/local advantage grows with the SET ratio.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.nic.packet import Flow
 from repro.units import GB, KB
 from repro.workloads.base import Workload, measured_meter

@@ -8,8 +8,6 @@ disabled, run across the testbed's two machines.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.metrics.collect import LatencyRecorder
 from repro.nic.packet import Flow, packets_for
 from repro.os_model.netstack import MSS

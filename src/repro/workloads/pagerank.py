@@ -9,7 +9,7 @@ reported metric is completion time.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.units import MB
 from repro.workloads.base import Workload

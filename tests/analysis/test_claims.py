@@ -1,7 +1,5 @@
 """Tests for the claim-verification layer."""
 
-import pytest
-
 from repro.analysis import ClaimCheck, claims_for, verify_result
 from repro.experiments.base import ExperimentResult
 

@@ -1,6 +1,9 @@
 """The examples must keep running — they are the public face of the API."""
 
+import json
+import re
 import runpy
+import sys
 
 
 def _run_example(name, patches, capsys):
@@ -55,3 +58,49 @@ def test_nvme_example_output(capsys):
                                       "WARMUP_NS": 6_000_000}, capsys)
     assert "octoSSD" in out
     assert "100%" in out
+
+
+def test_pf_failover_degrades_and_recovers(capsys):
+    """The example's own claim, at full length (about 1 s): throughput
+    drops while PF1 is out, returns to within 1% of its pre-fault level,
+    and both steering moves apply with nothing left in the old queues."""
+    out = _run_example("pf_failover", {}, capsys)
+    pre, during, after = map(float, re.search(
+        r"pre-fault ([\d.]+) Gb/s -> degraded ([\d.]+) Gb/s "
+        r"-> recovered ([\d.]+) Gb/s", out).groups())
+    assert during < pre
+    assert abs(after - pre) <= 0.01 * pre
+    for event in ("failover.applied", "recovery.applied"):
+        lines = [line for line in out.splitlines() if event in line]
+        assert lines and all("residual=0" in line for line in lines)
+
+
+def test_trace_export_writes_failover_events(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "trace.json"
+    monkeypatch.setattr(sys, "argv", ["trace_export.py", str(path)])
+    out = _run_example("trace_export", {}, capsys)
+    assert str(path) in out
+    events = json.loads(path.read_text())["traceEvents"]
+    instants = {event["name"] for event in events if event["ph"] == "i"}
+    assert {"failover.begin", "failover.applied", "recovery.begin",
+            "recovery.applied"} <= instants
+
+
+def test_keyvalue_colocation_claim(capsys):
+    """The example's own claim: the remote placement serves less than
+    the octoNIC both quiet and under QPI load, and loses the larger
+    share to the STREAM antagonists."""
+    out = _run_example("keyvalue_colocation", {"DURATION_NS": 20_000_000,
+                                               "WARMUP_NS": 4_000_000},
+                       capsys)
+    rows = {}
+    for line in out.splitlines():
+        # "<placement> <quiet> KT/s <loaded> KT/s <loss>%"
+        fields = line.split()
+        if len(fields) == 6 and fields[2] == fields[4] == "KT/s":
+            rows[fields[0]] = (float(fields[1]), float(fields[3]),
+                               float(fields[5].rstrip("%")))
+    assert set(rows) == {"ioctopus", "remote"}
+    octo, remote = rows["ioctopus"], rows["remote"]
+    assert remote[0] < octo[0] and remote[1] < octo[1]
+    assert remote[2] > octo[2]

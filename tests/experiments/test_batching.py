@@ -145,7 +145,7 @@ def test_arfs_migration_decoalesces_train():
     target_core = host.machine.cores_on_node(1)[0]
 
     def migrator():
-        yield testbed.env.timeout(duration // 2)
+        yield duration // 2
         host.scheduler.set_affinity(workload.thread, target_core)
 
     testbed.env.process(migrator(), name="migrator")

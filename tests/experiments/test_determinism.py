@@ -115,11 +115,11 @@ class _Recorder:
     # STREAM readers and non-temporal writers: nearly every event is a
     # chunk's sleep.
     (run_tcp_stream, ("remote", 64 * KB, "rx", D),
-     dict(stream_pairs=3, accuracy="exact"), 81_678, 81_678),
+     dict(stream_pairs=3, accuracy="exact"), 81_670, 81_670),
     (run_pktgen, ("remote", 256, D), dict(seed=0, accuracy="exact"),
-     481, 481),
+     479, 479),
     (run_tcp_rr, ("local", "local", True, 1024, D),
-     dict(seed=0, accuracy="exact"), 1_015, 1_015),
+     dict(seed=0, accuracy="exact"), 1_013, 1_013),
     # The adaptive tier's train loop.
     (run_tcp_stream, ("ioctopus", 4096, "rx", D),
      dict(seed=0, accuracy="adaptive"), 30, 31),

@@ -201,6 +201,9 @@ def test_cli_unknown_experiment(capsys):
                   "missing.json"],
                  "argument --a: no such file: missing.json",
                  id="obs-diff--a"),
+    pytest.param(["obs", "diff", "--a", "README.md", "--b", "README.md"],
+                 "argument --a: not a JSON file: README.md",
+                 id="obs-diff--a-not-json"),
 ])
 def test_cli_rejects_non_positive_counts(argv, error, capsys):
     with pytest.raises(SystemExit) as exit_info:

@@ -51,10 +51,10 @@ def test_sample_gbps_sums_sources_in_order():
 
     def traffic():
         for step in steps:
-            yield env.timeout(40)
+            yield 40
             for key, nbytes in step.items():
                 counters[key] += nbytes
-            yield env.timeout(40)
+            yield 40
 
     def reader(key):
         return lambda: counters[key]

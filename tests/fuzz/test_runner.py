@@ -1,9 +1,5 @@
 """The case runner: determinism, crash tolerance, agreement gating."""
 
-import copy
-
-import pytest
-
 from repro.fuzz.case import FuzzCase
 from repro.fuzz.runner import (MIN_AGREEMENT_RECORDS, _check_agreement,
                                execute, fingerprint, run_case)

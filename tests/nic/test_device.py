@@ -141,7 +141,7 @@ def test_pf_window_throughput(machine):
         for pf_id in (0, 1)}, 100_000, 100_000)
 
     def deliver():
-        yield env.timeout(40_000)
+        yield 40_000
         device.rx_deliver(Flow.make(0), OctoFirmware.MAC, 100, 1250)
 
     env.process(deliver())

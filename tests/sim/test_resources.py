@@ -1,189 +1,11 @@
-"""Unit tests for Resource, Store and bandwidth servers."""
+"""Unit tests for bandwidth servers and the DRAM and QPI load buckets."""
 
 import pytest
 
 from repro.interconnect.link import InterconnectLink
 from repro.memory.dram import DramController
-from repro.sim import (
-    BandwidthServer,
-    Environment,
-    Resource,
-    SimulationError,
-    Store,
-)
+from repro.sim import BandwidthServer, Environment, SimulationError
 from repro.sim.resources import LOAD_BUCKET_NS
-
-
-# ---------------------------------------------------------------- Resource
-
-def test_resource_grants_up_to_capacity():
-    env = Environment()
-    res = Resource(env, capacity=2)
-    r1, r2, r3 = res.request(), res.request(), res.request()
-    assert r1.triggered and r2.triggered and not r3.triggered
-    assert res.count == 2
-    assert res.queue_length == 1
-
-
-def test_resource_release_admits_waiter():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    r1 = res.request()
-    r2 = res.request()
-    assert not r2.triggered
-    res.release(r1)
-    assert r2.triggered
-
-
-def test_resource_context_manager_releases():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    holder_times = []
-
-    def holder():
-        with res.request() as req:
-            yield req
-            yield env.timeout(100)
-        holder_times.append(env.now)
-
-    def waiter():
-        with res.request() as req:
-            yield req
-            holder_times.append(env.now)
-
-    env.process(holder())
-    env.process(waiter())
-    env.run()
-    assert holder_times == [100, 100]
-
-
-def test_resource_cancel_queued_request():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    r1 = res.request()
-    r2 = res.request()
-    res.release(r2)  # cancel while queued
-    res.release(r1)
-    assert res.count == 0
-    assert res.queue_length == 0
-
-
-def test_resource_double_release_harmless():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    r1 = res.request()
-    res.release(r1)
-    res.release(r1)
-    assert res.count == 0
-
-
-def test_resource_invalid_capacity():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Resource(env, capacity=0)
-
-
-def test_resource_fifo_order():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    order = []
-
-    def user(tag, hold):
-        with res.request() as req:
-            yield req
-            order.append(tag)
-            yield env.timeout(hold)
-
-    for tag in ("a", "b", "c"):
-        env.process(user(tag, 10))
-    env.run()
-    assert order == ["a", "b", "c"]
-
-
-# ------------------------------------------------------------------- Store
-
-def test_store_put_then_get():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append(item)
-
-    env.process(consumer())
-    store.put("pkt")
-    env.run()
-    assert got == ["pkt"]
-
-
-def test_store_get_blocks_until_put():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append((env.now, item))
-
-    def producer():
-        yield env.timeout(40)
-        store.put("late")
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == [(40, "late")]
-
-
-def test_store_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    assert store.put("a").triggered
-    blocked = store.put("b")
-    assert not blocked.triggered
-
-    def consumer():
-        yield store.get()
-
-    env.process(consumer())
-    env.run()
-    assert blocked.triggered
-    assert store.level == 1  # "b" admitted
-
-
-def test_store_fifo_ordering():
-    env = Environment()
-    store = Store(env)
-    for item in (1, 2, 3):
-        store.put(item)
-    assert store.try_get() == 1
-    assert store.try_get() == 2
-    assert store.try_get() == 3
-    assert store.try_get() is None
-
-
-def test_store_invalid_capacity():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Store(env, capacity=0)
-
-
-def test_store_handoff_to_waiting_getter_skips_buffer():
-    env = Environment()
-    store = Store(env, capacity=1)
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append(item)
-
-    env.process(consumer())
-    env.run()
-    store.put("x")
-    env.run()
-    assert got == ["x"]
-    assert store.level == 0
 
 
 # -------------------------------------------------------- BandwidthServer
@@ -222,7 +44,7 @@ def test_bandwidth_transfers_queue_fifo():
     done = []
 
     def sender(tag, nbytes):
-        yield link.transfer(nbytes)
+        yield link.account(nbytes)
         done.append((tag, env.now))
 
     env.process(sender("a", 1000))
@@ -234,7 +56,7 @@ def test_bandwidth_transfers_queue_fifo():
 def test_bandwidth_queueing_delay_visible():
     env = Environment()
     link = BandwidthServer(env, bytes_per_sec=1e9)
-    link.transfer(5000)
+    link.account(5000)
     assert link.queueing_delay() == 5000
 
 
@@ -251,8 +73,8 @@ def test_bandwidth_idle_gap_not_counted_busy():
     link = BandwidthServer(env, bytes_per_sec=1e9)
 
     def body():
-        yield link.transfer(100)
-        yield env.timeout(900)
+        yield link.account(100)
+        yield 900
 
     env.process(body())
     env.run()
@@ -268,9 +90,9 @@ def test_bandwidth_window_throughput():
     seen = {}
 
     def body():
-        yield link.transfer(500)
+        yield link.account(500)
         start_ns, start_bytes = env.now, link.bytes_total
-        yield link.transfer(2000)
+        yield link.account(2000)
         seen["bps"] = ((link.bytes_total - start_bytes) * 1e9
                        / (env.now - start_ns))
 

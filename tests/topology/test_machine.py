@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments.runners import Window
 from repro.topology import (
-    Machine,
     dell_r730,
     dell_r730_spec,
     dell_skylake,
