@@ -16,7 +16,7 @@ the registry defaults (:mod:`repro.components`).  The preset selects:
   the *remote* node placement-wise, but the octoNIC steers through the PF
   local to wherever the workload is — by design it must match ``local``.
 
-Assembly itself lives in :class:`TestbedBuilder`, which the ablation
+Each host is assembled by :class:`TestbedBuilder`, which the ablation
 experiments also use directly for single-host builds (different wiring,
 4-socket machines) instead of hand-rolling Machine/NIC/driver stacks.
 """
@@ -46,6 +46,8 @@ CONFIGS = ("local", "remote", "ioctopus")
 NIC_NODE = 0
 #: The node "remote" workloads run on.
 FAR_NODE = 1
+#: PCIe lanes of the server NIC (x16), split across its PFs.
+NIC_LANES = 16
 
 
 class Host:
@@ -80,7 +82,7 @@ def apply_components(system: SystemConfig, hosts: List[Host],
 
 
 class TestbedBuilder:
-    """Composable assembly of hosts and testbeds from a SystemConfig.
+    """Composable assembly of one host from a SystemConfig.
 
     The one place Machine + PFs + firmware + driver + Host come
     together; the :class:`Testbed` constructor and the ablation
@@ -90,8 +92,6 @@ class TestbedBuilder:
         host = (TestbedBuilder("ioctopus").spec(spec4)
                 .attach_nodes([0, 1, 2, 3]).pf_name("o4")
                 .build_host())
-        testbed = TestbedBuilder(SystemConfig("remote").without("ddio"))\\
-                  .seed(7).build()
     """
 
     #: Not a pytest test class, despite the name.
@@ -99,38 +99,16 @@ class TestbedBuilder:
 
     def __init__(self, system: Union[str, SystemConfig] = "ioctopus"):
         self._system = as_system_config(system)
-        self._seed = 0
         self._spec: Optional[MachineSpec] = None
-        self._accuracy: Optional[str] = None
-        self._client_config = "local"
         self._wiring = "bifurcation"
-        self._lanes = 16
         self._attach_nodes: Optional[List[int]] = None
         self._pf_name: Optional[str] = None
         self._nic_name: Optional[str] = None
 
     # ------------------------------------------------------ fluent knobs
 
-    def system(self, system: Union[str, SystemConfig]) -> "TestbedBuilder":
-        self._system = as_system_config(system)
-        return self
-
-    def seed(self, seed: int) -> "TestbedBuilder":
-        self._seed = seed
-        return self
-
     def spec(self, spec: Optional[MachineSpec]) -> "TestbedBuilder":
         self._spec = spec
-        return self
-
-    def accuracy(self, accuracy: Optional[str]) -> "TestbedBuilder":
-        self._accuracy = accuracy
-        return self
-
-    def client_config(self, client_config: str) -> "TestbedBuilder":
-        if client_config not in ("local", "remote"):
-            raise ValueError("client_config must be 'local' or 'remote'")
-        self._client_config = client_config
         return self
 
     def wiring(self, wiring: str) -> "TestbedBuilder":
@@ -139,10 +117,6 @@ class TestbedBuilder:
         if wiring not in ("bifurcation", "switch"):
             raise ValueError("wiring must be 'bifurcation' or 'switch'")
         self._wiring = wiring
-        return self
-
-    def lanes(self, lanes: int) -> "TestbedBuilder":
-        self._lanes = lanes
         return self
 
     def attach_nodes(self, nodes: List[int]) -> "TestbedBuilder":
@@ -182,13 +156,13 @@ class TestbedBuilder:
         if self._wiring == "switch":
             from repro.pcie.switch import PcieSwitch
             switch = PcieSwitch(machine)
-            pfs = switch.attach_per_node(self._lanes // spec.num_nodes,
+            pfs = switch.attach_per_node(NIC_LANES // spec.num_nodes,
                                          name=pf_name)
             wiring_lanes = switch.lanes_required()
             wiring_power = switch.power_watts
         else:
-            pfs = bifurcate(machine, self._lanes, attach, name=pf_name)
-            wiring_lanes = self._lanes
+            pfs = bifurcate(machine, NIC_LANES, attach, name=pf_name)
+            wiring_lanes = NIC_LANES
         nic_kwargs = {}
         if self._nic_name is not None:
             nic_kwargs["name"] = self._nic_name
@@ -215,17 +189,11 @@ class TestbedBuilder:
         """A single server host (no client, no testbed) — what the
         wiring/scale ablations assemble per arrangement.  Components are
         applied to this host alone."""
-        env = env or Environment(accuracy=self._accuracy)
-        machine = Machine(self._resolved_spec(), seed=self._seed, env=env)
+        env = env or Environment()
+        machine = Machine(self._resolved_spec(), seed=0, env=env)
         host = self._assemble_host(machine, wire, wire_side)
         apply_components(self._system, [host], env)
         return host
-
-    def build(self) -> "Testbed":
-        """The full two-machine testbed (server + client + wire)."""
-        return Testbed(self._system, seed=self._seed, spec=self._spec,
-                       client_config=self._client_config,
-                       accuracy=self._accuracy)
 
 
 def attach_octossd(machine: Machine, octo: bool, name: str,

@@ -6,16 +6,14 @@ paper's analysis decomposes (§5.1.1):
 * :class:`DoorbellPath` — the posted MMIO write that tells the device
   new work is queued.  Crossing the interconnect to reach a remote PF is
   one of the nonuniform interactions Fig 1 depicts.
-* :class:`CompletionPath` — the device's DMA write of completion
-  entries into the queue's ring, plus the host's cost of consuming
-  them: interrupt delivery (moderated per queue) and the completion
-  reads that hit in DDIO when the serving PF is local and miss (~80 ns)
-  when it is not.
+* :class:`CompletionPath` — the host's cost of consuming completion
+  entries the device DMA-wrote into the queue's ring: interrupt
+  delivery (moderated per queue) and the completion reads that hit in
+  DDIO when the serving PF is local and miss (~80 ns) when it is not.
+  The devices charge the DMA write of those entries themselves.
 """
 
 from __future__ import annotations
-
-from repro.units import CACHELINE
 
 
 class DoorbellPath:
@@ -47,7 +45,7 @@ class DoorbellPath:
 
 
 class CompletionPath:
-    """Completion delivery: DMA write-back plus host-side consumption."""
+    """Host-side completion consumption: reads and interrupts."""
 
     def __init__(self, machine, irq_ns: int):
         self.machine = machine
@@ -55,27 +53,6 @@ class CompletionPath:
         #: Interrupts delivered / completion entries consumed.
         self.interrupts = 0
         self.entries = 0
-
-    # ----------------------------------------------------- device side
-
-    def write_back(self, queue, ndesc: int) -> int:
-        """Device-side delay of DMA-writing ``ndesc`` completion entries
-        into the queue's ring through its serving PF."""
-        if ndesc < 1:
-            raise ValueError(f"ndesc must be >= 1, got {ndesc}")
-        cost = queue.pf.dma_write(queue.ring, ndesc * CACHELINE)
-        flow = self.machine.tracer.active_flow
-        if flow is not None:
-            stage = None
-            if self.machine.tracer.blame is not None:
-                loc = ("local" if queue.pf.is_local_to(queue.node_id)
-                       else "qpi")
-                stage = f"dma.{loc}"
-            flow.step(f"{queue.pf.name}.dma", "cq.write_back", cost,
-                      {"ndesc": ndesc}, stage=stage)
-        return cost
-
-    # ------------------------------------------------------- host side
 
     def consume(self, queue, ndesc: int, node: int) -> int:
         """CPU ns to read ``ndesc`` completion entries on ``node``

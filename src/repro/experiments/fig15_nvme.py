@@ -9,12 +9,10 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.configurations import Host
+from repro.core.configurations import Host, attach_octossd_fleet
 from repro.experiments.base import Experiment, ExperimentResult, register
 from repro.nic.device import NicDevice
 from repro.nic.firmware import StandardFirmware
-from repro.nvme.device import NvmeController
-from repro.nvme.driver import NvmeDriver
 from repro.os_model.driver import StandardDriver
 from repro.pcie.fabric import bifurcate
 from repro.topology import dell_skylake
@@ -26,32 +24,23 @@ FIO_THREADS = 8
 STREAM_COUNTS = [0, 1, 2, 3, 4, 5, 6, 8, 10]
 
 
-def build_nvme_host(octo_mode: bool = False,
-                    dual_port: bool = False) -> tuple:
-    """A Skylake server with 4 SSDs on socket 0 (or dual-ported)."""
+def build_nvme_host(octo_mode: bool = False) -> tuple:
+    """A Skylake server with 4 SSDs on socket 0, or (``octo_mode``)
+    4 dual-port octoSSDs with one port per socket, teamed."""
     machine = dell_skylake()
     nic = NicDevice(machine, bifurcate(machine, 16, [0], name="mgmt"),
                     StandardFirmware(1))
     host = Host(machine, nic, StandardDriver(machine, nic, 0))
-    attach = [0, 1] if dual_port else [0]
-    controllers = [
-        NvmeController(machine, bifurcate(machine, 8 * len(attach), attach,
-                                          name=f"ssd{i}"), name=f"ssd{i}")
-        for i in range(N_SSDS)]
-    drivers = [NvmeDriver(machine, ssd, octo_mode=octo_mode)
-               for ssd in controllers]
-    return host, drivers
+    return host, attach_octossd_fleet(machine, octo_mode, N_SSDS)
 
 
-def run_fio_point(n_streams: int, duration_ns: int, remote: bool = True,
+def run_fio_point(n_streams: int, duration_ns: int,
                   octo_mode: bool = False) -> dict:
-    host, drivers = build_nvme_host(octo_mode=octo_mode,
-                                    dual_port=octo_mode)
+    """Remote fio (on socket 1) beside ``n_streams`` STREAM writers."""
+    host, drivers = build_nvme_host(octo_mode=octo_mode)
     machine = host.machine
     warmup = duration_ns // 5
-    fio_node = 1 if remote else 0
-    fio_cores = machine.cores_on_node(fio_node)[N_SSDS + 2:][:FIO_THREADS] \
-        if not remote else machine.cores_on_node(1)[:FIO_THREADS]
+    fio_cores = machine.cores_on_node(1)[:FIO_THREADS]
     fleet = spawn_fio_fleet(host, fio_cores, drivers, duration_ns, warmup)
     antagonists: List[StreamThread] = []
     for i in range(n_streams):

@@ -42,6 +42,19 @@ FAILED_PF = 1
 SSD_STREAMS = 6
 
 
+def _outage_plan(fail_at_ns: Optional[int],
+                recover_at_ns: Optional[int]) -> FaultPlan:
+    """PF1's outage window: no fault without ``fail_at_ns``, a
+    permanent one without ``recover_at_ns``."""
+    plan = FaultPlan()
+    if fail_at_ns is not None:
+        duration = (None if recover_at_ns is None
+                    else recover_at_ns - fail_at_ns)
+        plan.add(FaultSpec("pf_down", fail_at_ns, duration,
+                           pf_id=FAILED_PF))
+    return plan
+
+
 class FailoverRun:
     """Everything one faulted run produces."""
 
@@ -66,12 +79,7 @@ def run_failover(duration_ns: int, fail_at_ns: Optional[int] = None,
     workload = TcpStream(host, core, Flow.make(0), 64 * KB, "rx",
                          duration_ns)
 
-    plan = FaultPlan()
-    if fail_at_ns is not None:
-        duration = (None if recover_at_ns is None
-                    else recover_at_ns - fail_at_ns)
-        plan.add(FaultSpec("pf_down", fail_at_ns, duration,
-                           pf_id=FAILED_PF))
+    plan = _outage_plan(fail_at_ns, recover_at_ns)
     injector = FaultInjector(testbed.env, plan, device=host.nic,
                              wire=testbed.wire, machine=host.machine,
                              rng=host.machine.rng)
@@ -110,7 +118,7 @@ def run_ssd_failover(duration_ns: int, fail_at_ns: Optional[int] = None,
     shared-riser failure mode — so the whole fleet re-homes onto port 0
     and DMAs across the congested UPI until recovery.
     """
-    host, drivers = build_nvme_host(octo_mode=True, dual_port=True)
+    host, drivers = build_nvme_host(octo_mode=True)
     machine = host.machine
     machine.tracer.enabled = True
     controllers = [driver.controller for driver in drivers]
@@ -120,12 +128,7 @@ def run_ssd_failover(duration_ns: int, fail_at_ns: Optional[int] = None,
         StreamThread(host, machine.cores_on_node(0)[i], target_node=1,
                      kind="write", duration_ns=duration_ns)
 
-    plan = FaultPlan()
-    if fail_at_ns is not None:
-        duration = (None if recover_at_ns is None
-                    else recover_at_ns - fail_at_ns)
-        plan.add(FaultSpec("pf_down", fail_at_ns, duration,
-                           pf_id=FAILED_PF))
+    plan = _outage_plan(fail_at_ns, recover_at_ns)
     injectors = [FaultInjector(machine.env, plan, device=ssd,
                                machine=machine,
                                rng=machine.rng.child(ssd.name))
@@ -153,6 +156,14 @@ class FigFailover(Experiment):
                    "later recovered: the octoNIC degrades to remote-level "
                    "DMA through PF0 instead of dying, then returns to "
                    "full speed")
+    #: One scenario: ``(duration_ns, fail_at_ns, recover_at_ns)`` to a
+    #: run whose ``series`` holds the ``pf0``/``pf1`` samples.
+    runner = staticmethod(run_failover)
+
+    def notes(self, fail_at: int, recover_at: int) -> str:
+        return (f"PF{FAILED_PF} removed at {fail_at / 1e6:.0f} ms, "
+                f"recovered at {recover_at / 1e6:.0f} ms; samples every "
+                f"{SAMPLE_NS / 1e6:.0f} ms")
 
     def run(self, fidelity: str = "normal") -> ExperimentResult:
         duration = max(self.duration_ns(fidelity) * 10, 12 * SAMPLE_NS)
@@ -160,15 +171,13 @@ class FigFailover(Experiment):
         recover_at = 2 * duration // 3
         result = self.result(
             ["scenario", "time_ms", "pf0_gbps", "pf1_gbps", "total_gbps"],
-            notes=f"PF{FAILED_PF} removed at {fail_at / 1e6:.0f} ms, "
-                  f"recovered at {recover_at / 1e6:.0f} ms; samples every "
-                  f"{SAMPLE_NS / 1e6:.0f} ms")
+            notes=self.notes(fail_at, recover_at))
         scenarios = (
             ("baseline", None, None),
             ("pf1-outage", fail_at, recover_at),
         )
         for label, fail, recover in scenarios:
-            run = run_failover(duration, fail, recover)
+            run = self.runner(duration, fail, recover)
             for t, pf0, pf1 in zip(run.series["pf0"].times_ns,
                                    run.series["pf0"].values,
                                    run.series["pf1"].values):
@@ -178,7 +187,7 @@ class FigFailover(Experiment):
 
 
 @register
-class FigFailoverSsd(Experiment):
+class FigFailoverSsd(FigFailover):
     name = "failover_ssd"
     paper_ref = "§5.4 + robustness extension"
     description = ("per-port fio throughput while the remote socket's "
@@ -186,27 +195,11 @@ class FigFailoverSsd(Experiment):
                    "under UPI congestion: the octoSSD degrades to "
                    "single-port (remote-DMA) throughput through port 0 "
                    "instead of dying, then returns to full speed")
+    runner = staticmethod(run_ssd_failover)
 
-    def run(self, fidelity: str = "normal") -> ExperimentResult:
-        duration = max(self.duration_ns(fidelity) * 10, 12 * SAMPLE_NS)
-        fail_at = duration // 3
-        recover_at = 2 * duration // 3
-        result = self.result(
-            ["scenario", "time_ms", "pf0_gbps", "pf1_gbps", "total_gbps"],
-            notes=f"port {FAILED_PF} of every drive removed at "
-                  f"{fail_at / 1e6:.0f} ms, recovered at "
-                  f"{recover_at / 1e6:.0f} ms; {SSD_STREAMS} STREAM "
-                  f"antagonists congest the UPI; samples every "
-                  f"{SAMPLE_NS / 1e6:.0f} ms")
-        scenarios = (
-            ("baseline", None, None),
-            ("pf1-outage", fail_at, recover_at),
-        )
-        for label, fail, recover in scenarios:
-            run = run_ssd_failover(duration, fail, recover)
-            for t, pf0, pf1 in zip(run.series["pf0"].times_ns,
-                                   run.series["pf0"].values,
-                                   run.series["pf1"].values):
-                result.add(label, round(t / 1e6, 1), round(pf0, 2),
-                           round(pf1, 2), round(pf0 + pf1, 2))
-        return result
+    def notes(self, fail_at: int, recover_at: int) -> str:
+        return (f"port {FAILED_PF} of every drive removed at "
+                f"{fail_at / 1e6:.0f} ms, recovered at "
+                f"{recover_at / 1e6:.0f} ms; {SSD_STREAMS} STREAM "
+                f"antagonists congest the UPI; samples every "
+                f"{SAMPLE_NS / 1e6:.0f} ms")

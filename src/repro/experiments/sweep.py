@@ -27,7 +27,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.sim.engine import resolve_accuracy
 
 #: Process-wide defaults, set once by the CLI (or tests) via configure().
-_jobs = int(os.environ.get("REPRO_SWEEP_JOBS", "1") or 1)
+#: ``_jobs`` stays None until configured; :func:`current_jobs` then reads
+#: ``REPRO_SWEEP_JOBS``.
+_jobs: Optional[int] = None
 _cache_dir: Optional[str] = os.environ.get("REPRO_SWEEP_CACHE") or None
 
 _code_fingerprint: Optional[str] = None
@@ -61,7 +63,7 @@ def would_parallelize(npoints: int, jobs: Optional[int] = None) -> bool:
     out to worker processes (as opposed to taking the inline serial
     fallback): more than one worker asked for, more than one CPU to run
     them on, and at least :data:`MIN_PARALLEL_POINTS` points."""
-    jobs = _jobs if jobs is None else jobs
+    jobs = current_jobs() if jobs is None else jobs
     return (jobs > 1 and (os.cpu_count() or 1) > 1
             and npoints >= MIN_PARALLEL_POINTS)
 
@@ -97,7 +99,21 @@ def configure(jobs: Optional[int] = None,
 
 
 def current_jobs() -> int:
-    return _jobs
+    """Worker count of a sweep that names none: the ``configure(jobs=)``
+    value, else ``REPRO_SWEEP_JOBS`` (an integer >= 1), else 1."""
+    if _jobs is not None:
+        return _jobs
+    text = os.environ.get("REPRO_SWEEP_JOBS")
+    if not text:
+        return 1
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"REPRO_SWEEP_JOBS must be an integer >= 1, "
+                         f"got {text!r}")
+    return jobs
 
 
 def code_fingerprint() -> str:
@@ -185,7 +201,7 @@ def sweep_map(fn: Callable, points: Sequence[Dict],
     serial.
     """
     global _cache_hits, _cache_misses
-    jobs = _jobs if jobs is None else jobs
+    jobs = current_jobs() if jobs is None else jobs
     cache_dir = _cache_dir if cache_dir is None else cache_dir
     fn_path = _fn_path(fn)
     results: List = [None] * len(points)

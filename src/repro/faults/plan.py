@@ -10,9 +10,7 @@ produce byte-identical traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
-
-from repro.sim.rng import SimRandom
+from typing import Iterator, List, Optional
 
 #: Every fault kind the injector knows how to fire.
 FAULT_KINDS = (
@@ -144,55 +142,3 @@ class FaultPlan:
 
     def describe(self) -> List[str]:
         return [spec.describe() for spec in self.ordered()]
-
-    # ------------------------------------------------------- generation
-
-    @classmethod
-    def random(cls, rng: SimRandom, horizon_ns: int, count: int,
-               kinds: Sequence[str] = ("pf_down", "pcie_degrade",
-                                       "wire_loss", "qpi_throttle"),
-               num_pfs: int = 2, num_nodes: int = 2,
-               mean_duration_ns: int = 50_000_000) -> "FaultPlan":
-        """Draw ``count`` transient faults reproducibly from ``rng``.
-
-        The same (seed, arguments) pair always yields the same plan; the
-        stream is a child of ``rng`` so the caller's other draws are not
-        perturbed.
-        """
-        if horizon_ns < 1:
-            raise ValueError(f"horizon_ns must be >= 1, got {horizon_ns}")
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        for kind in kinds:
-            if kind not in FAULT_KINDS:
-                raise ValueError(f"unknown fault kind {kind!r}")
-        if "qpi_throttle" in kinds and num_nodes < 2:
-            raise ValueError("qpi_throttle needs >= 2 nodes")
-        stream = rng.child("fault-plan")
-        plan = cls()
-        for _ in range(count):
-            kind = stream.choice(list(kinds))
-            at_ns = stream.randint(0, horizon_ns - 1)
-            duration = max(1, int(stream.expovariate(
-                1.0 / mean_duration_ns)))
-            if kind in ("pf_down", "pcie_link_down"):
-                plan.add(FaultSpec(kind, at_ns, duration,
-                                   pf_id=stream.randint(0, num_pfs - 1)))
-            elif kind == "pcie_degrade":
-                plan.add(FaultSpec(kind, at_ns, duration,
-                                   pf_id=stream.randint(0, num_pfs - 1),
-                                   lanes=stream.choice([1, 2, 4])))
-            elif kind == "wire_loss":
-                plan.add(FaultSpec(
-                    kind, at_ns, duration,
-                    loss_probability=round(stream.uniform(0.001, 0.05), 6),
-                    corrupt_probability=round(
-                        stream.uniform(0.0, 0.01), 6)))
-            else:  # qpi_throttle
-                src = stream.randint(0, num_nodes - 1)
-                dst = (src + 1 + stream.randint(0, max(0, num_nodes - 2))) \
-                    % num_nodes
-                plan.add(FaultSpec(
-                    kind, at_ns, duration, src_node=src, dst_node=dst,
-                    throttle_factor=round(stream.uniform(0.1, 0.9), 6)))
-        return plan

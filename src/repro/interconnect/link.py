@@ -193,23 +193,14 @@ class InterconnectLink(BandwidthServer):
         return (int(self.crossing_latency_ns * inflation)
                 + (start - now) + duration)
 
-    def probe_delay(self, nbytes: int = 64) -> int:
-        """Delay a transfer *would* see, without charging bandwidth.
-
-        Used for latency estimates (e.g. deciding whether congestion makes
-        remote placement worse) without perturbing the measurement.
-        """
-        return (self.crossing_latency_ns + self.queueing_delay()
-                + self.service_time(nbytes))
-
 
 class Interconnect:
     """The full-socket interconnect: directional links between node pairs.
 
     ``table[src][dst]`` is the src->dst link (``None`` where src == dst).
     The memory system and the PCIe endpoints index it directly on their
-    hot paths, with nodes they already know to differ; everyone else goes
-    through the checked methods below.
+    hot paths, with nodes they already know to differ; :meth:`link` is
+    the checked lookup.
     """
 
     def __init__(self, env: Environment, num_nodes: int,
@@ -234,27 +225,12 @@ class Interconnect:
         raise KeyError(f"no interconnect link {src_node}->{dst_node} "
                        f"(same node, or node out of range)")
 
-    def traverse(self, src_node: int, dst_node: int, nbytes: int) -> int:
-        """Charge a crossing src->dst; 0 ns if src == dst."""
-        if src_node == dst_node:
-            return 0
-        return self.link(src_node, dst_node).traverse(nbytes)
-
     def loaded_round_trip_ns(self, a: int, b: int) -> int:
         """Congestion-inflated latency of one a->b->a line round trip."""
         if a == b:
             return 0
         return (self.link(a, b).loaded_crossing_ns()
                 + self.table[b][a].loaded_crossing_ns())
-
-    def round_trip(self, src_node: int, dst_node: int,
-                   request_bytes: int, response_bytes: int) -> int:
-        """Charge a request/response pair (e.g. a remote cache-line fill:
-        small request out, data back)."""
-        if src_node == dst_node:
-            return 0
-        out = self.link(src_node, dst_node).traverse(request_bytes)
-        return out + self.table[dst_node][src_node].traverse(response_bytes)
 
     def links(self) -> List[InterconnectLink]:
         return [link for row in self.table for link in row

@@ -2,9 +2,10 @@
 
 A :class:`Region` stands for a logically-contiguous buffer — a descriptor
 ring, a packet-buffer pool, an application heap slab, a STREAM array.  It
-knows its **home node** (where its physical pages live, decided by the
-NUMA-aware allocator) and the simulator tracks, per LLC, how much of it is
-currently cache-resident.
+knows its **home node** (where its physical pages live, named by whoever
+places it through :meth:`~repro.topology.machine.Machine.alloc_region`)
+and the simulator tracks, per LLC, how much of it is currently
+cache-resident.
 
 Regions compare and hash by identity: the LLC keys its entries by the
 region object itself.

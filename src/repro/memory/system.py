@@ -66,7 +66,6 @@ class MemorySystem:
         #: In-flight cache-line window per DMA engine (ablation knob).
         self.dma_outstanding_lines = _DMA_OUTSTANDING_LINES
         self._stall_per_line = spec.software.dram_stream_stall_ns_per_line
-        self._copy_ns_per_byte = spec.software.copy_ns_per_byte
 
     # ------------------------------------------------------------------
     # CPU-side accesses
@@ -135,14 +134,6 @@ class MemorySystem:
                 delay = qpi_delay
         llc.load(region, nbytes)
         return delay
-
-    def cpu_copy(self, node: int, src: Region, dst: Region,
-                 nbytes: int) -> int:
-        """A memcpy: base per-byte cost plus source/destination stalls."""
-        base = int(nbytes * self._copy_ns_per_byte)
-        return (base
-                + self.cpu_stream_read(node, src, nbytes)
-                + self.cpu_stream_write(node, dst, nbytes))
 
     def cpu_read_fresh_dma(self, node: int, region: Region,
                            nbytes: int, inflight_bytes: int = 0) -> int:
@@ -225,18 +216,6 @@ class MemorySystem:
             return "dram_qpi"
         return "dram"
 
-    def cacheline_read(self, node: int, region: Region) -> int:
-        """Latency of one demand-load line (not freshly DMA-written)."""
-        llc = self.llcs[node]
-        if llc.residency(region) >= _LINE_HIT_THRESHOLD:
-            llc.hits_bytes += CACHELINE
-            llc.touch(region)
-            return 0
-        llc.miss_bytes += CACHELINE
-        latency = self._line_fill_latency(node, region)
-        llc.load(region, CACHELINE)
-        return latency
-
     # ------------------------------------------------------------------
     # Device-side (DMA) accesses
     # ------------------------------------------------------------------
@@ -302,20 +281,6 @@ class MemorySystem:
         if serial > qpi_delay:
             qpi_delay = serial
         return dram_delay if dram_delay > qpi_delay else qpi_delay
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-
-    def ddio_slice_bytes(self, node: int) -> int:
-        """Capacity of the node's DDIO LLC slice.
-
-        The packet-train fast path keeps a single train's payload below
-        this: per-packet delivery rotates buffers through the slice, so a
-        closed-form train that exceeded it would spill to DRAM where the
-        exact path would not.
-        """
-        return self.llcs[node].ddio_capacity
 
     # ------------------------------------------------------------------
     # Internals

@@ -11,34 +11,21 @@ from repro.obs.instrument import (
     instrument_machine,
     instrument_net_driver,
     instrument_netstack,
-    instrument_nvme_driver,
     instrument_pfs,
 )
-from repro.obs.registry import (
-    NOOP,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NoopInstrument,
-)
+from repro.obs.registry import Gauge, MetricsRegistry
 from repro.obs.sampler import DEFAULT_INTERVAL_NS, UtilizationSampler
 from repro.obs.session import ObsSession
 
 __all__ = [
-    "NOOP",
-    "Counter",
     "DEFAULT_INTERVAL_NS",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
-    "NoopInstrument",
     "ObsSession",
     "UtilizationSampler",
     "instrument_machine",
     "instrument_net_driver",
     "instrument_netstack",
-    "instrument_nvme_driver",
     "instrument_pfs",
     "prometheus_name",
     "to_perfetto",

@@ -279,6 +279,20 @@ def _default_size(workload: str) -> int:
     return 16384
 
 
+def _is_blame_report(report) -> bool:
+    """Whether ``report`` has the shape ``obs blame --json`` writes, as
+    far as :func:`diff_reports` reads it."""
+    if not isinstance(report, dict):
+        return False
+    e2e = report.get("e2e")
+    conservation = report.get("conservation")
+    return (isinstance(e2e, dict)
+            and all(isinstance(e2e.get(key), (int, float))
+                    for key in ("mean_ns", "p50_ns", "p99_ns"))
+            and isinstance(conservation, dict) and "ok" in conservation
+            and isinstance(report.get("stages"), list))
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.experiments.base import DURATIONS_MS
     from repro.workloads.pktgen import MIN_PACKET_BYTES
@@ -300,6 +314,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 loaded[path] = json.load(handle)
         except ValueError:  # not JSON, or not even text
             parser.error(f"argument {flag}: not a JSON file: {path}")
+        if not _is_blame_report(loaded[path]):
+            parser.error(f"argument {flag}: not an obs blame report: {path}")
     duration = DURATIONS_MS[args.fidelity] * 1_000_000
 
     def side(path: Optional[str], config: str) -> Tuple[Dict, str]:

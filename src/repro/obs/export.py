@@ -10,72 +10,35 @@ from repro.sim.tracing import Tracer
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
-#: Summary quantiles emitted per histogram.
-_QUANTILES = ((0.5, 50), (0.95, 95), (0.99, 99))
-
 
 def prometheus_name(name: str, prefix: str = "repro") -> str:
     """Dotted instrument name -> Prometheus metric name."""
     return f"{prefix}_{_NAME_RE.sub('_', name)}"
 
 
-def _label_block(labels: Optional[Dict[str, str]],
-                 extra: str = "") -> str:
-    """Render a ``{k="v",...}`` label block ("" when there are none)."""
-    parts = [f'{key}="{labels[key]}"' for key in sorted(labels or {})]
-    if extra:
-        parts.append(extra)
-    return "{" + ",".join(parts) + "}" if parts else ""
-
-
 def to_prometheus(registry: MetricsRegistry, prefix: str = "repro",
                   labels: Optional[Dict[str, str]] = None) -> str:
-    """Prometheus text exposition (0.0.4) of every instrument.
+    """Prometheus text exposition (0.0.4) of every gauge.
 
-    Counters/gauges become single samples; histograms become
-    summary-style quantile samples plus ``_count``/``_sum``.
     ``labels`` is stamped onto every sample — the fleet export passes
     ``{"server": "<id>"}`` so merged per-server registries stay
     distinguishable after scraping.
     """
+    parts = [f'{key}="{labels[key]}"' for key in sorted(labels or {})]
+    block = "{" + ",".join(parts) + "}" if parts else ""
     lines = []
-    plain = _label_block(labels)
     for name in registry.names():
-        instrument = registry.instruments[name]
+        gauge = registry.instruments[name]
         metric = prometheus_name(name, prefix)
-        if instrument.help:
-            lines.append(f"# HELP {metric} {instrument.help}")
-        if instrument.kind == "histogram":
-            lines.append(f"# TYPE {metric} summary")
-            for quantile, p in _QUANTILES:
-                if instrument.count:
-                    value = instrument.percentile(p)
-                    block = _label_block(labels,
-                                         f'quantile="{quantile}"')
-                    lines.append(f"{metric}{block} {value}")
-            lines.append(f"{metric}_count{plain} {instrument.count}")
-            lines.append(f"{metric}_sum{plain} {instrument.sum}")
-        else:
-            lines.append(f"# TYPE {metric} {instrument.kind}")
-            lines.append(f"{metric}{plain} {instrument.value}")
+        if gauge.help:
+            lines.append(f"# HELP {metric} {gauge.help}")
+        lines.append(f"# TYPE {metric} gauge")
+        lines.append(f"{metric}{block} {gauge.value}")
     return "\n".join(lines) + "\n"
 
 
-def to_perfetto(tracer: Tracer,
-                registry: Optional[MetricsRegistry] = None,
-                sampler=None,
-                process_name: str = "repro") -> str:
-    """Chrome/Perfetto JSON: trace records + sampler counter tracks +
-    registry histogram metadata rows, in one document."""
-    counters: Dict = {}
-    if sampler is not None:
-        counters.update(sampler.counter_tracks())
-    histograms: Dict = {}
-    if registry is not None:
-        for name in registry.names():
-            instrument = registry.instruments[name]
-            if instrument.kind == "histogram" and instrument.count:
-                histograms[name] = instrument.summary()
-    return tracer.to_chrome_trace(process_name=process_name,
-                                  counters=counters,
-                                  histograms=histograms)
+def to_perfetto(tracer: Tracer, sampler=None) -> str:
+    """Chrome/Perfetto JSON: trace records plus the sampler's counter
+    tracks, in one document."""
+    counters = sampler.counter_tracks() if sampler is not None else None
+    return tracer.to_chrome_trace(counters=counters)

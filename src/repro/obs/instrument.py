@@ -87,8 +87,13 @@ def instrument_pfs(reg: MetricsRegistry, device, prefix: str) -> None:
                   fn=lambda p=pf: p.link.active_lanes, detail=True)
 
 
-def _instrument_driver_common(reg: MetricsRegistry, driver,
-                              prefix: str) -> None:
+def instrument_net_driver(reg: MetricsRegistry, driver, prefix: str) -> None:
+    """NIC driver + device: per-PF traffic, doorbell/completion/retry
+    counts, failover transitions and DmaQueuePair depth HWMs."""
+    if not reg.enabled:
+        return
+    device = driver.device
+    instrument_pfs(reg, device, prefix)
     reg.gauge(f"{prefix}.doorbell.rings",
               fn=lambda d=driver: d.doorbell.rings,
               help="MMIO doorbells rung")
@@ -107,15 +112,6 @@ def _instrument_driver_common(reg: MetricsRegistry, driver,
                       fn=lambda d=driver, c=counter: getattr(d, c),
                       help="failover state transitions"
                       if counter in ("failovers", "recoveries") else "")
-
-
-def instrument_net_driver(reg: MetricsRegistry, driver, prefix: str) -> None:
-    """NIC driver + device: per-PF traffic and DmaQueuePair depth HWMs."""
-    if not reg.enabled:
-        return
-    device = driver.device
-    instrument_pfs(reg, device, prefix)
-    _instrument_driver_common(reg, driver, prefix)
     queues = list(driver.queues.rx) + list(driver.queues.tx)
     for pf in device.pfs:
         base = f"{prefix}.pf{pf.pf_id}"
@@ -140,33 +136,6 @@ def instrument_net_driver(reg: MetricsRegistry, driver, prefix: str) -> None:
                   fn=lambda q=queue: (
                       q.pf.pf_id if q.pf is not None else -1),
                   detail=True)
-
-
-def instrument_nvme_driver(reg: MetricsRegistry, driver,
-                           prefix: str) -> None:
-    """NVMe driver + controller: flash, per-PF reads, lazy QP depths."""
-    if not reg.enabled:
-        return
-    controller = driver.controller
-    instrument_pfs(reg, controller, prefix)
-    _instrument_driver_common(reg, driver, prefix)
-    reg.gauge(f"{prefix}.flash.bytes",
-              fn=lambda c=controller: c.flash.bytes_total,
-              help="bytes through the flash pipeline")
-    reg.gauge(f"{prefix}.flash.occupancy",
-              fn=lambda c=controller: c.flash.utilization(),
-              help="flash pipeline busy fraction since t=0")
-    for pf in controller.pfs:
-        reg.gauge(f"{prefix}.pf{pf.pf_id}.read_bytes",
-                  fn=lambda c=controller, i=pf.pf_id: c.pf_read_bytes(i),
-                  help="read payload bytes DMAed through this port")
-        # QPs are created lazily per core, so the depth gauge walks the
-        # driver's live QP table at read time.
-        reg.gauge(f"{prefix}.pf{pf.pf_id}.queue_depth_hwm",
-                  fn=lambda d=driver, p=pf: max(
-                      (qp.outstanding_hwm for qp in d._qps.values()
-                       if qp.pf is p), default=0),
-                  help="deepest QP residency on this port")
 
 
 def instrument_netstack(reg: MetricsRegistry, stack, prefix: str) -> None:

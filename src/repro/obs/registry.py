@@ -1,14 +1,12 @@
-"""The metrics registry: namespaced Counter/Gauge/Histogram instruments.
+"""The metrics registry: namespaced gauges.
 
 Design rules (the determinism section of DESIGN.md spells out why):
 
-* **Zero cost when disabled.**  A disabled registry hands out one shared
-  no-op instrument and registers nothing, so instrumented code pays a
-  method call that does nothing — and the preferred instrumentation
-  style avoids even that: gauges *bind a read function* over counters
-  the components already maintain (``server.bytes_total``,
-  ``llc.hits_bytes``, ...), so the hot paths are untouched and the cost
-  of observability is paid at collection time, not per event.
+* **Zero cost when disabled.**  A disabled registry registers nothing.
+  Gauges *bind a read function* over counters the components already
+  maintain (``server.bytes_total``, ``llc.hits_bytes``, ...), so the hot
+  paths are untouched and the cost of observability is paid at
+  collection time, not per event.
 * **Read-only.**  Instruments never mutate model state and never draw
   from the simulation RNG, so attaching a registry cannot perturb the
   deterministic event stream.
@@ -19,49 +17,7 @@ Design rules (the determinism section of DESIGN.md spells out why):
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, List, Optional, Union
-
-
-class NoopInstrument:
-    """Absorbs every instrument call; shared singleton when disabled."""
-
-    __slots__ = ()
-
-    def inc(self, n: Union[int, float] = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-#: The one no-op instance every disabled registry hands out.
-NOOP = NoopInstrument()
-
-
-class Counter:
-    """A monotonically increasing count (doorbells rung, retries, ...)."""
-
-    kind = "counter"
-    __slots__ = ("name", "help", "detail", "_value")
-
-    def __init__(self, name: str, help: str = "", detail: bool = False):
-        self.name = name
-        self.help = help
-        self.detail = detail
-        self._value = 0
-
-    def inc(self, n: Union[int, float] = 1) -> None:
-        if n < 0:
-            raise ValueError(f"counter {self.name} cannot decrease by {n}")
-        self._value += n
-
-    @property
-    def value(self) -> Union[int, float]:
-        return self._value
+from typing import Callable, Dict, List, Optional
 
 
 class Gauge:
@@ -72,7 +28,6 @@ class Gauge:
     gauge reads it only when someone collects.
     """
 
-    kind = "gauge"
     __slots__ = ("name", "help", "detail", "fn", "_value")
 
     def __init__(self, name: str, fn: Optional[Callable[[], float]] = None,
@@ -95,67 +50,12 @@ class Gauge:
         return self._value
 
 
-class Histogram:
-    """A distribution: observations summarised as count/sum/percentiles."""
-
-    kind = "histogram"
-    __slots__ = ("name", "help", "detail", "samples", "_sorted")
-
-    def __init__(self, name: str, help: str = "", detail: bool = False):
-        self.name = name
-        self.help = help
-        self.detail = detail
-        self.samples: List[float] = []
-        self._sorted: Optional[List[float]] = None
-
-    def observe(self, value: float) -> None:
-        self.samples.append(value)
-        self._sorted = None
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
-
-    @property
-    def sum(self) -> float:
-        return sum(self.samples)
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile over all observations, p in [0, 100]."""
-        if not self.samples:
-            raise ValueError(f"histogram {self.name} has no samples")
-        if not 0 <= p <= 100:
-            raise ValueError(f"percentile out of range: {p}")
-        ordered = self._sorted
-        if ordered is None:
-            ordered = self._sorted = sorted(self.samples)
-        rank = max(1, math.ceil(p / 100 * len(ordered)))
-        return ordered[rank - 1]
-
-    def summary(self) -> Dict[str, float]:
-        if not self.samples:
-            return {"count": 0, "sum": 0.0}
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": min(self.samples),
-            "max": max(self.samples),
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-        }
-
-
-Instrument = Union[Counter, Gauge, Histogram]
-
-
 class MetricsRegistry:
-    """Creates and owns instruments under dotted names.
+    """Creates and owns gauges under dotted names.
 
-    When ``enabled=False`` every factory returns the shared
-    :data:`NOOP` instrument and nothing is registered, so a disabled
-    registry costs nothing to carry around and (by construction) nothing
-    per event.
+    When ``enabled=False`` :meth:`gauge` returns None and nothing is
+    registered, so a disabled registry costs nothing to carry around and
+    (by construction) nothing per event.
 
     ``namespace`` prefixes every registered name (``namespace.name``) —
     the fleet merge path gives each server's metrics its own namespace
@@ -166,38 +66,24 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = True, namespace: str = ""):
         self.enabled = enabled
         self.namespace = namespace
-        self.instruments: Dict[str, Instrument] = {}
+        self.instruments: Dict[str, Gauge] = {}
 
     # -------------------------------------------------------- factories
 
     def _qualify(self, name: str) -> str:
         return f"{self.namespace}.{name}" if self.namespace else name
 
-    def _register(self, instrument: Instrument) -> Instrument:
-        if instrument.name in self.instruments:
-            raise ValueError(
-                f"instrument {instrument.name!r} already registered")
-        self.instruments[instrument.name] = instrument
-        return instrument
-
-    def counter(self, name: str, help: str = "",
-                detail: bool = False) -> Union[Counter, NoopInstrument]:
-        if not self.enabled:
-            return NOOP
-        return self._register(Counter(self._qualify(name), help, detail))
+    def _register(self, gauge: Gauge) -> Gauge:
+        if gauge.name in self.instruments:
+            raise ValueError(f"instrument {gauge.name!r} already registered")
+        self.instruments[gauge.name] = gauge
+        return gauge
 
     def gauge(self, name: str, fn: Optional[Callable[[], float]] = None,
-              help: str = "",
-              detail: bool = False) -> Union[Gauge, NoopInstrument]:
+              help: str = "", detail: bool = False) -> Optional[Gauge]:
         if not self.enabled:
-            return NOOP
+            return None
         return self._register(Gauge(self._qualify(name), fn, help, detail))
-
-    def histogram(self, name: str, help: str = "",
-                  detail: bool = False) -> Union[Histogram, NoopInstrument]:
-        if not self.enabled:
-            return NOOP
-        return self._register(Histogram(self._qualify(name), help, detail))
 
     # ----------------------------------------------------------- merging
 
@@ -223,25 +109,18 @@ class MetricsRegistry:
 
     # ------------------------------------------------------- collection
 
-    def get(self, name: str) -> Instrument:
+    def get(self, name: str) -> Gauge:
         return self.instruments[name]
 
     def names(self) -> List[str]:
         return sorted(self.instruments)
 
     def collect(self, include_detail: bool = True) -> Dict[str, float]:
-        """Evaluate every instrument into a flat name -> value mapping.
-
-        Histograms expand into ``name.count`` / ``name.p50`` / ... keys.
-        """
+        """Evaluate every gauge into a flat name -> value mapping."""
         out: Dict[str, float] = {}
         for name in self.names():
-            instrument = self.instruments[name]
-            if instrument.detail and not include_detail:
+            gauge = self.instruments[name]
+            if gauge.detail and not include_detail:
                 continue
-            if instrument.kind == "histogram":
-                for key, value in instrument.summary().items():
-                    out[f"{name}.{key}"] = value
-            else:
-                out[name] = instrument.value
+            out[name] = gauge.value
         return out

@@ -58,13 +58,13 @@ class ObsSession:
 
     # ------------------------------------------------------------ attach
 
-    def attach(self, testbed, horizon_ns: Optional[int] = None,
-               include_client: bool = False) -> "ObsSession":
+    def attach(self, testbed,
+               horizon_ns: Optional[int] = None) -> "ObsSession":
         """Wire the session into a freshly built testbed.
 
         ``horizon_ns`` bounds the sampler (normally the point's simulated
-        duration); without it no sampler runs.  The client machine is
-        skipped by default — the paper's questions are all server-side.
+        duration); without it no sampler runs.  Gauges cover the server
+        only — the paper's questions are all server-side.
         """
         if self._attached:
             raise ValueError("session already attached")
@@ -76,10 +76,6 @@ class ObsSession:
         instrument_machine(self.registry, server.machine, "srv")
         instrument_net_driver(self.registry, server.driver, "srv.nic")
         instrument_netstack(self.registry, server.stack, "srv")
-        if include_client:
-            instrument_machine(self.registry, testbed.client.machine, "cli")
-            instrument_net_driver(self.registry, testbed.client.driver,
-                                  "cli.nic")
         if self.enabled and horizon_ns and self.sample_interval_ns:
             self.sampler = self._build_sampler(testbed)
             self.sampler.start(horizon_ns)
@@ -114,8 +110,7 @@ class ObsSession:
     def collect(self, include_detail: bool = True):
         return self.registry.collect(include_detail=include_detail)
 
-    def utilization_table(self, full: bool = False,
-                          title: str = "per-component utilization") -> str:
+    def utilization_table(self, full: bool = False) -> str:
         """The ``repro obs`` table: component / metric / value rows.
 
         ``full=False`` folds away ``detail=True`` instruments (per-queue,
@@ -127,20 +122,11 @@ class ObsSession:
             component, _, metric = name.rpartition(".")
             rows.append([component, metric, value])
         return format_table(("component", "metric", "value"), rows,
-                            title=title)
+                            title="per-component utilization")
 
     def prometheus(self) -> str:
         return to_prometheus(self.registry)
 
-    def perfetto_json(self, process_name: str = "repro") -> str:
+    def perfetto_json(self) -> str:
         tracer = self.tracer if self.tracer is not None else Tracer()
-        return to_perfetto(tracer, registry=self.registry,
-                           sampler=self.sampler,
-                           process_name=process_name)
-
-    def blame_report(self, domain: str = "flow") -> dict:
-        """Per-stage latency budgets (:func:`repro.obs.blame.build_report`)."""
-        if self.blame is None:
-            raise ValueError("session was not built with blame=True")
-        from repro.obs.blame import build_report
-        return build_report(self.blame, domain=domain)
+        return to_perfetto(tracer, sampler=self.sampler)

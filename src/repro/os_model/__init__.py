@@ -1,11 +1,5 @@
 """OS model: threads, scheduler, netdevice drivers, network stack."""
 
-from repro.os_model.alloc import (
-    PAGE,
-    POLICIES,
-    NumaAllocator,
-    OutOfMemoryError,
-)
 from repro.os_model.driver import NetDriver, StandardDriver
 from repro.os_model.netstack import COALESCE_PKTS, MSS, NetworkStack, Socket
 from repro.os_model.scheduler import Scheduler
@@ -13,10 +7,6 @@ from repro.os_model.thread import SimThread
 
 __all__ = [
     "COALESCE_PKTS",
-    "NumaAllocator",
-    "OutOfMemoryError",
-    "PAGE",
-    "POLICIES",
     "MSS",
     "NetDriver",
     "NetworkStack",

@@ -1,18 +1,16 @@
-"""Lightweight event tracing: instants, spans, and flows.
+"""Lightweight event tracing: instants and flows.
 
 A :class:`Tracer` collects :class:`TraceRecord` entries.  Tracing is off
 by default and costs one predicate check per emit when disabled, so hot
-paths can trace unconditionally.  Three record shapes exist:
+paths can trace unconditionally.  Two record shapes exist:
 
-* **instant** (``phase="i"``) — a point event, the original shape every
+* **instant** (``phase="i"``) — a point event, the shape every
   component emits (``pf_down``, ``failover.begin``, ...).
-* **span** (``phase="X"``) — a duration: ``emit``-ed with ``dur`` ns, it
-  renders as a slice on the source's track.
-* **flow step** — a span that additionally carries a ``flow_id``: one
-  packet or IO's journey through the machine.  Steps of one flow are
-  connected by Perfetto/Chrome flow arrows (``s``/``t``/``f`` events),
-  so a single packet can be followed wire → PF → DMA → LLC → app across
-  component tracks.
+* **flow step** (``phase="X"``) — a span of ``dur`` ns that carries a
+  ``flow_id``: one stage of a packet or IO's journey through the
+  machine.  Steps of one flow are connected by Perfetto/Chrome flow
+  arrows (``s``/``t``/``f`` events), so a single packet can be followed
+  wire → PF → DMA → LLC → app across component tracks.
 
 Flows are built through :meth:`Tracer.begin_flow`, which returns a
 :class:`TraceFlow` holding a **time cursor**: each :meth:`TraceFlow.step`
@@ -25,8 +23,8 @@ same lines of code.
 
 Collected traces export as Chrome trace-event JSON
 (:meth:`Tracer.to_chrome_trace`) for ``chrome://tracing`` or
-https://ui.perfetto.dev; metric time series and histogram summaries can
-ride along as counter tracks / metadata rows.
+https://ui.perfetto.dev; metric time series can ride along as counter
+tracks.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,7 @@ class TraceFlow:
             dur = 0
         if self.record:
             phase = "s" if self.steps == 0 else "t"
-            self.tracer._append(TraceRecord(
+            self.tracer.records.append(TraceRecord(
                 self.cursor, source, event, payload, "X", dur,
                 self.flow_id, phase))
         self.steps += 1
@@ -137,7 +135,7 @@ class TraceFlow:
         if dur < 0:
             dur = 0
         if self.record:
-            self.tracer._append(TraceRecord(
+            self.tracer.records.append(TraceRecord(
                 self.cursor, source, event, payload, "X", dur,
                 self.flow_id, "f"))
         self.steps += 1
@@ -179,12 +177,10 @@ class TraceFlow:
 
 @dataclass
 class Tracer:
-    """Collects trace records, optionally filtered by source prefix."""
+    """Collects trace records."""
 
     enabled: bool = False
-    source_prefix: Optional[str] = None
     records: List[TraceRecord] = field(default_factory=list)
-    sinks: List[Callable[[TraceRecord], None]] = field(default_factory=list)
     #: Flow tracing is opt-in on top of ``enabled``: several experiments
     #: and tests flip ``enabled`` for instant events and must not start
     #: collecting per-packet staircases as a side effect.
@@ -231,27 +227,11 @@ class Tracer:
 
     # ------------------------------------------------------------- emit
 
-    def _append(self, record: TraceRecord) -> None:
-        if self.source_prefix and not record.source.startswith(
-                self.source_prefix):
-            return
-        self.records.append(record)
-        for sink in self.sinks:
-            sink(record)
-
     def emit(self, time: int, source: str, event: str,
              payload: Any = None) -> None:
         if not self.enabled:
             return
-        self._append(TraceRecord(time, source, event, payload))
-
-    def span(self, time: int, source: str, event: str, dur: int,
-             payload: Any = None) -> None:
-        """A standalone duration slice (no flow membership)."""
-        if not self.enabled:
-            return
-        self._append(TraceRecord(time, source, event, payload, "X",
-                                 max(0, int(dur))))
+        self.records.append(TraceRecord(time, source, event, payload))
 
     def begin_flow(self, start_ns: int) -> Optional[TraceFlow]:
         """Open a flow at ``start_ns`` and make it the active flow.
@@ -333,15 +313,6 @@ class Tracer:
 
     # ----------------------------------------------------------- queries
 
-    def by_event(self, event: str) -> List[TraceRecord]:
-        return [r for r in self.records if r.event == event]
-
-    def by_source(self, source: str) -> List[TraceRecord]:
-        return [r for r in self.records if r.source == source]
-
-    def by_flow(self, flow_id: int) -> List[TraceRecord]:
-        return [r for r in self.records if r.flow_id == flow_id]
-
     def counts(self) -> Dict[str, int]:
         return Counter(record.event for record in self.records)
 
@@ -359,15 +330,14 @@ class Tracer:
     def to_chrome_trace(
             self, process_name: str = "repro",
             counters: Optional[Dict[str, Sequence[Tuple[int, float]]]] = None,
-            histograms: Optional[Dict[str, Dict[str, float]]] = None) -> str:
+            ) -> str:
         """The collected records as Chrome trace-event JSON.
 
         Each source becomes one thread row; instants stay point events,
         spans become "X" slices, and flow steps additionally emit
         ``s``/``t``/``f`` arrow events binding the slices of one packet's
         journey together.  ``counters`` (name -> [(time_ns, value), ...])
-        render as Perfetto counter tracks; ``histograms`` (name ->
-        summary dict) are attached as metadata rows.  Load the string in
+        render as Perfetto counter tracks.  Load the string in
         ``chrome://tracing`` or https://ui.perfetto.dev.  Timestamps are
         microseconds in that format, so sim nanoseconds map to fractional
         ``ts`` values.
@@ -422,22 +392,8 @@ class Tracer:
                     "ts": time_ns / 1000,
                     "args": {"value": value},
                 })
-        for name, summary in (histograms or {}).items():
-            events.append({
-                "name": f"histogram:{name}", "ph": "M", "pid": 0, "tid": 0,
-                "args": {str(k): v for k, v in summary.items()},
-            })
         return json.dumps({"traceEvents": events,
                            "displayTimeUnit": "ns"})
-
-    def clear(self) -> None:
-        self.records.clear()
-        self.active_flow = None
-        self._flow_seen = 0
-        self._blame_seen = 0
-        self._flow_stride = 1
-        self._flow_offset = 0
-        self._flow_ids = []
 
 
 #: Shared no-op tracer used when a component is built without one.

@@ -41,7 +41,6 @@ class MemorySpec:
     """One node's DRAM subsystem."""
 
     bytes_per_sec: float          # achievable node DRAM bandwidth
-    capacity_bytes: int
     #: Extra latency of an LLC miss served by local DRAM, over an LLC hit.
     #: §5.1.1: "Reading this entry from memory costs about 80 ns, which is
     #: essentially the delta between the per-packet costs."
@@ -148,7 +147,7 @@ def dell_r730_spec() -> MachineSpec:
         num_nodes=2,
         cpu=CpuSpec(cores=14, ghz=2.0, llc_bytes=35 * MB),
         # 4 channels DDR4-2400 = 76.8 GB/s peak; ~60 GB/s achievable.
-        memory=MemorySpec(bytes_per_sec=60e9, capacity_bytes=64 * GB),
+        memory=MemorySpec(bytes_per_sec=60e9),
         # 2 QPI links x 9.6 GT/s x 2 B = 38.4 GB/s raw per direction;
         # ~75% protocol efficiency => ~28 GB/s usable.
         interconnect=InterconnectSpec(bytes_per_sec_per_direction=28e9,
@@ -164,7 +163,7 @@ def dell_skylake_spec() -> MachineSpec:
         num_nodes=2,
         cpu=CpuSpec(cores=24, ghz=2.1, llc_bytes=33 * MB),
         # 6 channels DDR4-2666 = 128 GB/s peak; ~100 GB/s achievable.
-        memory=MemorySpec(bytes_per_sec=100e9, capacity_bytes=48 * GB),
+        memory=MemorySpec(bytes_per_sec=100e9),
         # 2 UPI links x 10.4 GT/s x 2 B ~= 41.6 GB/s raw; ~75% usable.
         interconnect=InterconnectSpec(bytes_per_sec_per_direction=31e9,
                                       crossing_latency_ns=65,

@@ -47,8 +47,9 @@ MAX_TRAIN_BURSTS = 32
 #: of reacting to an injected fault (a fault lands mid-train at most this
 #: late) and the record-ahead quantisation of the throughput meters.
 MAX_TRAIN_WALL_NS = 250_000
-#: Hard cap on a single train's payload bytes (kept below the ~3.5 MB
-#: DDIO LLC slice; see MemorySystem.ddio_slice_bytes).
+#: Hard cap on a single train's payload bytes.  A fixed constant, below
+#: both presets' DDIO LLC slices (10% of the LLC: 3.5 MB on the R730,
+#: 3.3 MB on the Skylake host); no run checks it against the slice.
 MAX_TRAIN_BYTES = 2 * 1024 * 1024
 #: Consecutive stable per-burst wall observations required before a train
 #: may grow.

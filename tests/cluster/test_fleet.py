@@ -1,6 +1,8 @@
 """Fleet end-to-end: determinism golden, jobs-independence, failover
 claims, merged observability."""
 
+import hashlib
+
 import pytest
 
 from repro.cluster import FleetSpec, run_fleet, run_fleet_server
@@ -24,6 +26,16 @@ def golden_fleet():
 
 def test_golden_fleet_fingerprint(golden_fleet):
     assert golden_fleet.fingerprint() == GOLDEN_FINGERPRINT
+
+
+#: sha256 of the golden fleet's merged Prometheus scrape body.
+GOLDEN_PROMETHEUS_SHA256 = (
+    "6b8f6096d4f4daec2b4cc278be4845aba2b03fead7430e29cad99832181529b8")
+
+
+def test_golden_fleet_prometheus_pinned(golden_fleet):
+    body = golden_fleet.prometheus().encode()
+    assert hashlib.sha256(body).hexdigest() == GOLDEN_PROMETHEUS_SHA256
 
 
 def test_fleet_is_deterministic_across_repeats(golden_fleet):

@@ -94,15 +94,6 @@ def test_machines_share_one_clock():
 
 # ------------------------------------------------------------- builder
 
-def test_builder_build_matches_testbed_ctor():
-    built = TestbedBuilder("remote").seed(5).build()
-    direct = Testbed("remote", seed=5)
-    assert built.system == direct.system
-    assert built.config == direct.config
-    nodes = [pf.attach_node for pf in built.server.nic.pfs]
-    assert nodes == [pf.attach_node for pf in direct.server.nic.pfs]
-
-
 def test_builder_single_host_octo_defaults():
     host = TestbedBuilder("ioctopus").build_host()
     assert len(host.nic.pfs) == 2
@@ -135,7 +126,5 @@ def test_builder_applies_components_to_single_host():
 
 
 def test_builder_validates_knobs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="wiring"):
         TestbedBuilder("ioctopus").wiring("string-and-cans")
-    with pytest.raises(ValueError):
-        TestbedBuilder("ioctopus").client_config("weird")

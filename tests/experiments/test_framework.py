@@ -78,7 +78,7 @@ def test_accuracy_override_reaches_every_environment(adaptive_override):
     """--accuracy reaches testbeds built without a tier, as fig12,
     fig15, failover_ssd, abl_window and abl_octossd build them."""
     assert Testbed("local").accuracy == "adaptive"
-    host, _ = build_nvme_host(octo_mode=False, dual_port=False)
+    host, _ = build_nvme_host(octo_mode=False)
     assert host.machine.env.accuracy == "adaptive"
     for name in all_experiment_names():
         assert get_experiment(name).accuracy() == "adaptive", name
@@ -204,6 +204,14 @@ def test_cli_unknown_experiment(capsys):
     pytest.param(["obs", "diff", "--a", "README.md", "--b", "README.md"],
                  "argument --a: not a JSON file: README.md",
                  id="obs-diff--a-not-json"),
+    pytest.param(["obs", "diff", "--a", "tests/corpus/s0-c3.json", "--b",
+                  "tests/corpus/s0-c3.json"],
+                 "argument --a: not an obs blame report: "
+                 "tests/corpus/s0-c3.json",
+                 id="obs-diff--a-not-report"),
+    pytest.param(["obs", "diff", "--b", "BENCHMARK.json"],
+                 "argument --b: not an obs blame report: BENCHMARK.json",
+                 id="obs-diff--b-not-report"),
 ])
 def test_cli_rejects_non_positive_counts(argv, error, capsys):
     with pytest.raises(SystemExit) as exit_info:

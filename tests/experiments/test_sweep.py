@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +129,30 @@ def test_no_cache_dir_always_executes():
 def test_configure_rejects_bad_jobs():
     with pytest.raises(ValueError):
         sweep.configure(jobs=0)
+
+
+def test_sweep_jobs_env_is_read_when_needed_and_validated(monkeypatch):
+    monkeypatch.setattr(sweep, "_jobs", None)
+    for bad in ("abc", "0", "-3"):
+        monkeypatch.setenv("REPRO_SWEEP_JOBS", bad)
+        with pytest.raises(ValueError, match="REPRO_SWEEP_JOBS"):
+            sweep.current_jobs()
+    monkeypatch.setenv("REPRO_SWEEP_JOBS", "3")
+    assert sweep.current_jobs() == 3
+    monkeypatch.delenv("REPRO_SWEEP_JOBS")
+    assert sweep.current_jobs() == 1
+    # --jobs (configure) wins over the variable, bad or not.
+    monkeypatch.setenv("REPRO_SWEEP_JOBS", "abc")
+    sweep.configure(jobs=2)
+    assert sweep.current_jobs() == 2
+    # A bad value does not break an import: --list still runs.
+    src = Path(sweep.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    listing = subprocess.run(
+        [sys.executable, "-m", "repro.experiments.cli", "--list"],
+        env=env, capture_output=True, text=True, check=False)
+    assert listing.returncode == 0, listing.stderr
+    assert "fig08" in listing.stdout
 
 
 def test_parallel_matches_serial():

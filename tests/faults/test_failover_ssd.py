@@ -23,7 +23,7 @@ def ssd_run():
 def single_port_remote_gbps():
     """fio throughput when every drive has only its socket-0 port, under
     the same UPI congestion — the level failover should degrade to."""
-    host, drivers = build_nvme_host(octo_mode=False, dual_port=False)
+    host, drivers = build_nvme_host(octo_mode=False)
     machine = host.machine
     fio_cores = machine.cores_on_node(1)[:FIO_THREADS]
     fleet = spawn_fio_fleet(host, fio_cores, drivers, DURATION_NS)

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.faults import FAULT_KINDS, FaultPlan, FaultSpec
-from repro.sim.rng import SimRandom
+from repro.faults import FaultPlan, FaultSpec
 
 
 def test_unknown_kind_rejected():
@@ -70,30 +69,3 @@ def test_plan_ties_keep_insertion_order():
     second = FaultSpec("pf_down", at_ns=50, pf_id=1)
     plan = FaultPlan().add(first).add(second)
     assert plan.ordered() == [first, second]
-
-
-def test_random_plan_is_reproducible():
-    a = FaultPlan.random(SimRandom(42), horizon_ns=10**9, count=8)
-    b = FaultPlan.random(SimRandom(42), horizon_ns=10**9, count=8)
-    assert a.describe() == b.describe()
-    assert len(a) == 8
-
-
-def test_random_plan_varies_with_seed():
-    a = FaultPlan.random(SimRandom(1), horizon_ns=10**9, count=8)
-    b = FaultPlan.random(SimRandom(2), horizon_ns=10**9, count=8)
-    assert a.describe() != b.describe()
-
-
-def test_random_plan_specs_are_valid():
-    plan = FaultPlan.random(SimRandom(7), horizon_ns=10**9, count=32)
-    for spec in plan:
-        assert spec.kind in FAULT_KINDS
-        assert 0 <= spec.at_ns < 10**9
-        assert spec.duration_ns >= 1
-
-
-def test_random_plan_rejects_throttle_on_single_node():
-    with pytest.raises(ValueError):
-        FaultPlan.random(SimRandom(0), horizon_ns=10**6, count=1,
-                         kinds=("qpi_throttle",), num_nodes=1)

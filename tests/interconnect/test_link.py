@@ -14,38 +14,22 @@ def qpi():
                         crossing_latency_ns=30)
 
 
-def test_same_node_traverse_is_free(qpi):
-    assert qpi.traverse(0, 0, 10_000) == 0
-
-
 def test_crossing_includes_latency_and_service(qpi):
-    delay = qpi.traverse(0, 1, 2800)
+    delay = qpi.link(0, 1).traverse(2800)
     # 30 ns crossing + 2800 B / 28 GB/s = 100 ns
     assert delay == 30 + 100
 
 
 def test_directions_are_independent(qpi):
-    qpi.traverse(0, 1, 28_000_000)  # load 0->1 heavily
+    qpi.link(0, 1).traverse(28_000_000)  # load 0->1 heavily
     # 1->0 unaffected
-    assert qpi.traverse(1, 0, 2800) == 130
+    assert qpi.link(1, 0).traverse(2800) == 130
 
 
 def test_backlog_accumulates(qpi):
-    first = qpi.traverse(0, 1, 28_000)
-    second = qpi.traverse(0, 1, 28_000)
+    first = qpi.link(0, 1).traverse(28_000)
+    second = qpi.link(0, 1).traverse(28_000)
     assert second > first
-
-
-def test_round_trip_charges_both_directions(qpi):
-    delay = qpi.round_trip(0, 1, 64, 2800)
-    fwd = qpi.link(0, 1).bytes_total
-    back = qpi.link(1, 0).bytes_total
-    assert (fwd, back) == (64, 2800)
-    assert delay >= 60  # two crossings
-
-
-def test_round_trip_same_node_free(qpi):
-    assert qpi.round_trip(1, 1, 64, 2800) == 0
 
 
 def test_missing_link_raises(qpi):
@@ -54,7 +38,7 @@ def test_missing_link_raises(qpi):
     with pytest.raises(KeyError):
         qpi.link(0, 5)
     with pytest.raises(KeyError, match="no interconnect link 0->5"):
-        qpi.traverse(0, 5, 64)
+        qpi.link(0, 5).traverse(64)
 
 
 @pytest.mark.parametrize("preload, cap, factor", [
@@ -84,12 +68,6 @@ def test_traverse_matches_load_factor(preload, cap, factor):
                    + twin.account(64))
     assert link.loaded_crossing_ns() == int(
         link.crossing_latency_ns * link.load_factor())
-
-
-def test_probe_delay_does_not_charge(qpi):
-    before = qpi.link(0, 1).bytes_total
-    qpi.link(0, 1).probe_delay(64)
-    assert qpi.link(0, 1).bytes_total == before
 
 
 def test_num_links_for_n_nodes():
@@ -124,9 +102,9 @@ def test_throttle_reduces_rate_and_estimates(qpi):
 
 
 def test_throttled_crossing_is_slower(qpi):
-    fast = qpi.traverse(0, 1, 28_000)
+    fast = qpi.link(0, 1).traverse(28_000)
     qpi.link(0, 1).throttle(0.25)
-    slow = qpi.traverse(0, 1, 28_000)
+    slow = qpi.link(0, 1).traverse(28_000)
     assert slow > fast
 
 
@@ -134,7 +112,7 @@ def test_negative_traverse_charges_nothing(qpi):
     """A rejected transfer leaves the queue, the load bucket and the
     counters as they were."""
     link = qpi.link(0, 1)
-    link.traverse(1000)
+    qpi.link(0, 1).traverse(1000)
     link.env._now = 50
 
     def state():
@@ -144,9 +122,7 @@ def test_negative_traverse_charges_nothing(qpi):
 
     before = state()
     with pytest.raises(ValueError, match="negative transfer size -500"):
-        link.traverse(-500)
-    with pytest.raises(ValueError, match="negative transfer size -500"):
-        qpi.traverse(0, 1, -500)
+        qpi.link(0, 1).traverse(-500)
     assert state() == before
     assert link._bucket_bytes == 1000
 

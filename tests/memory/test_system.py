@@ -33,7 +33,7 @@ def test_local_dma_write_spilling_past_the_slice_is_not_fresh(machine):
     the region stops counting as freshly cached, even when an earlier
     write left it fresh."""
     memory = machine.memory
-    slice_bytes = memory.ddio_slice_bytes(0)
+    slice_bytes = memory.llcs[0].ddio_capacity
     r = ring(machine, size=4 * slice_bytes)
     assert memory.dma_write(0, r, 1500) == 0
     assert r.dma_llc_node == 0
@@ -136,7 +136,9 @@ def test_cpu_stream_delay_is_the_largest_term(machine):
     idle = dell_r730()
     remote = idle.alloc_region("remote", 1, 64 * 1024)
     # 512 B of request headers out (1/8 of the payload), 4 KB back.
-    round_trip = dell_r730().interconnect.round_trip(0, 1, 512, 4096)
+    links = dell_r730().interconnect
+    round_trip = (links.link(0, 1).traverse(512)
+                  + links.link(1, 0).traverse(4096))
     assert round_trip > stall
     assert idle.memory.cpu_stream_read(0, remote, 4096) == round_trip
 
@@ -147,16 +149,6 @@ def test_cpu_stream_read_cached_is_free(machine):
     assert machine.memory.cpu_stream_read(0, r, r.size) == 0
 
 
-def test_cpu_copy_charges_base_cost(machine):
-    src = machine.alloc_region("src", 0, 4096)
-    dst = machine.alloc_region("dst", 0, 4096)
-    # Warm both so only the base per-byte cost remains.
-    machine.memory.cpu_copy(0, src, dst, 4096)
-    warm = machine.memory.cpu_copy(0, src, dst, 4096)
-    expected = int(4096 * machine.spec.software.copy_ns_per_byte)
-    assert warm == expected
-
-
 def test_non_temporal_write_skips_llc_and_fill(machine):
     nt = machine.alloc_region("stream-out", 1, 64 * 1024, non_temporal=True)
     machine.memory.cpu_stream_write(0, nt, nt.size)
@@ -165,21 +157,6 @@ def test_non_temporal_write_skips_llc_and_fill(machine):
     assert machine.nodes[1].dram.write_bytes == nt.size
     # No write-allocate fill read.
     assert machine.nodes[1].dram.read_bytes == 0
-
-
-def test_cacheline_read_miss_latency_local_vs_remote(machine):
-    local = machine.alloc_region("l", 0, 4096)
-    remote = machine.alloc_region("r", 1, 4096)
-    local_lat = machine.memory.cacheline_read(0, local)
-    remote_lat = machine.memory.cacheline_read(0, remote)
-    assert local_lat >= machine.spec.memory.miss_latency_ns
-    assert remote_lat > local_lat  # remote adds interconnect crossings
-
-
-def test_cacheline_read_hit_after_fill(machine):
-    r = machine.alloc_region("l", 0, 64)
-    machine.memory.cacheline_read(0, r)
-    assert machine.memory.cacheline_read(0, r) == 0
 
 
 def test_fresh_dma_hit_requires_matching_node(machine):

@@ -2,17 +2,7 @@
 
 import pytest
 
-from repro.obs import NOOP, MetricsRegistry, NoopInstrument
-
-
-def test_counter_increments_and_rejects_negative():
-    reg = MetricsRegistry()
-    c = reg.counter("x.requests", help="requests")
-    c.inc()
-    c.inc(4)
-    assert c.value == 5
-    with pytest.raises(ValueError):
-        c.inc(-1)
+from repro.obs import MetricsRegistry
 
 
 def test_gauge_read_time_binding():
@@ -33,71 +23,38 @@ def test_gauge_settable_when_unbound():
     assert g.value == 2.5
 
 
-def test_histogram_summary_and_percentiles():
-    reg = MetricsRegistry()
-    h = reg.histogram("x.lat")
-    for v in (100, 200, 300, 400):
-        h.observe(v)
-    assert h.count == 4
-    assert h.sum == 1000
-    assert h.percentile(50) == 200
-    summary = h.summary()
-    assert summary["count"] == 4
-    assert summary["min"] == 100
-    assert summary["max"] == 400
-    with pytest.raises(ValueError):
-        h.percentile(101)
-
-
-def test_histogram_empty():
-    reg = MetricsRegistry()
-    h = reg.histogram("x.empty")
-    assert h.summary()["count"] == 0
-    with pytest.raises(ValueError):
-        h.percentile(50)
-
-
 def test_duplicate_name_rejected():
     reg = MetricsRegistry()
-    reg.counter("x.a")
+    reg.gauge("x.a")
     with pytest.raises(ValueError, match="x.a"):
-        reg.gauge("x.a")
+        reg.gauge("x.a", fn=lambda: 1.0)
 
 
 def test_disabled_registry_returns_shared_noop():
     reg = MetricsRegistry(enabled=False)
-    c = reg.counter("x.a")
-    g = reg.gauge("x.b", fn=lambda: 1.0)
-    h = reg.histogram("x.c")
-    assert c is NOOP and g is NOOP and h is NOOP
-    assert isinstance(c, NoopInstrument)
-    # No-ops are callable but record nothing, and nothing registers.
-    c.inc()
-    g.set(1.0)
-    h.observe(5)
+    assert reg.gauge("x.a") is None
+    assert reg.gauge("x.b", fn=lambda: 1.0, detail=True) is None
+    # Nothing registers, so nothing collects.
+    assert reg.instruments == {}
     assert reg.names() == []
     assert reg.collect() == {}
 
 
 def test_collect_flattens_and_filters_detail():
     reg = MetricsRegistry()
-    reg.counter("a.count").inc(3)
+    reg.gauge("a.count", fn=lambda: 3)
     reg.gauge("a.debug", fn=lambda: 9.0, detail=True)
-    h = reg.histogram("a.lat")
-    h.observe(10)
+    reg.gauge("a.level").set(0.5)
     flat = reg.collect(include_detail=True)
-    assert flat["a.count"] == 3
-    assert flat["a.debug"] == 9.0
-    assert flat["a.lat.count"] == 1
-    assert flat["a.lat.p50"] == 10
+    assert flat == {"a.count": 3, "a.debug": 9.0, "a.level": 0.5}
+    assert list(flat) == ["a.count", "a.debug", "a.level"]
     curated = reg.collect(include_detail=False)
-    assert "a.debug" not in curated
-    assert "a.count" in curated
+    assert curated == {"a.count": 3, "a.level": 0.5}
 
 
 def test_namespace_prefixes_every_instrument():
     registry = MetricsRegistry(namespace="srv3")
-    registry.counter("nic.doorbells")
+    registry.gauge("nic.doorbells", lambda: 7)
     registry.gauge("qpi.util", lambda: 0.5)
     assert registry.names() == ["srv3.nic.doorbells", "srv3.qpi.util"]
 

@@ -1,6 +1,7 @@
 """ObsSession end-to-end: attach, report, export — and the determinism
 golden proving observability never changes simulated results."""
 
+import hashlib
 import json
 
 import pytest
@@ -38,6 +39,25 @@ def test_rr_golden_unchanged_with_obs():
     traced = run_tcp_rr("remote", "local", True, 1024, 5_000_000,
                         seed=0, accuracy="exact", obs=obs)
     assert traced == baseline
+
+
+#: sha256 of the two exports of CI's blame-smoke sample point (RR,
+#: remote server, 1 KB messages, quick, exact).  Pins the registry and
+#: export code byte for byte: regenerate only for a deliberate change.
+RR_PROMETHEUS_SHA256 = (
+    "d2922c663e096cb5470ea87a36d0b038cd8bddb688074080bfb45492d7a45ac2")
+RR_PERFETTO_SHA256 = (
+    "bcdbe0bdc0ba3703930bb63ceb10758ba2661006638125e17d258e3a74159e9e")
+
+
+def test_exports_pinned_on_blame_smoke_point():
+    obs = ObsSession(enabled=True, trace=True)
+    run_tcp_rr("remote", "local", True, 1024, 10_000_000, seed=0,
+               accuracy="exact", obs=obs)
+    prometheus = obs.prometheus().encode()
+    perfetto = obs.perfetto_json().encode()
+    assert hashlib.sha256(prometheus).hexdigest() == RR_PROMETHEUS_SHA256
+    assert hashlib.sha256(perfetto).hexdigest() == RR_PERFETTO_SHA256
 
 
 def test_registry_reports_paper_metrics():
@@ -115,13 +135,16 @@ def test_prometheus_labels_stamped_on_every_sample():
     from repro.obs.registry import MetricsRegistry
 
     registry = MetricsRegistry()
-    registry.counter("nic.rx_bytes").inc(7)
-    hist = registry.histogram("lat")
-    hist.observe(5.0)
-    text = to_prometheus(registry, labels={"server": "3"})
-    assert 'repro_nic_rx_bytes{server="3"} 7' in text
-    assert 'repro_lat{server="3",quantile="0.5"}' in text
-    assert 'repro_lat_count{server="3"} 1' in text
+    registry.gauge("nic.rx_bytes", fn=lambda: 7, help="bytes")
+    registry.gauge("lat").set(5.0)
+    text = to_prometheus(registry, labels={"server": "3", "az": "b"})
+    assert text == (
+        "# TYPE repro_lat gauge\n"
+        'repro_lat{az="b",server="3"} 5.0\n'
+        "# HELP repro_nic_rx_bytes bytes\n"
+        "# TYPE repro_nic_rx_bytes gauge\n"
+        'repro_nic_rx_bytes{az="b",server="3"} 7\n')
     # No labels -> the historical bare format.
     bare = to_prometheus(registry)
     assert "repro_nic_rx_bytes 7" in bare
+    assert "repro_lat 5.0" in bare

@@ -99,7 +99,7 @@ def test_invalid_spec_rejected():
         MachineSpec(
             name="bad", num_nodes=0,
             cpu=CpuSpec(cores=1, ghz=1.0, llc_bytes=1),
-            memory=MemorySpec(bytes_per_sec=1.0, capacity_bytes=1),
+            memory=MemorySpec(bytes_per_sec=1.0),
             interconnect=InterconnectSpec(bytes_per_sec_per_direction=1.0))
 
 
