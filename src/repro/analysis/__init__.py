@@ -4,7 +4,6 @@ from repro.analysis.claims import (
     ClaimCheck,
     claim,
     claims_for,
-    verify_all,
     verify_result,
 )
 from repro.analysis.report import render_report, render_result, run_report
@@ -16,6 +15,5 @@ __all__ = [
     "render_report",
     "render_result",
     "run_report",
-    "verify_all",
     "verify_result",
 ]

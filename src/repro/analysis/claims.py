@@ -1,9 +1,8 @@
 """The paper's qualitative claims, encoded as checkable predicates.
 
 Each claim inspects one experiment's :class:`ExperimentResult` and
-returns a :class:`ClaimCheck`.  ``verify_result`` evaluates every claim
-registered for that experiment; ``verify_all`` runs and verifies the
-whole evaluation.  This is the machine-readable version of
+returns a :class:`ClaimCheck`; ``verify_result`` evaluates every claim
+registered for that experiment.  This is the machine-readable version of
 ``EXPERIMENTS.md``: the *shape* of each figure — who wins, by roughly
 what factor, where the crossovers fall.
 """
@@ -13,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
-from repro.experiments.base import ExperimentResult, get_experiment
+from repro.experiments.base import ExperimentResult
 
 
 @dataclass(frozen=True)
@@ -59,15 +58,6 @@ def claims_for(experiment: str) -> List[Predicate]:
 def verify_result(result: ExperimentResult) -> List[ClaimCheck]:
     """Check every registered claim against an already-run result."""
     return [predicate(result) for predicate in claims_for(result.experiment)]
-
-
-def verify_all(fidelity: str = "quick") -> List[ClaimCheck]:
-    """Run and verify every experiment that has registered claims."""
-    checks: List[ClaimCheck] = []
-    for name in sorted(_CLAIMS):
-        result = get_experiment(name).run(fidelity=fidelity)
-        checks.extend(verify_result(result))
-    return checks
 
 
 # ---------------------------------------------------------------------------

@@ -83,8 +83,12 @@ class Experiment:
 
         Resolved by :func:`~repro.sim.engine.resolve_accuracy`, whose
         fallback here is the fidelity default: quick runs take the
-        adaptive fast path (coalesced packet trains + early
-        termination), normal/long runs stay exact.
+        adaptive fast path, normal/long runs stay exact.  Only point
+        functions with an ``accuracy`` parameter receive it (see
+        :meth:`sweep`): at quick, the points of fig06–fig12 and sec24.
+        Throughput points coalesce packet trains and stop early once
+        their rate converges; latency points (fig09's TCP_RR, fig12's
+        sockperf) form no trains and stop once their average converges.
         """
         quick = getattr(self, "_fidelity", None) == "quick"
         return resolve_accuracy("adaptive" if quick else "exact")
@@ -101,8 +105,10 @@ class Experiment:
 
         Point functions that accept an ``accuracy`` parameter get this
         experiment's resolved mode injected (explicit per-point values
-        win); functions without the parameter — the custom latency /
-        fault / time-series runners — are left untouched and stay exact.
+        win); functions without the parameter — the fault and
+        time-series runners, and the fio points of fig15 and
+        abl_octossd, whose meters count whole 4 MB batches and so keep
+        the fixed window — are left untouched and stay exact.
         """
         from repro.experiments.sweep import sweep_map
         if "accuracy" in inspect.signature(fn).parameters:

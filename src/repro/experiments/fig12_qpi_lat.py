@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.core.configurations import Testbed
 from repro.experiments.base import Experiment, ExperimentResult, register
-from repro.experiments.runners import run_with_slack, warmup_of
+from repro.experiments.runners import run_latency_point, warmup_of
 from repro.workloads.sockperf import UdpPingPong
 from repro.workloads.stream_bench import spawn_stream_pairs
 
 STREAM_PAIRS = [1, 2, 3, 4, 5, 6]
 
 
-def run_udp_latency(config: str, pairs: int, duration_ns: int) -> float:
-    testbed = Testbed(config)
+def run_udp_latency(config: str, pairs: int, duration_ns: int,
+                    accuracy: Optional[str] = None) -> float:
+    """One sockperf point beside ``pairs`` STREAM pairs; returns the
+    average one-way latency in us."""
+    testbed = Testbed(config, accuracy=accuracy)
     workload = UdpPingPong(testbed, 64, duration_ns, warmup_of(duration_ns))
     spawn_stream_pairs(testbed.server, pairs, duration_ns,
                        skip_cores=[testbed.server_core(0)])
-    run_with_slack(testbed, duration_ns)
+    run_latency_point(testbed, duration_ns, workload.latencies)
     return workload.average_one_way_us()
 
 

@@ -60,8 +60,7 @@ class Fig15Nvme(Experiment):
     paper_ref = "Figure 15, §5.4"
     description = ("remote fio (8 threads, 128 KB async direct reads, "
                    "iodepth 32) vs UPI-congesting STREAM: fio degrades "
-                   "by up to ~24%, flattening once the UPI saturates; "
-                   "local fio is unaffected")
+                   "by up to ~24%, flattening once the UPI saturates")
 
     def run(self, fidelity: str = "normal") -> ExperimentResult:
         duration = self.duration_ns(fidelity) * 2  # flash ops are slow

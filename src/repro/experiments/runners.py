@@ -1,7 +1,9 @@
 """Shared experiment runners (build a testbed, run one workload point).
 
-Every runner takes an ``accuracy`` mode (``None`` = the process default,
-see :func:`repro.sim.engine.resolve_accuracy`):
+Every runner here, and the point functions of fig10 and fig12, takes an
+``accuracy`` mode (``None`` = the process default, see
+:func:`repro.sim.engine.resolve_accuracy`).  A quick sweep passes them
+``"adaptive"``, so the points of fig06–fig12 and sec24 run it:
 
 * ``"exact"`` — the full run: every burst is its own event, metrics are
   probed over the fixed measurement window.  Bit-identical to the
@@ -10,7 +12,13 @@ see :func:`repro.sim.engine.resolve_accuracy`):
   steady-state packet trains (``repro.workloads.train``) and the runner
   stops the point early once its primary estimate has converged
   (:func:`run_until_converged`), reading metrics over the train-aligned
-  covered time instead of the full window.
+  covered time instead of the full window.  Latency points (TCP_RR,
+  sockperf) form no trains and stop once their average latency
+  converges (:func:`run_latency_point`).
+
+The STREAM-loaded points of abl_window, fig15 and abl_octossd take no
+mode and keep the fixed window: their meters count whole bursts (64 KB
+TCP bursts, 4 MB fio batches), so a shorter window moves their cells.
 
 Every window is measured the same way: snapshot the cumulative counters
 when it opens and difference them when it is read (:class:`Window`,
@@ -25,7 +33,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.components import SystemConfig
 from repro.core.configurations import Testbed
-from repro.metrics.collect import TimeSeries
+from repro.metrics.collect import LatencyRecorder, TimeSeries
 from repro.nic.packet import Flow
 from repro.workloads.netperf import TcpRr, TcpStream
 from repro.workloads.pktgen import Pktgen
@@ -184,6 +192,22 @@ def run_until_converged(testbed: Testbed, duration_ns: int,
     return window
 
 
+def run_latency_point(testbed: Testbed, duration_ns: int,
+                      latencies: LatencyRecorder) -> None:
+    """Run one latency point (TCP_RR, sockperf) to its end.
+
+    Exact runs the fixed window plus drain slack.  Adaptive stops once
+    the recorder's average has converged: the latency loops form no
+    trains, so early termination alone does the saving — the
+    per-iteration latency is nearly deterministic, and the average
+    settles within a few convergence slices.
+    """
+    if testbed.env.adaptive:
+        run_until_converged(testbed, duration_ns, latencies.average)
+    else:
+        run_with_slack(testbed, duration_ns)
+
+
 def meter_elapsed(meter) -> int:
     """Covered time of an adaptive run: first record to the (train-
     aligned, progressively finished) end.  Adaptive workload bodies snap
@@ -310,13 +334,5 @@ def run_tcp_rr(server_config: str, client_config: str, ddio: bool,
         obs.attach(testbed, horizon_ns=duration_ns)
     workload = TcpRr(testbed, message_bytes, duration_ns,
                      warmup_of(duration_ns))
-    if testbed.env.adaptive:
-        # No trains on the latency path (coalescing is disabled there by
-        # construction); early termination alone does the saving — the
-        # per-iteration RTT is nearly deterministic, so the average
-        # settles within a few convergence slices.
-        run_until_converged(testbed, duration_ns,
-                            workload.latencies.average)
-        return workload.average_rtt_ns()
-    run_with_slack(testbed, duration_ns)
+    run_latency_point(testbed, duration_ns, workload.latencies)
     return workload.average_rtt_ns()

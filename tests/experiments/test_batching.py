@@ -1,6 +1,6 @@
 """Packet-train coalescing + adaptive early termination.
 
-Three contracts:
+Four contracts:
 
 (a) ``accuracy="exact"`` reproduces the determinism goldens in
     ``tests/experiments/test_determinism.py`` byte-for-byte — the train
@@ -13,6 +13,9 @@ Three contracts:
     train loop cannot hide inside that tolerance.
 (c) Trains de-coalesce at steady-state boundaries: an ARFS migration and
     a PF-failover fault both reset the train length mid-run.
+(d) A latency point ends early on adaptive: fig12's STREAM-loaded
+    sockperf average stops before the window closes and stays within
+    0.5% of exact (its values are pinned in (b)'s golden).
 """
 
 from __future__ import annotations
@@ -23,13 +26,17 @@ import pytest
 
 from repro.core import Testbed
 from repro.experiments.fig10_memcached import run_memcached
-from repro.experiments.runners import (run_pktgen, run_tcp_stream,
-                                       run_until_converged, warmup_of)
+from repro.experiments.fig12_qpi_lat import run_udp_latency
+from repro.experiments.runners import (run_latency_point, run_pktgen,
+                                       run_tcp_stream, run_until_converged,
+                                       warmup_of)
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.nic.packet import Flow
 from repro.units import KB
 from repro.workloads.netperf import TcpStream
 from repro.workloads.pktgen import Pktgen
+from repro.workloads.sockperf import UdpPingPong
+from repro.workloads.stream_bench import spawn_stream_pairs
 
 D = 10_000_000  # the "quick" fidelity duration
 
@@ -106,6 +113,10 @@ def test_adaptive_matches_exact_fig10_point():
         "ktps": 7.855180161714871,
         "membw_gbps": 152.97943628306137,
     }, id="memcached-ioctopus-50"),
+    pytest.param(partial(run_udp_latency, "remote", 4, D),
+                 5.1152374517374515, id="udp-latency-remote-4-pairs"),
+    pytest.param(partial(run_udp_latency, "ioctopus", 6, D),
+                 4.4705, id="udp-latency-ioctopus-6-pairs"),
 ])
 def test_adaptive_golden(point, want):
     assert point(accuracy="adaptive") == want
@@ -180,3 +191,25 @@ def test_pf_failover_decoalesces_train():
     # The fault fired and the flow survived it.
     assert any(e == "fault.pf_down" for _, e, _ in injector.events)
     assert workload.meter.messages_total > 0
+
+
+# ------------------------------------------------- (d) latency early stop
+
+@pytest.mark.parametrize("config,pairs", [
+    # remote at 4 pairs is fig12's cell on a rounding edge: exact
+    # 5.1149 us and adaptive 5.1152 us print as 5.11 and 5.12.
+    ("remote", 4), ("ioctopus", 6)])
+def test_adaptive_matches_exact_fig12_points(config, pairs):
+    exact = run_udp_latency(config, pairs, D, accuracy="exact")
+    adaptive = run_udp_latency(config, pairs, D, accuracy="adaptive")
+    assert adaptive == pytest.approx(exact, rel=0.005)
+
+
+def test_adaptive_latency_point_stops_early():
+    testbed = Testbed("remote", accuracy="adaptive")
+    workload = UdpPingPong(testbed, 64, D, warmup_of(D))
+    spawn_stream_pairs(testbed.server, 4, D,
+                       skip_cores=[testbed.server_core(0)])
+    run_latency_point(testbed, D, workload.latencies)
+    assert warmup_of(D) < testbed.env.now < D
+    assert len(workload.latencies) > 0

@@ -75,8 +75,8 @@ def adaptive_override(monkeypatch):
 
 
 def test_accuracy_override_reaches_every_environment(adaptive_override):
-    """--accuracy reaches testbeds built without a tier, as fig12,
-    fig15, failover_ssd, abl_window and abl_octossd build them."""
+    """--accuracy reaches testbeds built without a tier, as fig15,
+    failover_ssd, abl_window and abl_octossd build them."""
     assert Testbed("local").accuracy == "adaptive"
     host, _ = build_nvme_host(octo_mode=False)
     assert host.machine.env.accuracy == "adaptive"
