@@ -128,7 +128,7 @@ def _set_xps(hosts, env, enabled: bool) -> None:
 
 def _set_fast_failover(hosts, env, enabled: bool) -> None:
     for host in hosts:
-        host.nic.firmware.configure_fast_failover(enabled)
+        host.nic.firmware.fast_failover = enabled
 
 
 def _set_moderation(hosts, env, enabled: bool) -> None:

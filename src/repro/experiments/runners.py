@@ -49,13 +49,11 @@ SLACK_DIVISOR = 5
 #: Adaptive early termination: the measurement window is sliced this many
 #: times; after each slice the primary estimate is re-read.
 CONVERGE_SLICES = 16
-#: Minimum slices before an early stop may trigger (guards against a
-#: lucky flat start).
-CONVERGE_MIN_SLICES = 4
-#: The last this-many estimates must agree ...  (5, not 3: workloads
-#: with coarse per-sample quantisation — memcached's ~100 us
-#: transactions — drift at the percent scale for several slices, and a
-#: 3-slice window can sit flat on a transient plateau.)
+#: The last this-many estimates must agree ...  (so no point stops
+#: before this many slices; 5, not 3: workloads with coarse per-sample
+#: quantisation — memcached's ~100 us transactions — drift at the
+#: percent scale for several slices, and a 3-slice window can sit flat
+#: on a transient plateau.)
 CONVERGE_WINDOW = 5
 #: ... to within this relative half-width for the point to stop early.
 CONVERGE_REL = 0.005
@@ -187,7 +185,7 @@ def run_until_converged(testbed: Testbed, duration_ns: int,
         except ValueError:
             # Nothing measured yet (meter unfinished / no samples).
             estimates.append(None)
-        if i >= CONVERGE_MIN_SLICES and _converged(estimates):
+        if _converged(estimates):
             break
     return window
 

@@ -46,16 +46,11 @@ class LatencyRecorder:
 
     def __init__(self):
         self.samples: List[int] = []
-        # Cached ascending view for percentile(); invalidated on record()
-        # so repeated percentile reads sort at most once per new sample
-        # batch instead of once per call.
-        self._sorted: Optional[List[int]] = None
 
     def record(self, latency_ns: int) -> None:
         if latency_ns < 0:
             raise ValueError(f"negative latency {latency_ns}")
         self.samples.append(latency_ns)
-        self._sorted = None
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -71,9 +66,7 @@ class LatencyRecorder:
             raise ValueError("no samples recorded")
         if not 0 <= p <= 100:
             raise ValueError(f"percentile out of range: {p}")
-        ordered = self._sorted
-        if ordered is None:
-            ordered = self._sorted = sorted(self.samples)
+        ordered = sorted(self.samples)
         rank = max(1, math.ceil(p / 100 * len(ordered)))
         return ordered[rank - 1]
 
@@ -95,7 +88,6 @@ class LatencyRecorder:
         reference the compact :class:`LatencyDigest` merge is tested
         against."""
         self.samples.extend(other.samples)
-        self._sorted = None
         return self
 
 

@@ -22,14 +22,11 @@ from repro.sim.errors import DeviceGoneError
 class BaseFirmware:
     """Shared steering plumbing for both personalities.
 
-    ``steer_rx`` — the per-batch hot path — memoises its full resolution
-    (MPFS rule, PF, ARFS rule / RSS default queue) per ``(flow, dst_mac)``.
-    Entries carry a stamp of the firmware + table versions, so any
-    structural change (rule insert/remove/expiry, PF failure/recovery,
-    queue registration) invalidates them; recency bookkeeping
-    (``last_hit_at``) is still applied on cache hits through the live rule
-    objects, so idle-expiry behaviour is bit-identical to the uncached
-    path.
+    ``steer_rx`` resolves every arriving batch in full: the personality
+    picks the PF (through the MPFS), then that PF's ARFS table picks the
+    queue, or the RSS hash over its default queues does.  Each table
+    lookup refreshes its rule's ``last_hit_at``, so the driver's
+    idle-expiry worker spares active flows.
     """
 
     def __init__(self, num_pfs: int):
@@ -41,24 +38,14 @@ class BaseFirmware:
         self._default_queues: Dict[int, list] = {i: [] for i in range(num_pfs)}
         #: Per-PF availability, cleared on surprise removal.
         self._pf_alive: List[bool] = [True] * num_pfs
-        #: Memoised steer_rx resolutions keyed by (flow, dst_mac).
-        self._steer_cache: Dict[tuple, tuple] = {}
         #: Bumped on firmware-level steering state changes (PF liveness,
-        #: default-queue registration); part of every cache stamp.
+        #: default-queue registration); part of :meth:`steering_epoch`.
         self._fw_version = 0
         #: MPFS hardware fast-failover (§4.2): whether the switch may
         #: steer around a dead PF on its own.  The ``mpfs_fast_failover``
         #: component toggles this; standard firmware never consults it
         #: (a MAC-keyed MPFS has nowhere else to deliver).
         self.fast_failover = True
-
-    def configure_fast_failover(self, enabled: bool) -> None:
-        """Set the MPFS fast-failover capability, invalidating the steer
-        memo if the setting actually changes (a cached resolution may
-        have been made under the other policy)."""
-        if enabled != self.fast_failover:
-            self.fast_failover = enabled
-            self._fw_version += 1
 
     def register_default_queues(self, pf_id: int, queues: list) -> None:
         self._default_queues[pf_id] = list(queues)
@@ -105,40 +92,17 @@ class BaseFirmware:
 
     def steer_rx(self, flow: Flow, dst_mac: str,
                  now: int = 0) -> Tuple[int, object]:
-        entry = self._steer_cache.get((flow, dst_mac))
-        if entry is not None:
-            stamp, pf_id, mpfs_rule, arfs_rule, queue = entry
-            if (stamp[0] == self._fw_version
-                    and stamp[1] == self.mpfs.version
-                    and stamp[2] == self.arfs[pf_id].version):
-                # Recency bookkeeping must still happen on hits, or the
-                # driver's idle-expiry worker would reap active flows.
-                if mpfs_rule is not None:
-                    mpfs_rule.last_hit_at = now
-                if arfs_rule is not None:
-                    arfs_rule.last_hit_at = now
-                    return pf_id, arfs_rule.target
-                return pf_id, queue
-        pf_id, mpfs_rule = self._resolve_pf(flow, dst_mac, now)
-        arfs_rule = self.arfs[pf_id].lookup_rule(flow)
-        if arfs_rule is not None:
-            arfs_rule.last_hit_at = now
-            queue = arfs_rule.target
-        else:
+        pf_id = self._resolve_pf(flow, dst_mac, now)
+        queue = self.arfs[pf_id].lookup(flow, now)
+        if queue is None:
             defaults = self._default_queues.get(pf_id) or []
             if not defaults:
                 raise LookupError(f"PF {pf_id} has no queues registered")
             queue = defaults[rss_hash(flow, len(defaults))]
-        stamp = (self._fw_version, self.mpfs.version,
-                 self.arfs[pf_id].version)
-        self._steer_cache[(flow, dst_mac)] = (stamp, pf_id, mpfs_rule,
-                                              arfs_rule, queue)
         return pf_id, queue
 
-    def _resolve_pf(self, flow: Flow, dst_mac: str, now: int):
-        """Personality hook: pick the PF for an arriving packet.  Returns
-        ``(pf_id, mpfs_rule_or_None)`` — the live MPFS rule (if any) is
-        kept in the steer cache so hits can refresh its recency."""
+    def _resolve_pf(self, flow: Flow, dst_mac: str, now: int) -> int:
+        """Personality hook: the PF an arriving packet lands on."""
         raise NotImplementedError
 
 
@@ -156,14 +120,14 @@ class StandardFirmware(BaseFirmware):
             self.macs[pf_id] = mac
             self.mpfs.bind_mac(mac, pf_id)
 
-    def _resolve_pf(self, flow: Flow, dst_mac: str, now: int):
+    def _resolve_pf(self, flow: Flow, dst_mac: str, now: int) -> int:
         pf_id = self.mpfs.steer(flow, dst_mac, now)
         if not self._pf_alive[pf_id]:
             # The MAC uniquely names this PF's netdev: with the PF gone
             # there is nowhere else to deliver (the NUDMA rigidity §3.3).
             raise DeviceGoneError(
                 f"standard firmware: PF {pf_id} for {dst_mac} is gone")
-        return pf_id, None
+        return pf_id
 
 
 class OctoFirmware(BaseFirmware):
@@ -198,13 +162,8 @@ class OctoFirmware(BaseFirmware):
                 return pf_id
         raise DeviceGoneError("octoNIC: no surviving PF to fail over to")
 
-    def _resolve_pf(self, flow: Flow, dst_mac: str, now: int):
-        rule = self.mpfs.steer_rule(flow)
-        if rule is None:
-            pf_id = self.mpfs.default_pf_id
-        else:
-            rule.last_hit_at = now
-            pf_id = rule.target
+    def _resolve_pf(self, flow: Flow, dst_mac: str, now: int) -> int:
+        pf_id = self.mpfs.steer(flow, dst_mac, now)
         if not self._pf_alive[pf_id]:
             if not self.fast_failover:
                 # Fast-failover ablated: the flow-keyed MPFS behaves as
@@ -217,4 +176,4 @@ class OctoFirmware(BaseFirmware):
             # around a dead one in hardware, landing the flow on a
             # surviving PF's tables until the driver re-points the rule.
             pf_id = self.failover_pf(pf_id)
-        return pf_id, rule
+        return pf_id

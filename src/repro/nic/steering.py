@@ -17,21 +17,11 @@ from typing import Dict, List, Optional
 from repro.nic.packet import Flow
 
 
-#: Memoised CRC32 of each flow's 5-tuple repr (the hash is pure, and the
-#: same handful of flows is hashed once per delivered batch on the hot
-#: receive path).
-_RSS_CRC_CACHE: Dict[Flow, int] = {}
-
-
 def rss_hash(flow: Flow, buckets: int) -> int:
     """Deterministic stand-in for the Toeplitz RSS hash."""
     if buckets < 1:
         raise ValueError(f"need >= 1 bucket, got {buckets}")
-    crc = _RSS_CRC_CACHE.get(flow)
-    if crc is None:
-        crc = zlib.crc32(repr(flow.as_tuple()).encode())
-        _RSS_CRC_CACHE[flow] = crc
-    return crc % buckets
+    return zlib.crc32(repr(flow.as_tuple()).encode()) % buckets
 
 
 @dataclass
@@ -52,7 +42,8 @@ class ArfsTable:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._rules: Dict[Flow, SteeringRule] = {}
-        #: Bumped on every structural change; steering caches key on it.
+        #: Bumped on every structural change; read by
+        #: ``BaseFirmware.steering_epoch``.
         self.version = 0
 
     def __len__(self) -> int:
@@ -77,10 +68,6 @@ class ArfsTable:
             return None
         rule.last_hit_at = now
         return rule.target
-
-    def lookup_rule(self, flow: Flow) -> Optional[SteeringRule]:
-        """The live rule object (no recency side effect); cache helper."""
-        return self._rules.get(flow)
 
     def remove(self, flow: Flow) -> bool:
         if self._rules.pop(flow, None) is None:
@@ -126,7 +113,8 @@ class Mpfs:
         self.default_pf_id = default_pf_id
         self._mac_table: Dict[str, int] = {}
         self._flow_table: Dict[Flow, SteeringRule] = {}
-        #: Bumped on every structural change; steering caches key on it.
+        #: Bumped on every structural change; read by
+        #: ``BaseFirmware.steering_epoch``.
         self.version = 0
 
     # ----------------------------------------------------------- mac mode
@@ -164,11 +152,6 @@ class Mpfs:
         if expired:
             self.version += 1
         return expired
-
-    def steer_rule(self, flow: Flow) -> Optional[SteeringRule]:
-        """The live flow rule object (no recency side effect); cache
-        helper for the firmware's memoised steering path."""
-        return self._flow_table.get(flow)
 
     def flow_rule_count(self) -> int:
         return len(self._flow_table)

@@ -13,24 +13,18 @@ timestamp fire in schedule order (a strictly increasing sequence number
 breaks heap ties), so two runs with the same seed produce identical
 traces.
 
-Fast-path machinery
--------------------
-A heap entry is ``(time, sequence, drive)``, where ``drive`` is a
+The queue
+---------
+One heap of ``(time, sequence, drive)`` entries, where ``drive`` is a
 process's :meth:`Process._drive`; :meth:`Environment.step` pops the
 smallest one and calls it.  A process queues its own resumption when it
-starts and each time it sleeps; a finished process queues nothing.
-
-The dominant schedule case is ``delay=0`` (process starts, zero-length
-sleeps).  Those entries skip the heap for a FIFO **same-timestamp lane**
-of ``(sequence, drive)``; ``step()`` interleaves the lane with the heap
-by the same global ``(time, sequence)`` order the heap alone would
-produce, so resumption order is bit-identical.
+starts (at the current time) and each time it sleeps, a zero-length
+sleep included; a finished process queues nothing.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from heapq import heappop, heappush
 from typing import Generator, List, Optional
 
@@ -98,9 +92,9 @@ class Process:
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self.is_alive = True
-        # Start the generator at env.now through a zero-length lane entry.
+        # Start the generator at env.now, after everything already due.
         env._sequence += 1
-        env._lane.append((env._sequence, self._drive))
+        heappush(env._queue, (env._now, env._sequence, self._drive))
 
     def _drive(self) -> None:
         """Advance the generator by one yield; the only code that does."""
@@ -118,10 +112,7 @@ class Process:
                 f"process {self.name!r} slept {delay} ns")
         env = self.env
         sequence = env._sequence = env._sequence + 1
-        if delay:
-            heappush(env._queue, (env._now + delay, sequence, self._drive))
-        else:
-            env._lane.append((sequence, self._drive))
+        heappush(env._queue, (env._now + delay, sequence, self._drive))
 
 
 class Environment:
@@ -137,10 +128,6 @@ class Environment:
         self.accuracy = accuracy
         self._now = 0
         self._queue: List[tuple] = []
-        #: Same-timestamp fast lane: (sequence, drive) entries scheduled
-        #: with delay 0, drained in global (time, sequence) order with the
-        #: heap.
-        self._lane: deque = deque()
         self._sequence = 0
         #: Total resumptions dispatched (the determinism tests pin it).
         self.events_processed = 0
@@ -165,20 +152,10 @@ class Environment:
         return Process(self, generator, name=name)
 
     def step(self) -> None:
-        """Dispatch exactly one entry (the globally (time, seq)-smallest)."""
-        lane = self._lane
-        if lane:
-            queue = self._queue
-            # A heap entry at the current timestamp fires before lane
-            # entries scheduled after it (strict sequence order).
-            if queue and queue[0][0] <= self._now and queue[0][1] < lane[0][0]:
-                _when, _seq, drive = heappop(queue)
-            else:
-                _seq, drive = lane.popleft()
-        elif self._queue:
-            self._now, _seq, drive = heappop(self._queue)
-        else:
+        """Dispatch exactly one entry (the (time, seq)-smallest)."""
+        if not self._queue:
             raise SimulationError("step() on an empty event queue")
+        self._now, _seq, drive = heappop(self._queue)
         self.events_processed += 1
         drive()
 
@@ -189,21 +166,18 @@ class Environment:
         even if the last entry fires earlier, so rate computations over a
         fixed window are exact.
         """
-        lane, queue = self._lane, self._queue
+        queue = self._queue
         if until is not None:
             until = int(until)
             if until < self._now:
                 raise ScheduleInPastError(
                     f"run(until={until}) but now={self._now}")
-            while lane or queue:
-                if not lane and queue[0][0] > until:
-                    break
+            while queue and queue[0][0] <= until:
                 self.step()
             self._now = max(self._now, until)
             return
-        while lane or queue:
+        while queue:
             self.step()
 
     def __repr__(self) -> str:
-        return (f"<Environment now={self._now} "
-                f"queued={len(self._queue) + len(self._lane)}>")
+        return f"<Environment now={self._now} queued={len(self._queue)}>"

@@ -52,8 +52,7 @@ def test_dead_pf_with_fast_failover_steers_to_survivor():
     on = build()
     firmware = on.server.nic.firmware
     firmware.fail_pf(0)
-    pf_id, _rule = firmware._resolve_pf(Flow.make(0), firmware.MAC, 0)
-    assert pf_id == 1
+    assert firmware._resolve_pf(Flow.make(0), firmware.MAC, 0) == 1
 
 
 def test_moderation_toggle_reaches_every_queue():

@@ -39,7 +39,7 @@ def test_recorder_merge_matches_concatenation():
 
 def test_recorder_merge_invalidates_sorted_cache():
     a = _recorder([5, 1, 9])
-    assert a.percentile(50) == 5  # populates the sorted cache
+    assert a.percentile(50) == 5  # read before the merge
     a.merge(_recorder([100, 200]))
     assert a.percentile(100) == 200
 

@@ -90,3 +90,20 @@ def test_octo_firmware_remove_and_expire():
     assert firmware.steer_rx(flow, OctoFirmware.MAC)[0] == 0
     firmware.ioctorfs_update(flow, 1, now=0)
     assert firmware.expire_idle(now=10**10, idle_ns=1) == [flow]
+
+
+def test_steering_refreshes_rule_recency():
+    """Every steered batch refreshes the IOctoRFS rule and the chosen
+    PF's ARFS rule, so idle expiry spares a flow that keeps arriving."""
+    firmware = OctoFirmware(2)
+    firmware.register_default_queues(0, ["q0"])
+    firmware.register_default_queues(1, ["q1"])
+    flow = Flow.make(0)
+    firmware.ioctorfs_update(flow, 1, now=0)
+    firmware.arfs_update(1, flow, "q1-core5", now=0)
+    assert firmware.steer_rx(flow, OctoFirmware.MAC, now=0) == (1, "q1-core5")
+    assert firmware.steer_rx(flow, OctoFirmware.MAC,
+                             now=1000) == (1, "q1-core5")
+    assert firmware.expire_idle(now=1500, idle_ns=600) == []
+    assert firmware.arfs[1].expire_idle(now=1500, idle_ns=600) == []
+    assert firmware.expire_idle(now=2000, idle_ns=600) == [flow]

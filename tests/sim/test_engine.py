@@ -56,13 +56,13 @@ def test_negative_timeout_rejected():
     with pytest.raises(ScheduleInPastError):
         env.run()
     assert env._sequence == 1   # the start, and no sleep after it
-    assert not (env._queue or env._lane)
+    assert not env._queue
 
 
 def test_pooled_timeout_fires_in_schedule_order():
     """Sleeps of any length share one sequence counter: a delay-0 sleep
-    takes the lane ahead of every later timestamp, and sleeps that end
-    at the same timestamp fire in the order they were scheduled."""
+    fires ahead of every later timestamp, and sleeps that end at the
+    same timestamp fire in the order they were scheduled."""
     env = Environment()
     order = []
 
@@ -92,6 +92,36 @@ def test_events_fire_in_schedule_order_at_same_time():
         env.process(make(tag)())
     env.run()
     assert order == ["a", "b", "c"]
+
+
+def test_same_time_spawn_and_zero_sleep_follow_schedule_order():
+    """A process due at t=10 that spawns another and sleeps 0 ns runs
+    again only after everything scheduled before it at t=10: first the
+    process already due (B), then the new process's start, then itself."""
+    env = Environment()
+    order = []
+
+    def child():
+        order.append(("C start", env.now))
+        yield 5
+        order.append(("C", env.now))
+
+    def a():
+        yield 10
+        order.append(("A", env.now))
+        env.process(child())
+        yield 0
+        order.append(("A again", env.now))
+
+    def b():
+        yield 10
+        order.append(("B", env.now))
+
+    env.process(a())
+    env.process(b())
+    env.run()
+    assert order == [("A", 10), ("B", 10), ("C start", 10),
+                     ("A again", 10), ("C", 15)]
 
 
 def test_finished_process_queues_nothing():
