@@ -7,11 +7,14 @@ device-generic :class:`~repro.device.team.OctoTeam`; this class adds
 the NIC personality on top:
 
 * XPS hands it transmits on the current core's queue -> the local PF.
-* The ARFS migration callback triggers both a per-PF ARFS update and an
-  IOctoRFS (flow -> PF) update, applied asynchronously by a kernel worker
-  after the old queue drains, so packets never reorder (§4.2 "Receive").
-* A periodic worker expires idle rules from the driver tables and the
-  device, mirroring the Linux ARFS garbage collector.
+* The ARFS migration callback goes through the shared
+  :meth:`~repro.os_model.driver.NetDriver.steer_rx`, which applies the
+  update after the old queue drains, so packets never reorder (§4.2
+  "Receive").  This driver supplies the flow's current queue, found
+  through its IOctoRFS rule on whichever PF it lives, and two rules to
+  install: the per-PF ARFS rule and the IOctoRFS (flow -> PF) rule.
+* A periodic worker expires idle rules from the firmware's ARFS and
+  IOctoRFS tables, mirroring the Linux ARFS garbage collector.
 * On failover/recovery, the deferred re-steer plan re-points every live
   ARFS and IOctoRFS rule at the surviving (or recovered) PF's tables.
 
@@ -22,7 +25,7 @@ way and full octopus throughput returns.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.device.team import OctoTeam, ResteerPlan
 from repro.nic.device import NicDevice
@@ -31,7 +34,7 @@ from repro.nic.packet import Flow
 from repro.nic.rings import QueueSet, RxQueue
 from repro.os_model.driver import NetDriver
 from repro.pcie.fabric import PhysicalFunction
-from repro.topology.machine import Core, Machine
+from repro.topology.machine import Machine
 
 #: Default idle time before a steering rule is garbage-collected.
 RULE_IDLE_NS = 500_000_000  # 500 ms, matching ARFS defaults
@@ -63,35 +66,19 @@ class OctoTeamDriver(OctoTeam, NetDriver):
     def dst_mac(self) -> str:
         return OctoFirmware.MAC
 
-    def steer_rx(self, flow: Flow, core: Core,
-                 immediate: bool = False) -> None:
-        new_queue = self.rx_queue_for_core(core)
-        pf_id = new_queue.pf.pf_id
-        firmware: OctoFirmware = self.device.firmware
+    def _current_rx_queue(self, flow: Flow) -> Optional[RxQueue]:
         # The flow's current queue may live on ANY PF's ARFS table (the
         # whole point of migration is that the PF changes).
-        current_pf = firmware.mpfs.current_pf(flow)
-        old_queue = (firmware.arfs[current_pf].lookup(flow)
-                     if current_pf is not None else None)
+        firmware: OctoFirmware = self.device.firmware
+        pf_id = firmware.ioctorfs.target(flow)
+        return None if pf_id is None else firmware.arfs[pf_id].target(flow)
 
-        def apply():
-            now = self.env.now
-            firmware.arfs_update(pf_id, flow, new_queue, now=now)
-            firmware.ioctorfs_update(flow, pf_id, now=now)
-
-        if immediate or old_queue is None or not self.no_reorder_resteer:
-            apply()
-            self.steering_updates += 1
-        else:
-            def deferred():
-                # No-reorder rule: the old Rx queue must have drained by
-                # the time the ARFS/IOctoRFS update lands.
-                self.machine.tracer.emit(
-                    self.env.now, self.name, "steer.applied",
-                    f"flow={flow.src_port}->{flow.dst_port} "
-                    f"pf={pf_id} residual={old_queue.outstanding}")
-                apply()
-            self._apply_after(self._drain_delay_ns(old_queue), deferred)
+    def _install_rx_rules(self, flow: Flow, queue: RxQueue, pf_id: int,
+                          now: int) -> None:
+        # The ARFS rule, then the flow's IOctoRFS rule to the same PF
+        # (§4.2 "Receive").
+        super()._install_rx_rules(flow, queue, pf_id, now)
+        self.device.firmware.ioctorfs_update(flow, pf_id, now)
 
     # ------------------------------------------------- teaming personality
 
@@ -119,15 +106,16 @@ class OctoTeamDriver(OctoTeam, NetDriver):
                                fallback: PhysicalFunction) -> ResteerPlan:
         firmware: OctoFirmware = self.device.firmware
         arfs_rules = firmware.arfs[pf.pf_id].snapshot()
-        flows = firmware.mpfs.flows_on_pf(pf.pf_id)
+        flows = [flow for flow, pf_id in firmware.ioctorfs.snapshot()
+                 if pf_id == pf.pf_id]
 
         def apply():
             now = self.env.now
             for flow, queue in arfs_rules:
-                firmware.arfs_remove(pf.pf_id, flow)
-                firmware.arfs_update(fallback.pf_id, flow, queue, now=now)
+                firmware.arfs[pf.pf_id].remove(flow)
+                firmware.arfs[fallback.pf_id].update(flow, queue, now)
             for flow in flows:
-                firmware.ioctorfs_update(flow, fallback.pf_id, now=now)
+                firmware.ioctorfs_update(flow, fallback.pf_id, now)
 
         return apply, f"flows={len(flows)} arfs={len(arfs_rules)}"
 
@@ -148,9 +136,9 @@ class OctoTeamDriver(OctoTeam, NetDriver):
         def apply():
             now = self.env.now
             for old_pf_id, flow, queue in resteer:
-                firmware.arfs_remove(old_pf_id, flow)
-                firmware.arfs_update(pf.pf_id, flow, queue, now=now)
-                firmware.ioctorfs_update(flow, pf.pf_id, now=now)
+                firmware.arfs[old_pf_id].remove(flow)
+                firmware.arfs[pf.pf_id].update(flow, queue, now)
+                firmware.ioctorfs_update(flow, pf.pf_id, now)
 
         return apply, f"flows={len(resteer)}"
 
@@ -169,10 +157,9 @@ class OctoTeamDriver(OctoTeam, NetDriver):
             while True:
                 yield period_ns
                 now = self.env.now
-                expired = set(firmware.expire_idle(now, idle_ns))
-                for pf_id in range(firmware.num_pfs):
-                    expired.update(
-                        firmware.arfs[pf_id].expire_idle(now, idle_ns))
+                expired = set(firmware.ioctorfs.expire_idle(now, idle_ns))
+                for table in firmware.arfs:
+                    expired.update(table.expire_idle(now, idle_ns))
                 self.rules_expired += len(expired)
 
         self._expiry_process = self.env.process(worker(),

@@ -105,7 +105,8 @@ class MultiPfDevice:
     # ------------------------------------------------------------- hooks
 
     def _pf_failed(self, pf_id: int) -> None:
-        """Device-side reaction to a PF removal (e.g. firmware tables)."""
+        """Device-side reaction to a PF removal (e.g. a new firmware
+        steering epoch)."""
 
     def _pf_recovered(self, pf_id: int) -> None:
         """Device-side reaction to a PF replug."""

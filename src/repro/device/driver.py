@@ -43,8 +43,7 @@ class DeviceDriver:
     # -------------------------------------------------------------- API
 
     def call_with_retry(self, operation: Callable, max_attempts: int = 6,
-                        base_backoff_ns: int = 2_000,
-                        deadline_ns: Optional[int] = None):
+                        base_backoff_ns: int = 2_000):
         """Run ``operation`` with exponential backoff on dead hardware.
 
         A generator for use inside sim processes::
@@ -53,41 +52,29 @@ class DeviceDriver:
                 lambda: device.tx(queue, region, n, size))
 
         Each :class:`DeviceGoneError` attempt backs off twice as long as
-        the previous one (the PCIe AER/hotplug recovery discipline).  The
-        retry budget is explicitly bounded two ways: after
-        ``max_attempts`` failures, or — when ``deadline_ns`` is given —
-        once the next backoff would push past ``deadline_ns`` of
-        simulated time since the call started, the operation is
-        abandoned with :class:`RetriesExhausted` (a
+        the previous one (the PCIe AER/hotplug recovery discipline).
+        After ``max_attempts`` failures the operation is abandoned with
+        :class:`RetriesExhausted` (a
         :class:`~repro.sim.errors.DeviceTimeoutError` subtype), so a
         permanent fault fails loudly instead of hanging the run.
         """
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        if deadline_ns is not None and deadline_ns < 0:
-            raise ValueError(f"deadline_ns must be >= 0, got {deadline_ns}")
         started_ns = self.env.now
         last_error: Optional[DeviceGoneError] = None
-        attempts = 0
         for attempt in range(max_attempts):
-            attempts = attempt + 1
             try:
                 return operation()
             except DeviceGoneError as error:
                 last_error = error
-            if attempt == max_attempts - 1:
-                break
-            backoff = base_backoff_ns << attempt
-            if (deadline_ns is not None
-                    and self.env.now - started_ns + backoff > deadline_ns):
-                break
-            self.retries += 1
-            yield backoff
+            if attempt < max_attempts - 1:
+                self.retries += 1
+                yield base_backoff_ns << attempt
         raise RetriesExhausted(
-            f"{self.name}: operation still failing after {attempts} "
+            f"{self.name}: operation still failing after {max_attempts} "
             f"attempts over {self.env.now - started_ns} ns "
             f"({last_error})",
-            attempts=attempts,
+            attempts=max_attempts,
             elapsed_ns=self.env.now - started_ns,
             last_error=last_error)
 

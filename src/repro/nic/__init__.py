@@ -17,17 +17,15 @@ from repro.nic.rings import (
     RxQueue,
     TxQueue,
 )
-from repro.nic.steering import ArfsTable, Mpfs, SteeringRule, rss_hash
+from repro.nic.steering import RuleTable, SteeringRule, rss_hash
 from repro.nic.wire import EthernetWire
 
 __all__ = [
-    "ArfsTable",
     "BaseFirmware",
     "EthernetWire",
     "FRAMING_BYTES",
     "Flow",
     "HEADER_BYTES",
-    "Mpfs",
     "NicDevice",
     "NicQueue",
     "OctoFirmware",
@@ -35,6 +33,7 @@ __all__ = [
     "QueueSet",
     "RING_ENTRIES",
     "RX_BUFFER_SLOT",
+    "RuleTable",
     "RxQueue",
     "SteeringRule",
     "StandardFirmware",

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.device.base import MultiPfDevice
 from repro.memory.region import Region
-from repro.nic.firmware import BaseFirmware, OctoFirmware
+from repro.nic.firmware import BaseFirmware
 from repro.nic.packet import Flow
 from repro.nic.rings import RxQueue, TxQueue
 from repro.nic.wire import EthernetWire
@@ -47,6 +47,7 @@ class NicDevice(MultiPfDevice):
             raise ValueError(f"wire_side must be 'a' or 'b', got {wire_side}")
         super().__init__(machine, pfs, name)
         self.firmware = firmware
+        firmware.pfs = pfs
         self.wire = wire
         self.wire_side = wire_side
         #: Wire directions of this device's receive and transmit traffic.
@@ -55,20 +56,14 @@ class NicDevice(MultiPfDevice):
         self._pf_rx_bytes: Dict[int, int] = {pf.pf_id: 0 for pf in pfs}
         self._pf_tx_bytes: Dict[int, int] = {pf.pf_id: 0 for pf in pfs}
 
-    # ------------------------------------------------------------ helpers
-
-    def mac_for_pf(self, pf_id: int) -> str:
-        if isinstance(self.firmware, OctoFirmware):
-            return OctoFirmware.MAC
-        return self.firmware.macs[pf_id]
-
     # ------------------------------------------------------- fault model
 
     def _pf_failed(self, pf_id: int) -> None:
-        self.firmware.fail_pf(pf_id)
+        # The firmware reads ``pf.alive`` itself; a liveness change only
+        # starts a new steering epoch.
+        self.firmware.version += 1
 
-    def _pf_recovered(self, pf_id: int) -> None:
-        self.firmware.recover_pf(pf_id)
+    _pf_recovered = _pf_failed
 
     # ----------------------------------------------------------- receive
 

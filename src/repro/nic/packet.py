@@ -35,6 +35,17 @@ class Flow:
                 raise ValueError(f"invalid port {port}")
         if self.protocol not in ("tcp", "udp"):
             raise ValueError(f"unsupported protocol {self.protocol!r}")
+        # Every steered batch hashes its flow into the rule tables: hash
+        # the 5-tuple once (the value the dataclass hash would compute).
+        object.__setattr__(self, "_hash", hash(self.as_tuple()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__: string hashes differ between
+        # interpreters, so a pickled ``_hash`` would be stale.
+        return Flow, self.as_tuple()
 
     @classmethod
     def make(cls, index: int, protocol: str = "tcp") -> "Flow":

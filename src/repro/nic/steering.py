@@ -1,11 +1,14 @@
-"""NIC-side steering tables: RSS, ARFS, and the multi-PF switch (MPFS).
+"""NIC-side steering tables: the RSS hash and the flow-rule table.
 
-The paper's prototype composes two existing NIC features (§4.1):
+The paper's prototype builds IOctoRFS from two existing NIC features
+(§4.1), and both are a :class:`RuleTable`:
 
-* **ARFS** tables map a flow 5-tuple to an Rx queue, *per PF*.
-* The **MPFS** — an integrated multi-PF Ethernet switch — steers arriving
-  packets to a PF.  Standard firmware keys it by destination MAC; the
-  octoNIC firmware keys it by flow 5-tuple instead (IOctoRFS).
+* each PF's **ARFS** table maps a flow 5-tuple to an Rx queue;
+* the octoNIC's **IOctoRFS** table — the multi-PF Ethernet switch
+  (MPFS) re-keyed by flow 5-tuple — maps a flow to a PF.
+
+Standard firmware keys its MPFS by destination MAC instead, a map fixed
+when the firmware is built (:class:`~repro.nic.firmware.StandardFirmware`).
 """
 
 from __future__ import annotations
@@ -15,6 +18,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.nic.packet import Flow
+
+#: Rules one table holds; inserting past it evicts the least recently
+#: hit rule.
+RULE_CAPACITY = 65536
 
 
 def rss_hash(flow: Flow, buckets: int) -> int:
@@ -30,17 +37,18 @@ class SteeringRule:
 
     flow: Flow
     target: object           # an RxQueue (ARFS) or a PF id (IOctoRFS)
-    updated_at: int = 0
     last_hit_at: int = 0
 
 
-class ArfsTable:
-    """Per-PF flow -> Rx queue map (Accelerated Receive Flow Steering)."""
+class RuleTable:
+    """A flow -> target map with LRU capacity and idle expiry.
 
-    def __init__(self, capacity: int = 65536):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+    :meth:`lookup` is the packet path and refreshes the rule's recency,
+    so the driver's idle-expiry worker spares active flows;
+    :meth:`target` reads the current target and changes nothing.
+    """
+
+    def __init__(self):
         self._rules: Dict[Flow, SteeringRule] = {}
         #: Bumped on every structural change; read by
         #: ``BaseFirmware.steering_epoch``.
@@ -49,25 +57,29 @@ class ArfsTable:
     def __len__(self) -> int:
         return len(self._rules)
 
-    def update(self, flow: Flow, queue, now: int = 0) -> None:
-        """Insert or re-point a rule (the OS's ARFS callback path)."""
+    def update(self, flow: Flow, target, now: int) -> None:
+        """Insert or re-point a rule (the driver's steering update)."""
         self.version += 1
         rule = self._rules.get(flow)
         if rule is None:
-            if len(self._rules) >= self.capacity:
+            if len(self._rules) >= RULE_CAPACITY:
                 self._expire_one()
-            self._rules[flow] = SteeringRule(flow, queue, updated_at=now,
-                                             last_hit_at=now)
+            self._rules[flow] = SteeringRule(flow, target, last_hit_at=now)
         else:
-            rule.target = queue
-            rule.updated_at = now
+            rule.target = target
 
-    def lookup(self, flow: Flow, now: int = 0):
+    def lookup(self, flow: Flow, now: int):
+        """The flow's target for an arriving batch, or None."""
         rule = self._rules.get(flow)
         if rule is None:
             return None
         rule.last_hit_at = now
         return rule.target
+
+    def target(self, flow: Flow) -> Optional[object]:
+        """The flow's current target, or None; its recency is untouched."""
+        rule = self._rules.get(flow)
+        return None if rule is None else rule.target
 
     def remove(self, flow: Flow) -> bool:
         if self._rules.pop(flow, None) is None:
@@ -76,7 +88,7 @@ class ArfsTable:
         return True
 
     def snapshot(self) -> List[tuple]:
-        """Stable (flow, queue) pairs — safe to iterate while mutating
+        """Stable (flow, target) pairs — safe to iterate while mutating
         the table (used by the failover path to migrate rules)."""
         return [(flow, rule.target) for flow, rule in self._rules.items()]
 
@@ -95,85 +107,3 @@ class ArfsTable:
         oldest = min(self._rules.values(), key=lambda r: r.last_hit_at)
         del self._rules[oldest.flow]
         self.version += 1
-
-
-class Mpfs:
-    """The multi-PF Ethernet switch.
-
-    ``mode="mac"`` reproduces standard firmware: the destination MAC
-    uniquely picks a PF, so a flow's PF can never change — the root cause
-    of NUDMA (§3.3).  ``mode="flow"`` is the octoNIC modification: a
-    5-tuple table picks the PF, with a default for unmapped flows.
-    """
-
-    def __init__(self, mode: str, default_pf_id: int = 0):
-        if mode not in ("mac", "flow"):
-            raise ValueError(f"unknown MPFS mode {mode!r}")
-        self.mode = mode
-        self.default_pf_id = default_pf_id
-        self._mac_table: Dict[str, int] = {}
-        self._flow_table: Dict[Flow, SteeringRule] = {}
-        #: Bumped on every structural change; read by
-        #: ``BaseFirmware.steering_epoch``.
-        self.version = 0
-
-    # ----------------------------------------------------------- mac mode
-
-    def bind_mac(self, mac: str, pf_id: int) -> None:
-        self._mac_table[mac] = pf_id
-        self.version += 1
-
-    # ---------------------------------------------------------- flow mode
-
-    def update_flow(self, flow: Flow, pf_id: int, now: int = 0) -> None:
-        if self.mode != "flow":
-            raise ValueError("flow rules need an IOctoRFS-mode MPFS")
-        self.version += 1
-        rule = self._flow_table.get(flow)
-        if rule is None:
-            self._flow_table[flow] = SteeringRule(flow, pf_id,
-                                                  updated_at=now,
-                                                  last_hit_at=now)
-        else:
-            rule.target = pf_id
-            rule.updated_at = now
-
-    def remove_flow(self, flow: Flow) -> bool:
-        if self._flow_table.pop(flow, None) is None:
-            return False
-        self.version += 1
-        return True
-
-    def expire_idle(self, now: int, idle_ns: int) -> List[Flow]:
-        expired = [flow for flow, rule in self._flow_table.items()
-                   if now - rule.last_hit_at > idle_ns]
-        for flow in expired:
-            del self._flow_table[flow]
-        if expired:
-            self.version += 1
-        return expired
-
-    def flow_rule_count(self) -> int:
-        return len(self._flow_table)
-
-    def current_pf(self, flow: Flow) -> Optional[int]:
-        """The PF a flow is currently steered to, or None if unmapped."""
-        rule = self._flow_table.get(flow)
-        return None if rule is None else rule.target
-
-    def flows_on_pf(self, pf_id: int) -> List[Flow]:
-        """All flows currently steered to ``pf_id`` (failover re-steer)."""
-        return [flow for flow, rule in self._flow_table.items()
-                if rule.target == pf_id]
-
-    # ------------------------------------------------------------- lookup
-
-    def steer(self, flow: Flow, dst_mac: str, now: int = 0) -> int:
-        """Pick the PF for an arriving packet."""
-        if self.mode == "mac":
-            return self._mac_table.get(dst_mac, self.default_pf_id)
-        rule = self._flow_table.get(flow)
-        if rule is None:
-            return self.default_pf_id
-        rule.last_hit_at = now
-        return rule.target

@@ -56,14 +56,51 @@ class NetDriver(DeviceDriver):
                 f"configured; subclasses must build a QueueSet before "
                 f"the netdev is used")
 
-    def steer_rx(self, flow: Flow, core: Core, immediate: bool = False):
+    def steer_rx(self, flow: Flow, core: Core,
+                 immediate: bool = False) -> None:
         """Point ``flow`` at the queue serving ``core``.
 
         Immediate on socket creation; on migration it is deferred until
         the old queue drains (avoiding out-of-order delivery) and applied
         by an asynchronous kernel worker (§4.2).
         """
+        new_queue = self.rx_queue_for_core(core)
+        # The PF at call time: a deferred update installs there even if
+        # a failover re-homes the queue before it applies.
+        pf_id = new_queue.pf.pf_id
+        old_queue = self._current_rx_queue(flow)
+
+        def apply():
+            self._install_rx_rules(flow, new_queue, pf_id, self.env.now)
+
+        if immediate or old_queue is None or not self.no_reorder_resteer:
+            apply()
+            self.steering_updates += 1
+            return
+
+        def deferred():
+            # No-reorder rule: the old Rx queue must have drained by the
+            # time the update lands.
+            self.machine.tracer.emit(
+                self.env.now, self.name, "steer.applied",
+                f"flow={flow.src_port}->{flow.dst_port} "
+                f"pf={pf_id} residual={old_queue.outstanding}")
+            apply()
+        self._apply_after(self._drain_delay_ns(old_queue), deferred)
+
+    # ------------------------------------------------- personality hooks
+
+    def _current_rx_queue(self, flow: Flow) -> Optional[RxQueue]:
+        """The queue the NIC steers ``flow`` to now, or None if no rule
+        names one.  Read through ``RuleTable.target``: probing must not
+        refresh a rule's recency."""
         raise NotImplementedError
+
+    def _install_rx_rules(self, flow: Flow, queue: RxQueue, pf_id: int,
+                          now: int) -> None:
+        """Install the rules that steer ``flow`` to ``queue`` on PF
+        ``pf_id``: that PF's ARFS rule."""
+        self.device.firmware.arfs[pf_id].update(flow, queue, now)
 
     # --------------------------------------------------------- internals
 
@@ -90,25 +127,7 @@ class StandardDriver(NetDriver):
         device.firmware.register_default_queues(pf_id, self.queues.rx)
 
     def dst_mac(self) -> str:
-        return self.device.mac_for_pf(self.pf_id)
+        return self.device.firmware.mac_for_pf(self.pf_id)
 
-    def steer_rx(self, flow: Flow, core: Core,
-                 immediate: bool = False) -> None:
-        new_queue = self.rx_queue_for_core(core)
-        old_queue = self.device.firmware.arfs[self.pf_id].lookup(flow)
-
-        def apply():
-            self.device.firmware.arfs_update(self.pf_id, flow, new_queue,
-                                             now=self.env.now)
-
-        if immediate or old_queue is None or not self.no_reorder_resteer:
-            apply()
-            self.steering_updates += 1
-        else:
-            def deferred():
-                self.machine.tracer.emit(
-                    self.env.now, self.name, "steer.applied",
-                    f"flow={flow.src_port}->{flow.dst_port} "
-                    f"pf={self.pf_id} residual={old_queue.outstanding}")
-                apply()
-            self._apply_after(self._drain_delay_ns(old_queue), deferred)
+    def _current_rx_queue(self, flow: Flow) -> Optional[RxQueue]:
+        return self.device.firmware.arfs[self.pf_id].target(flow)

@@ -207,7 +207,7 @@ class NetworkStack:
     # ------------------------------------------------ throughput: transmit
 
     def tx_burst(self, sock: Socket, nmessages: int, message_bytes: int,
-                 tso: bool = True, ntrains: int = 1) -> tuple:
+                 ntrains: int = 1) -> tuple:
         """Transmit ``nmessages`` messages; returns (cpu_ns, dev_ns).
 
         ``ntrains`` coalesces identical back-to-back bursts exactly as in
@@ -228,14 +228,9 @@ class NetworkStack:
         total_messages = nmessages * ntrains
         payload = max(1, min(message_bytes, MSS))
         total_bytes = npackets * payload
-        if tso:
-            burst_desc = nmessages * max(1, -(-message_bytes // TSO_SEGMENT))
-            ndesc = burst_desc * ntrains
-            stack_cost = ndesc * self.costs.tx_segment_ns
-        else:
-            burst_desc = burst_packets
-            ndesc = npackets
-            stack_cost = npackets * self.costs.tx_pkt_ns
+        burst_desc = nmessages * max(1, -(-message_bytes // TSO_SEGMENT))
+        ndesc = burst_desc * ntrains
+        stack_cost = ndesc * self.costs.tx_segment_ns
 
         now = self.machine.env._now
         bflow = self.machine.tracer.begin_blame(now)

@@ -21,9 +21,8 @@ class DeviceTimeoutError(SimulationError):
 
 
 class RetriesExhausted(DeviceTimeoutError):
-    """Typed retry-budget exhaustion: the attempt cap or the sim-time
-    deadline of :meth:`repro.device.driver.DeviceDriver.call_with_retry`
-    was hit.
+    """Typed retry-budget exhaustion: the attempt cap of
+    :meth:`repro.device.driver.DeviceDriver.call_with_retry` was hit.
 
     Subclasses :class:`DeviceTimeoutError` so existing ``except`` clauses
     keep working; carries the budget that ran out so fuzzed permanent

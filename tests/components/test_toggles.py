@@ -42,7 +42,7 @@ def test_dead_pf_without_fast_failover_raises_device_gone():
     from repro.nic.packet import Flow
     off = build("mpfs_fast_failover")
     firmware = off.server.nic.firmware
-    firmware.fail_pf(0)
+    off.server.nic.surprise_remove(0)
     with pytest.raises(DeviceGoneError):
         firmware._resolve_pf(Flow.make(0), firmware.MAC, 0)
 
@@ -51,7 +51,7 @@ def test_dead_pf_with_fast_failover_steers_to_survivor():
     from repro.nic.packet import Flow
     on = build()
     firmware = on.server.nic.firmware
-    firmware.fail_pf(0)
+    on.server.nic.surprise_remove(0)
     assert firmware._resolve_pf(Flow.make(0), firmware.MAC, 0) == 1
 
 

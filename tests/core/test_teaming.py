@@ -51,8 +51,8 @@ def test_steer_rx_immediate_updates_both_tables():
     core = testbed.server.machine.cores_on_node(1)[2]
     flow = Flow.make(0)
     driver.steer_rx(flow, core, immediate=True)
-    assert firmware.mpfs.steer(flow, OctoFirmware.MAC) == 1
-    assert firmware.arfs[1].lookup(flow).core is core
+    assert firmware.ioctorfs.target(flow) == 1
+    assert firmware.arfs[1].target(flow).core is core
 
 
 def test_steer_rx_migration_is_deferred_until_drained():
@@ -69,9 +69,9 @@ def test_steer_rx_migration_is_deferred_until_drained():
     old_queue.outstanding = 100
     driver.steer_rx(flow, new_core)
     # Not yet applied.
-    assert firmware.mpfs.steer(flow, OctoFirmware.MAC) == 0
+    assert firmware.ioctorfs.target(flow) == 0
     env.run(until=env.now + 10_000_000)
-    assert firmware.mpfs.steer(flow, OctoFirmware.MAC) == 1
+    assert firmware.ioctorfs.target(flow) == 1
 
 
 def test_steering_update_counter():
@@ -87,10 +87,10 @@ def test_expiry_worker_deletes_idle_rules():
     driver = testbed.server.driver
     firmware = testbed.server.nic.firmware
     driver.steer_rx(Flow.make(0), testbed.server_core(0), immediate=True)
-    assert firmware.mpfs.flow_rule_count() == 1
+    assert len(firmware.ioctorfs) == 1
     driver.start_expiry_worker(period_ns=50_000_000, idle_ns=100_000_000)
     testbed.run(400_000_000)
-    assert firmware.mpfs.flow_rule_count() == 0
+    assert len(firmware.ioctorfs) == 0
 
 
 def test_expiry_worker_cannot_start_twice():
@@ -132,12 +132,12 @@ def test_pf_failure_resteers_rules_after_drain():
     queue.outstanding = 500  # force a visible drain window
     testbed.server.nic.surprise_remove(1)
     # Deferred: the rule still sits in PF1's tables until the drain.
-    assert firmware.arfs[1].lookup(flow) is not None
-    assert firmware.mpfs.current_pf(flow) == 1
+    assert firmware.arfs[1].target(flow) is not None
+    assert firmware.ioctorfs.target(flow) == 1
     testbed.run(testbed.env.now + 10_000_000)
-    assert firmware.arfs[1].lookup(flow) is None
-    assert firmware.arfs[0].lookup(flow) is queue
-    assert firmware.mpfs.current_pf(flow) == 0
+    assert firmware.arfs[1].target(flow) is None
+    assert firmware.arfs[0].target(flow) is queue
+    assert firmware.ioctorfs.target(flow) == 0
     assert driver.failovers == 1
 
 
@@ -169,9 +169,9 @@ def test_pf_recovery_rehomes_queues_and_rules():
     for queue in driver.queues.rx + driver.queues.tx:
         assert queue.pf.attach_node == queue.core.node_id
     testbed.run(testbed.env.now + 10_000_000)  # recovery re-steer settles
-    assert firmware.arfs[0].lookup(flow) is None
-    assert firmware.arfs[1].lookup(flow) is driver.rx_queue_for_core(core)
-    assert firmware.mpfs.current_pf(flow) == 1
+    assert firmware.arfs[0].target(flow) is None
+    assert firmware.arfs[1].target(flow) is driver.rx_queue_for_core(core)
+    assert firmware.ioctorfs.target(flow) == 1
     assert driver.failovers == 1
     assert driver.recoveries == 1
 

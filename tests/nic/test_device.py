@@ -41,10 +41,10 @@ def test_device_validates_wire_side(machine):
 
 
 def test_mac_for_pf_octo_vs_standard(machine):
-    octo = make_octonic(machine)
+    octo = make_octonic(machine).firmware
     assert octo.mac_for_pf(0) == octo.mac_for_pf(1) == OctoFirmware.MAC
     pfs = bifurcate(machine, 16, [0, 1], name="std")
-    std = NicDevice(machine, pfs, StandardFirmware(2))
+    std = NicDevice(machine, pfs, StandardFirmware(2)).firmware
     assert std.mac_for_pf(0) != std.mac_for_pf(1)
 
 
@@ -171,14 +171,20 @@ def test_tx_validates_payload_bytes(machine):
 
 def test_surprise_remove_and_recover(machine):
     device = make_octonic(machine)
+    firmware = device.firmware
+    firmware.register_default_queues(0, ["q0"])
+    firmware.register_default_queues(1, ["q1"])
+    flow = Flow.make(0)
+    firmware.ioctorfs_update(flow, 1, now=0)
     assert [pf.pf_id for pf in device.alive_pfs] == [0, 1]
     device.surprise_remove(1)
     assert not device.pf_alive(1)
     assert [pf.pf_id for pf in device.alive_pfs] == [0]
-    assert not device.firmware.pf_alive(1)
+    # The firmware reads liveness from the PF: it steers around PF 1.
+    assert firmware.steer_rx(flow, OctoFirmware.MAC)[0] == 0
     device.recover_pf(1)
     assert device.pf_alive(1)
-    assert device.firmware.pf_alive(1)
+    assert firmware.steer_rx(flow, OctoFirmware.MAC)[0] == 1
 
 
 def test_surprise_remove_twice_rejected(machine):

@@ -1,7 +1,13 @@
 """Tests for flows and packet arithmetic."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.nic.packet import (
     FRAMING_BYTES,
     HEADER_BYTES,
@@ -40,6 +46,23 @@ def test_flow_validates_protocol():
 def test_flow_hashable_and_usable_as_key():
     table = {Flow.make(i): i for i in range(10)}
     assert table[Flow.make(5)] == 5
+    assert hash(Flow.make(5)) == hash(Flow.make(5).as_tuple())
+
+
+def test_unpickled_flow_hashes_like_its_interpreter():
+    """String hashes differ between interpreters, so a Flow unpickled
+    in another one must hash its 5-tuple there, not carry a stale hash."""
+    script = ("import pickle, sys\n"
+              "flow = pickle.loads(sys.stdin.buffer.read())\n"
+              "print(hash(flow) == hash(flow.as_tuple()))\n")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    # Any hash seed but this interpreter's own.
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         input=pickle.dumps(Flow.make(5)),
+                         capture_output=True, check=True)
+    assert out.stdout.strip() == b"True"
 
 
 def test_wire_bytes_includes_overheads():

@@ -1,9 +1,11 @@
-"""Tests for RSS, ARFS tables and the MPFS."""
+"""Tests for RSS, the flow-rule table, and the MPFS's PF choice."""
 
 import pytest
 
+from repro.nic import steering
+from repro.nic.firmware import OctoFirmware, StandardFirmware
 from repro.nic.packet import Flow
-from repro.nic.steering import ArfsTable, Mpfs, rss_hash
+from repro.nic.steering import RuleTable, rss_hash
 
 
 # --------------------------------------------------------------- RSS
@@ -29,123 +31,127 @@ def test_rss_hash_rejects_zero_buckets():
 # -------------------------------------------------------------- ARFS
 
 def test_arfs_lookup_after_update():
-    table = ArfsTable()
+    table = RuleTable()
     flow = Flow.make(0)
     table.update(flow, "queue-3", now=10)
     assert table.lookup(flow, now=11) == "queue-3"
 
 
 def test_arfs_lookup_missing_returns_none():
-    assert ArfsTable().lookup(Flow.make(0)) is None
+    assert RuleTable().lookup(Flow.make(0), now=0) is None
 
 
 def test_arfs_update_repoints_existing_rule():
-    table = ArfsTable()
+    table = RuleTable()
     flow = Flow.make(0)
-    table.update(flow, "queue-1")
-    table.update(flow, "queue-2")
-    assert table.lookup(flow) == "queue-2"
+    table.update(flow, "queue-1", now=0)
+    table.update(flow, "queue-2", now=0)
+    assert table.target(flow) == "queue-2"
     assert len(table) == 1
 
 
 def test_arfs_remove():
-    table = ArfsTable()
+    table = RuleTable()
     flow = Flow.make(0)
-    table.update(flow, "q")
+    table.update(flow, "q", now=0)
     assert table.remove(flow)
     assert not table.remove(flow)
-    assert table.lookup(flow) is None
+    assert table.target(flow) is None
 
 
 def test_arfs_expire_idle_rules():
-    table = ArfsTable()
+    table = RuleTable()
     old, fresh = Flow.make(0), Flow.make(1)
     table.update(old, "q0", now=0)
     table.update(fresh, "q1", now=900)
     expired = table.expire_idle(now=1000, idle_ns=500)
     assert expired == [old]
-    assert table.lookup(fresh) is not None
+    assert table.target(fresh) is not None
 
 
 def test_arfs_lookup_refreshes_idle_clock():
-    table = ArfsTable()
+    table = RuleTable()
     flow = Flow.make(0)
     table.update(flow, "q", now=0)
     table.lookup(flow, now=800)
     assert table.expire_idle(now=1000, idle_ns=500) == []
 
 
-def test_arfs_capacity_evicts_coldest():
-    table = ArfsTable(capacity=2)
+def test_rule_table_target_reads_without_refreshing():
+    table = RuleTable()
+    probed, hit = Flow.make(0), Flow.make(1)
+    table.update(probed, "q0", now=0)
+    table.update(hit, "q1", now=0)
+    assert table.target(probed) == "q0"
+    assert table.lookup(hit, now=800) == "q1"
+    assert table.expire_idle(now=1000, idle_ns=500) == [probed]
+
+
+def test_arfs_capacity_evicts_coldest(monkeypatch):
+    monkeypatch.setattr(steering, "RULE_CAPACITY", 2)
+    table = RuleTable()
     table.update(Flow.make(0), "q0", now=0)
     table.update(Flow.make(1), "q1", now=5)
     table.lookup(Flow.make(0), now=10)  # refresh 0: flow 1 is coldest
     table.update(Flow.make(2), "q2", now=20)
-    assert table.lookup(Flow.make(1)) is None
-    assert table.lookup(Flow.make(0)) == "q0"
-
-
-def test_arfs_invalid_capacity():
-    with pytest.raises(ValueError):
-        ArfsTable(capacity=0)
+    assert table.target(Flow.make(1)) is None
+    assert table.target(Flow.make(0)) == "q0"
 
 
 # -------------------------------------------------------------- MPFS
 
-def test_mpfs_mac_mode_steers_by_mac():
-    mpfs = Mpfs(mode="mac")
-    mpfs.bind_mac("aa:aa", 0)
-    mpfs.bind_mac("bb:bb", 1)
+def _pf(firmware, flow, dst_mac):
+    """The PF the MPFS steers an arriving ``flow`` batch to."""
+    return firmware.steer_rx(flow, dst_mac, now=0)[0]
+
+
+def _with_queues(firmware):
+    for pf_id in range(firmware.num_pfs):
+        firmware.register_default_queues(pf_id, [f"q{pf_id}"])
+    return firmware
+
+
+def test_mpfs_mac_mode_steers_by_mac(load_firmware):
+    firmware = _with_queues(load_firmware(StandardFirmware(2)))
     flow = Flow.make(0)
-    assert mpfs.steer(flow, "aa:aa") == 0
-    assert mpfs.steer(flow, "bb:bb") == 1
+    assert _pf(firmware, flow, firmware.mac_for_pf(0)) == 0
+    assert _pf(firmware, flow, firmware.mac_for_pf(1)) == 1
 
 
-def test_mpfs_mac_mode_unknown_mac_default():
-    mpfs = Mpfs(mode="mac", default_pf_id=7)
-    assert mpfs.steer(Flow.make(0), "cc:cc") == 7
+def test_mpfs_mac_mode_unknown_mac_default(load_firmware):
+    firmware = _with_queues(load_firmware(StandardFirmware(2)))
+    assert _pf(firmware, Flow.make(0), "cc:cc") == 0
 
 
-def test_mpfs_mac_mode_rejects_flow_rules():
-    mpfs = Mpfs(mode="mac")
-    with pytest.raises(ValueError):
-        mpfs.update_flow(Flow.make(0), 1)
-
-
-def test_mpfs_flow_mode_steers_by_tuple():
-    mpfs = Mpfs(mode="flow")
+def test_mpfs_flow_mode_steers_by_tuple(load_firmware):
+    firmware = _with_queues(load_firmware(OctoFirmware(2)))
     flow = Flow.make(0)
-    mpfs.update_flow(flow, 1, now=0)
+    firmware.ioctorfs_update(flow, 1, now=0)
     # MAC is irrelevant in IOctoRFS mode.
-    assert mpfs.steer(flow, "whatever") == 1
+    assert _pf(firmware, flow, "whatever") == 1
 
 
-def test_mpfs_flow_mode_unmapped_flow_default():
-    mpfs = Mpfs(mode="flow", default_pf_id=0)
-    assert mpfs.steer(Flow.make(9), "x") == 0
+def test_mpfs_flow_mode_unmapped_flow_default(load_firmware):
+    firmware = _with_queues(load_firmware(OctoFirmware(2)))
+    assert _pf(firmware, Flow.make(9), "x") == 0
 
 
-def test_mpfs_flow_rule_repoint_and_remove():
-    mpfs = Mpfs(mode="flow")
+def test_mpfs_flow_rule_repoint_and_remove(load_firmware):
+    firmware = _with_queues(load_firmware(OctoFirmware(2)))
     flow = Flow.make(0)
-    mpfs.update_flow(flow, 0)
-    mpfs.update_flow(flow, 1)
-    assert mpfs.steer(flow, "x") == 1
-    assert mpfs.remove_flow(flow)
-    assert mpfs.steer(flow, "x") == 0
-    assert not mpfs.remove_flow(flow)
+    firmware.ioctorfs_update(flow, 0, now=0)
+    firmware.ioctorfs_update(flow, 1, now=0)
+    assert _pf(firmware, flow, "x") == 1
+    assert firmware.ioctorfs.remove(flow)
+    assert _pf(firmware, flow, "x") == 0
+    assert not firmware.ioctorfs.remove(flow)
 
 
 def test_mpfs_flow_expiry():
-    mpfs = Mpfs(mode="flow")
+    firmware = OctoFirmware(2)
     flow = Flow.make(0)
-    mpfs.update_flow(flow, 1, now=0)
-    assert mpfs.flow_rule_count() == 1
-    expired = mpfs.expire_idle(now=10_000, idle_ns=5000)
+    firmware.ioctorfs_update(flow, 1, now=0)
+    assert len(firmware.ioctorfs) == 1
+    expired = firmware.ioctorfs.expire_idle(now=10_000, idle_ns=5000)
     assert expired == [flow]
-    assert mpfs.flow_rule_count() == 0
-
-
-def test_mpfs_invalid_mode():
-    with pytest.raises(ValueError):
-        Mpfs(mode="vlan")
+    assert len(firmware.ioctorfs) == 0

@@ -41,7 +41,7 @@ def test_standard_driver_queue_memory_is_core_local():
 def test_standard_driver_dst_mac_matches_pf():
     testbed = Testbed("local")
     driver = testbed.server.driver
-    assert driver.dst_mac() == testbed.server.nic.mac_for_pf(0)
+    assert driver.dst_mac() == testbed.server.nic.firmware.mac_for_pf(0)
 
 
 def test_steer_rx_first_time_immediate():
@@ -50,7 +50,7 @@ def test_steer_rx_first_time_immediate():
     flow = Flow.make(0)
     core = testbed.server_core(2)
     driver.steer_rx(flow, core)  # no existing rule -> applied now
-    queue = testbed.server.nic.firmware.arfs[0].lookup(flow)
+    queue = testbed.server.nic.firmware.arfs[0].target(flow)
     assert queue.core is core
 
 
@@ -63,9 +63,29 @@ def test_steer_rx_resteer_is_deferred():
     driver.steer_rx(flow, a, immediate=True)
     driver.rx_queue_for_core(a).outstanding = 10
     driver.steer_rx(flow, b)
-    assert firmware.arfs[0].lookup(flow).core is a  # not yet
+    assert firmware.arfs[0].target(flow).core is a  # not yet
     testbed.run(testbed.env.now + 10_000_000)
-    assert firmware.arfs[0].lookup(flow).core is b
+    assert firmware.arfs[0].target(flow).core is b
+
+
+@pytest.mark.parametrize("config", ["local", "ioctopus"])
+def test_resteer_keeps_rule_recency(config):
+    """A re-steer reads the flow's current queue without touching its
+    rule's recency: a rule hit at 1 ms survives a 0.6 ms idle expiry
+    at 1.1 ms after moving to another core on the same PF."""
+    testbed = Testbed(config)
+    driver = testbed.server.driver
+    firmware = testbed.server.nic.firmware
+    flow = Flow.make(0)
+    core, other = testbed.server_core(0), testbed.server_core(1)
+    driver.steer_rx(flow, core, immediate=True)
+    testbed.run(1_000_000)
+    firmware.steer_rx(flow, driver.dst_mac(), now=1_000_000)
+    driver.steer_rx(flow, other)
+    testbed.run(1_100_000)
+    arfs = firmware.arfs[driver.rx_queue_for_core(other).pf.pf_id]
+    assert arfs.target(flow).core is other
+    assert arfs.expire_idle(now=1_100_000, idle_ns=600_000) == []
 
 
 def test_drain_delay_scales_with_outstanding():

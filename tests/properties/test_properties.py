@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.memory.llc import LastLevelCache
 from repro.memory.region import Region
 from repro.nic.packet import Flow, packets_for, wire_bytes
-from repro.nic.steering import ArfsTable, rss_hash
+from repro.nic.steering import RuleTable, rss_hash
 from repro.sim import BandwidthServer, Environment, SimRandom
 
 
@@ -78,14 +78,14 @@ def test_bandwidth_server_conserves_bytes_and_orders_fifo(sizes, rate):
                 min_size=1, max_size=80))
 @settings(max_examples=100, deadline=None)
 def test_arfs_last_update_wins(updates):
-    table = ArfsTable()
+    table = RuleTable()
     latest = {}
     for flow_index, queue in updates:
         flow = Flow.make(flow_index)
-        table.update(flow, queue)
+        table.update(flow, queue, now=0)
         latest[flow] = queue
     for flow, queue in latest.items():
-        assert table.lookup(flow) == queue
+        assert table.lookup(flow, now=0) == queue
     assert len(table) == len(latest)
 
 
