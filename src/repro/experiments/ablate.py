@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.components import SystemConfig, loo_matrix
 from repro.experiments.base import DURATIONS_MS
-from repro.experiments.cli import positive_int
+from repro.experiments.cli import check_environment, positive_int
 from repro.experiments.runners import (run_pktgen, run_tcp_rr,
                                        run_tcp_stream)
 from repro.sim.engine import ACCURACY_MODES
@@ -309,10 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.jobs is not None or args.cache_dir is not None:
         from repro.experiments.sweep import configure
         configure(jobs=args.jobs, cache_dir=args.cache_dir)
+    check_environment(parser, args.accuracy, args.jobs)
     components = None
     if args.components:
         components = [name.strip()

@@ -45,6 +45,26 @@ def positive_float(text: str) -> float:
     return value
 
 
+def check_environment(parser: argparse.ArgumentParser,
+                      accuracy: Optional[str],
+                      jobs: Optional[int]) -> None:
+    """Make a bad ``REPRO_ACCURACY`` or ``REPRO_SWEEP_JOBS`` a usage
+    error (exit 2) before anything runs, not a traceback mid-run.
+
+    A given ``--accuracy`` or ``--jobs`` wins over its variable, which
+    is then not read.
+    """
+    from repro.experiments.sweep import current_jobs
+    from repro.sim.engine import resolve_accuracy
+    try:
+        if accuracy is None:
+            resolve_accuracy("exact")
+        if jobs is None:
+            current_jobs()
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ioctopus-repro",
@@ -126,6 +146,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("nothing to run: pass experiment names, --all, or --list",
               file=sys.stderr)
         return 2
+    check_environment(parser, args.accuracy, args.jobs)
     if args.report:
         from repro.analysis import run_report
         print(run_report(names=names, fidelity=args.fidelity))

@@ -135,24 +135,42 @@ class LastLevelCache:
         if region in self._entries:
             self._entries.move_to_end(region)
 
-    def record_access(self, region: Region, nbytes: int) -> float:
-        """Account a CPU access: returns the hit fraction and updates
-        hit/miss counters and recency.
+    def stream_access(self, region: Region, nbytes: int) -> int:
+        """A CPU streaming access of ``nbytes``; returns the bytes that
+        missed.
 
-        Same as :meth:`residency`, the counter update and :meth:`touch`,
-        with one dict lookup (every STREAM chunk lands here)."""
+        Counts the hits and misses at the region's residency fraction,
+        marks it most recently used and, when any byte missed, allocates
+        ``nbytes`` as :meth:`load` does.  Every STREAM chunk lands here,
+        so the allocation is inlined: no other frame runs unless it
+        evicts."""
         entries = self._entries
         entry = entries.get(region)
         if entry is None:
             self.miss_bytes += nbytes
-            return 0.0
-        fraction = entry.resident / region.size
-        fraction = fraction if fraction < 1.0 else 1.0
-        hit = int(nbytes * fraction)
-        self.hits_bytes += hit
-        self.miss_bytes += nbytes - hit
-        entries.move_to_end(region)
-        return fraction
+            if not nbytes or region.non_temporal:
+                return nbytes
+            entry = entries[region] = _Entry()
+            miss = nbytes
+        else:
+            fraction = entry.resident / region.size
+            fraction = fraction if fraction < 1.0 else 1.0
+            hit = int(nbytes * fraction)
+            self.hits_bytes += hit
+            self.miss_bytes += nbytes - hit
+            entries.move_to_end(region)
+            miss = int(nbytes * (1.0 - fraction))
+            if not miss or region.non_temporal:
+                return miss
+        # _insert(region, nbytes, ddio=False), on the entry just found.
+        room_in_region = region.size - entry.resident
+        grow = room_in_region if room_in_region < nbytes else nbytes
+        grow = grow if grow > 0 else 0
+        entry.resident += grow
+        self._occupied += grow
+        if self._occupied > self.capacity:
+            self._evict_overflow()
+        return miss
 
     # ----------------------------------------------------------- internal
 

@@ -78,9 +78,7 @@ class MemorySystem:
         Returns the CPU-visible stall time beyond the base instruction
         cost; misses charge DRAM and (if remote) interconnect bandwidth.
         """
-        llc = self.llcs[node]
-        fraction = llc.record_access(region, nbytes)
-        miss = int(nbytes * (1.0 - fraction))
+        miss = self.llcs[node].stream_access(region, nbytes)
         if miss == 0:
             return 0
         home = region.home_node
@@ -98,7 +96,6 @@ class MemorySystem:
                 + qpi[home][node].traverse(miss))
             if qpi_delay > delay:
                 delay = qpi_delay
-        llc.load(region, nbytes)
         return delay
 
     def cpu_stream_write(self, node: int, region: Region,
@@ -116,9 +113,7 @@ class MemorySystem:
                 if qpi_delay > delay:
                     delay = qpi_delay
             return delay
-        llc = self.llcs[node]
-        fraction = llc.record_access(region, nbytes)
-        miss = int(nbytes * (1.0 - fraction))
+        miss = self.llcs[node].stream_access(region, nbytes)
         if miss == 0:
             return 0
         stall = int(miss / CACHELINE * self._stall_per_line
@@ -132,7 +127,6 @@ class MemorySystem:
                          + back.traverse(miss) + out.traverse(miss))
             if qpi_delay > delay:
                 delay = qpi_delay
-        llc.load(region, nbytes)
         return delay
 
     def cpu_read_fresh_dma(self, node: int, region: Region,

@@ -40,14 +40,15 @@ class Scheduler:
                 core = self._first_free_core()
             else:
                 core = self.machine.core(core_id)
-        if not allow_shared_core and core.core_id in self._core_owner:
-            owner = self._core_owner[core.core_id]
+        owner = self.thread_on_core(core.core_id)
+        if not allow_shared_core and owner is not None:
             raise RuntimeError(
                 f"core {core.core_id} already runs {owner.name!r}; "
                 f"pass allow_shared_core=True to oversubscribe")
         thread = SimThread(self, name, body_fn, core)
         self.threads.append(thread)
-        self._core_owner.setdefault(core.core_id, thread)
+        if owner is None:
+            self._core_owner[core.core_id] = thread
         thread.start()
         return thread
 
@@ -63,12 +64,13 @@ class Scheduler:
         old = thread.core
         if core is old:
             return
-        if not allow_shared_core and self._core_owner.get(
-                core.core_id) not in (None, thread):
+        owner = self.thread_on_core(core.core_id)
+        if not allow_shared_core and owner not in (None, thread):
             raise RuntimeError(f"core {core.core_id} is occupied")
         if self._core_owner.get(old.core_id) is thread:
             del self._core_owner[old.core_id]
-        self._core_owner.setdefault(core.core_id, thread)
+        if owner is None:
+            self._core_owner[core.core_id] = thread
         thread.core = core
         thread.migrations += 1
         for callback in self._migration_callbacks:
@@ -80,11 +82,14 @@ class Scheduler:
     # ----------------------------------------------------------- queries
 
     def thread_on_core(self, core_id: int) -> Optional[SimThread]:
-        return self._core_owner.get(core_id)
+        """The core's owner, unless its body has returned: a finished
+        thread frees its core."""
+        owner = self._core_owner.get(core_id)
+        return owner if owner is not None and owner.is_alive else None
 
     def free_cores(self) -> List[Core]:
         return [c for c in self.machine.cores
-                if c.core_id not in self._core_owner]
+                if self.thread_on_core(c.core_id) is None]
 
     # ---------------------------------------------------------- internal
 
@@ -93,7 +98,3 @@ class Scheduler:
         if not free:
             raise RuntimeError("no free cores left")
         return free[0]
-
-    def _thread_finished(self, thread: SimThread) -> None:
-        if self._core_owner.get(thread.core.core_id) is thread:
-            del self._core_owner[thread.core.core_id]

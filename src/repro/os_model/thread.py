@@ -10,10 +10,12 @@ body yields only sleeps, the integer ns delays its helpers return::
 
 A helper returns the wall time in integer ns (``compute`` and
 ``overlap`` charge the core when called); the kernel queues the thread's
-resumption when the body yields it (see
-:class:`~repro.sim.engine.Process`).  Yield a helper's result at once:
-anything scheduled between the call and the yield would take its place
-in the resumption order.
+resumption when the body yields it.  The body's generator is the
+thread's :class:`~repro.sim.engine.Process` itself, so the kernel
+resumes it with no wrapper frame, and the thread's core is free again
+once the body returns (the scheduler reads :attr:`SimThread.is_alive`).
+Yield a helper's result at once: anything scheduled between the call
+and the yield would take its place in the resumption order.
 
 ``overlap`` models the steady-state pipelining of CPU work with device
 work: the wall time of a batch is the *max* of the two, but only the CPU
@@ -43,8 +45,6 @@ class SimThread:
         self.body_fn = body_fn
         self.core = core
         self.process: Optional[Process] = None
-        self.started_at: Optional[int] = None
-        self.finished_at: Optional[int] = None
         self.migrations = 0
 
     # ------------------------------------------------------------- state
@@ -60,17 +60,8 @@ class SimThread:
     def start(self) -> Process:
         if self.process is not None:
             raise RuntimeError(f"thread {self.name!r} already started")
-        self.started_at = self.env.now
-        self.process = self.env.process(self._run(), name=self.name)
+        self.process = self.env.process(self.body_fn(self), name=self.name)
         return self.process
-
-    def _run(self):
-        try:
-            result = yield from self.body_fn(self)
-        finally:
-            self.finished_at = self.env.now
-            self.scheduler._thread_finished(self)
-        return result
 
     # ----------------------------------------------------------- helpers
 

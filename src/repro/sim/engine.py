@@ -15,17 +15,19 @@ traces.
 
 The queue
 ---------
-One heap of ``(time, sequence, drive)`` entries, where ``drive`` is a
-process's :meth:`Process._drive`; :meth:`Environment.step` pops the
-smallest one and calls it.  A process queues its own resumption when it
-starts (at the current time) and each time it sleeps, a zero-length
-sleep included; a finished process queues nothing.
+One heap of ``(time, sequence, process)`` entries.
+:meth:`Environment.step` resumes the process at the top of the heap,
+the one place a generator advances, and its next sleep replaces that
+entry in place: everything the resumption scheduled (a process start)
+is due at the current time with a larger sequence number, so the
+running entry is still the smallest.  A process queues its entry when
+it starts (at the current time); a finished process loses it.
 """
 
 from __future__ import annotations
 
 import os
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Generator, List, Optional
 
 from repro.sim.errors import ScheduleInPastError, SimulationError
@@ -70,17 +72,18 @@ def resolve_accuracy(fallback: str) -> str:
 
 
 class Process:
-    """Drives a generator that yields how long to sleep.
+    """A generator that yields how long to sleep, and its liveness.
 
     Each yield is a non-negative ``int``: the process sleeps that many
     ns and then resumes with ``None``.  The
     :class:`~repro.os_model.thread.SimThread` helpers return such delays.
     A negative ``int`` raises :class:`ScheduleInPastError`; anything else
     (``bool`` and ``float`` included) is a :class:`SimulationError`.
-    ``is_alive`` turns false when the generator returns.
+    :meth:`Environment.step` resumes it; ``is_alive`` turns false when
+    the generator returns or raises.
     """
 
-    __slots__ = ("env", "_generator", "name", "is_alive")
+    __slots__ = ("_generator", "name", "is_alive")
 
     def __init__(self, env: "Environment",
                  generator: Generator[int, None, object],
@@ -88,31 +91,12 @@ class Process:
         if not hasattr(generator, "send"):
             raise TypeError(f"process body must be a generator, "
                             f"got {type(generator).__name__}")
-        self.env = env
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self.is_alive = True
         # Start the generator at env.now, after everything already due.
         env._sequence += 1
-        heappush(env._queue, (env._now, env._sequence, self._drive))
-
-    def _drive(self) -> None:
-        """Advance the generator by one yield; the only code that does."""
-        try:
-            delay = self._generator.send(None)
-        except StopIteration:
-            self.is_alive = False
-            return
-        if delay.__class__ is not int:
-            raise SimulationError(
-                f"process {self.name!r} yielded {delay!r}, "
-                f"which is not an int delay")
-        if delay < 0:
-            raise ScheduleInPastError(
-                f"process {self.name!r} slept {delay} ns")
-        env = self.env
-        sequence = env._sequence = env._sequence + 1
-        heappush(env._queue, (env._now + delay, sequence, self._drive))
+        heappush(env._queue, (env._now, env._sequence, self))
 
 
 class Environment:
@@ -152,12 +136,38 @@ class Environment:
         return Process(self, generator, name=name)
 
     def step(self) -> None:
-        """Dispatch exactly one entry (the (time, seq)-smallest)."""
-        if not self._queue:
+        """Resume the (time, seq)-smallest process once.
+
+        Its next sleep replaces its own entry (one ``heapreplace``); a
+        process that returns, raises or yields a bad delay loses the
+        entry first.
+        """
+        queue = self._queue
+        if not queue:
             raise SimulationError("step() on an empty event queue")
-        self._now, _seq, drive = heappop(self._queue)
+        now, _seq, process = queue[0]
+        self._now = now
         self.events_processed += 1
-        drive()
+        try:
+            delay = process._generator.send(None)
+        except StopIteration:
+            heappop(queue)
+            process.is_alive = False
+            return
+        except BaseException:
+            heappop(queue)
+            process.is_alive = False
+            raise
+        if delay.__class__ is not int or delay < 0:
+            heappop(queue)
+            if delay.__class__ is not int:
+                raise SimulationError(
+                    f"process {process.name!r} yielded {delay!r}, "
+                    f"which is not an int delay")
+            raise ScheduleInPastError(
+                f"process {process.name!r} slept {delay} ns")
+        sequence = self._sequence = self._sequence + 1
+        heapreplace(queue, (now + delay, sequence, process))
 
     def run(self, until: Optional[int] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``.

@@ -44,7 +44,8 @@ class StreamThread(Workload):
         # chunks, so everything that does not change between chunks is
         # bound once here, the clock is read directly, and the loop does
         # what ``meter.record`` and ``thread.compute`` would: it adds to
-        # the meter's counters and charges the thread's current core.
+        # the meter's counters and to the busy time of the thread's
+        # current core (read per chunk: a thread can migrate).
         env = self.env
         duration_ns = self.duration_ns
         warmup_ns = self.warmup_ns
@@ -60,7 +61,10 @@ class StreamThread(Workload):
                 if warmup_ns <= env._now:
                     meter.bytes_total += CHUNK
                     meter.messages_total += 1
-                yield thread.core.charge(stall if stall > base else base)
+                if stall < base:
+                    stall = base
+                thread.core._busy_ns += stall
+                yield stall
         finally:
             dram.leave()
         meter.finish(min(env._now, duration_ns))

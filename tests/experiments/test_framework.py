@@ -220,6 +220,54 @@ def test_cli_rejects_non_positive_counts(argv, error, capsys):
     assert error in capsys.readouterr().err
 
 
+@pytest.fixture
+def unconfigured(monkeypatch):
+    """No --accuracy or --jobs configured yet; a CLI run configures them
+    process-wide, so both are restored after the test."""
+    from repro.experiments import sweep
+    from repro.sim import engine
+    monkeypatch.setattr(engine, "_accuracy_override", None)
+    monkeypatch.setattr(sweep, "_jobs", None)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["fig06", "--fidelity", "quick"], id="main"),
+    pytest.param(["ablate", "--figure", "fig08", "--fidelity", "quick"],
+                 id="ablate"),
+])
+@pytest.mark.parametrize("variable,value,error", [
+    pytest.param("REPRO_ACCURACY", "bogus",
+                 "REPRO_ACCURACY must be one of ('exact', 'adaptive'), "
+                 "got 'bogus'", id="accuracy"),
+    pytest.param("REPRO_SWEEP_JOBS", "0",
+                 "REPRO_SWEEP_JOBS must be an integer >= 1, got '0'",
+                 id="jobs-0"),
+    pytest.param("REPRO_SWEEP_JOBS", "zero",
+                 "REPRO_SWEEP_JOBS must be an integer >= 1, got 'zero'",
+                 id="jobs-zero"),
+])
+def test_cli_rejects_bad_environment_before_running(
+        argv, variable, value, error, unconfigured, monkeypatch, capsys):
+    """Checked before anything runs: a run that started would reach the
+    resolver mid-sweep and end in a ValueError traceback instead."""
+    monkeypatch.setenv(variable, value)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {error}\n" in captured.err
+
+
+def test_cli_flag_wins_over_bad_environment(unconfigured, monkeypatch,
+                                            capsys):
+    """A given --accuracy or --jobs is used, and its variable unread."""
+    monkeypatch.setenv("REPRO_ACCURACY", "bogus")
+    monkeypatch.setenv("REPRO_SWEEP_JOBS", "zero")
+    assert main(["fig02", "--accuracy", "exact", "--jobs", "1"]) == 0
+    assert "nic_single_gbps" in capsys.readouterr().out
+
+
 def test_cli_parser_fidelity_choices():
     parser = build_parser()
     args = parser.parse_args(["fig02", "--fidelity", "quick"])

@@ -55,7 +55,7 @@ def test_touch_protects_from_eviction():
     # A CPU access and a reload of the (fully resident) region mark it
     # most recently used just as touch() does.
     for use in (lambda llc, r: llc.touch(r),
-                lambda llc, r: llc.record_access(r, 64),
+                lambda llc, r: llc.stream_access(r, 64),
                 lambda llc, r: llc.load(r, 64)):
         llc = make_llc(capacity=1000)
         a = region("a", size=500)
@@ -128,22 +128,30 @@ def test_invalidate_absent_region_is_noop():
 
 
 def test_record_access_counts_hits_and_misses():
-    llc = make_llc()
+    """A streaming access counts its hits and misses at the region's
+    residency fraction, returns the missed bytes and, when any byte
+    missed, allocates the access (``stream_access`` replaced the
+    ``record_access`` + ``load`` pair)."""
+    llc = make_llc(capacity=10_000)
     r = region(size=1000)
     llc.load(r, 500)
-    fraction = llc.record_access(r, 1000)
-    assert fraction == pytest.approx(0.5)
-    assert llc.hits_bytes == 500
-    assert llc.miss_bytes == 500
+    assert llc.stream_access(r, 1000) == 500
+    assert (llc.hits_bytes, llc.miss_bytes) == (500, 500)
+    assert llc.resident_bytes(r) == 1000
     # Fully resident: every byte hits.
-    llc.load(r, 500)
-    assert llc.record_access(r, 200) == 1.0
+    assert llc.stream_access(r, 200) == 0
     assert (llc.hits_bytes, llc.miss_bytes) == (700, 500)
-    # Absent region: every byte misses and nothing is allocated.
+    # Absent region: every byte misses and is allocated.
     other = region("other", size=1000)
-    assert llc.record_access(other, 300) == 0.0
+    assert llc.stream_access(other, 300) == 300
     assert (llc.hits_bytes, llc.miss_bytes) == (700, 800)
-    assert llc.resident_bytes(other) == 0
+    assert llc.resident_bytes(other) == 300
+    # A non-temporal region is counted but never allocated.
+    nt = region("nt", size=1000, nt=True)
+    assert llc.stream_access(nt, 100) == 100
+    assert (llc.hits_bytes, llc.miss_bytes) == (700, 900)
+    assert llc.resident_bytes(nt) == 0
+    assert llc.occupied == 1300
 
 
 def test_invalid_construction():

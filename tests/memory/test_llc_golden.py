@@ -75,7 +75,7 @@ def test_ddio_overflow_point_llc_golden():
 
 def test_stream_read_point_llc_golden():
     """Remote Rx 64 KB beside three STREAM pairs: the readers' chunks
-    allocate through ``record_access``/``load`` and remote DMA
+    allocate through ``stream_access`` and remote DMA
     invalidates."""
     server = _run("remote", 64 * KB, "rx", D, stream_pairs=3)
     assert _llc_state(server) == [

@@ -1,6 +1,10 @@
 """Unit tests for the discrete-event kernel."""
 
+from heapq import heappop, heappush
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     Environment,
@@ -176,15 +180,37 @@ def test_run_until_in_past_rejected():
 
 @pytest.mark.parametrize("value", [1.5, True, None])
 def test_non_event_yield_is_error(value):
-    """Only an int delay may be yielded (a bool is not an int delay)."""
+    """Only an int delay may be yielded (a bool is not an int delay).
+    The failing process loses its entry; the others keep theirs."""
     env = Environment()
 
     def bad():
         yield value
 
+    def good():
+        yield 5
+
     env.process(bad())
+    proc = env.process(good())
     with pytest.raises(SimulationError):
         env.run()
+    assert [entry[2] for entry in env._queue] == [proc]
+    env.run()
+    assert env.now == 5 and not proc.is_alive
+
+
+def test_raising_process_loses_its_entry():
+    env = Environment()
+
+    def body():
+        yield 1
+        raise RuntimeError("boom")
+
+    proc = env.process(body())
+    with pytest.raises(RuntimeError):
+        env.run()
+    assert not env._queue
+    assert not proc.is_alive
 
 
 def test_step_on_empty_queue_is_error():
@@ -197,3 +223,79 @@ def test_process_requires_generator():
     env = Environment()
     with pytest.raises(TypeError):
         env.process(lambda: None)
+
+
+class _ReferenceKernel:
+    """The dispatch order the kernel must keep, as a plain
+    ``heappop``/``heappush`` scheduler: every resumption pops its entry
+    and its next sleep pushes a new one."""
+
+    def __init__(self):
+        self.now = 0
+        self.queue = []
+        self.sequence = 0
+        self.events_processed = 0
+
+    def process(self, generator, name):
+        self.sequence += 1
+        heappush(self.queue, (self.now, self.sequence, generator))
+
+    def run(self):
+        while self.queue:
+            self.now, _seq, generator = heappop(self.queue)
+            self.events_processed += 1
+            try:
+                delay = generator.send(None)
+            except StopIteration:
+                continue
+            self.sequence += 1
+            heappush(self.queue, (self.now + delay, self.sequence,
+                                  generator))
+
+
+def _scripted(spawn, now, log, name, script):
+    """A process that logs each resumption as ``(now, name)`` and runs
+    ``script``: ``("sleep", ns)`` yields, ``("spawn", child_script)``
+    starts a child in the middle of the resumption."""
+    log.append((now(), name))
+    for index, (kind, arg) in enumerate(script):
+        if kind == "spawn":
+            child = f"{name}.{index}"
+            spawn(_scripted(spawn, now, log, child, arg), child)
+        else:
+            yield arg
+            log.append((now(), name))
+
+
+_sleep = st.tuples(st.just("sleep"), st.integers(min_value=0, max_value=8))
+_scripts = st.recursive(
+    st.lists(_sleep, max_size=4),
+    lambda children: st.lists(
+        st.one_of(_sleep, st.tuples(st.just("spawn"), children)),
+        max_size=5),
+    max_leaves=24)
+
+
+@given(st.lists(_scripts, min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_dispatch_order_matches_a_heappop_heappush_scheduler(scripts):
+    """Resuming in place (one heapreplace per sleep) dispatches exactly
+    what popping every entry and pushing the next one does: the same
+    ``(now, name)`` sequence, dispatch count and sequence numbers, with
+    zero-length sleeps, same-time wake-ups and mid-resumption spawns."""
+    env = Environment()
+    reference = _ReferenceKernel()
+    logs = {}
+    for kernel, now in ((env, lambda: env.now),
+                        (reference, lambda: reference.now)):
+        log = logs[kernel] = []
+        for index, script in enumerate(scripts):
+            name = f"p{index}"
+            kernel.process(_scripted(kernel.process, now, log, name,
+                                     script), name)
+        kernel.run()
+    assert logs[env] == logs[reference]
+    assert env.now == reference.now
+    assert env.events_processed == reference.events_processed
+    assert env._sequence == reference.sequence
+    assert not env._queue
