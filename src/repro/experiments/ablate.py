@@ -35,7 +35,7 @@ from repro.experiments.base import DURATIONS_MS
 from repro.experiments.cli import check_environment, positive_int
 from repro.experiments.runners import (run_pktgen, run_tcp_rr,
                                        run_tcp_stream)
-from repro.sim.engine import ACCURACY_MODES
+from repro.sim.engine import ACCURACY_MODES, resolve_accuracy
 from repro.units import KB
 
 #: Leave-one-out deltas smaller than this (relative to baseline) are
@@ -166,11 +166,16 @@ def run_ablation(figure: str, fidelity: str = "quick",
     per leave-one-out (and, with ``pairwise``, per pair), each carrying
     its stable ``run_id``, metric value, delta vs baseline, and a
     ``harmful`` flag when removing the component *improved* the metric.
+    A run that names no ``accuracy`` resolves it as
+    :meth:`~repro.experiments.base.Experiment.accuracy` does: the
+    ``configure_accuracy`` override, then ``REPRO_ACCURACY``, then
+    adaptive at quick fidelity and exact otherwise.
     """
     from repro.experiments.sweep import cache_stats, sweep_map
     target = get_target(figure)
     if accuracy is None:
-        accuracy = "adaptive" if fidelity == "quick" else "exact"
+        accuracy = resolve_accuracy(
+            "adaptive" if fidelity == "quick" else "exact")
     if duration_ns is None:
         duration_ns = _duration_ns(fidelity)
     base = SystemConfig(preset=preset)
@@ -284,8 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=tuple(sorted(DURATIONS_MS)),
                         help="simulated duration per matrix row")
     parser.add_argument("--accuracy", default=None, choices=ACCURACY_MODES,
-                        help="accuracy tier (default: adaptive for "
-                             "quick, exact otherwise)")
+                        help="accuracy tier (default: REPRO_ACCURACY "
+                             "if set, else adaptive for quick and exact "
+                             "otherwise)")
     parser.add_argument("--pairwise", action="store_true",
                         help="also ablate every component pair")
     parser.add_argument("--components", default=None, metavar="A,B,...",

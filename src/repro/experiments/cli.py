@@ -83,8 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exact: per-burst simulation (bit-identical "
                              "goldens); adaptive: coalesce steady-state "
                              "packet trains and stop converged points "
-                             "early (default: adaptive for --fidelity "
-                             "quick, exact otherwise)")
+                             "early (default: REPRO_ACCURACY if set, "
+                             "else adaptive for --fidelity quick and "
+                             "exact otherwise)")
     parser.add_argument("--report", action="store_true",
                         help="emit a markdown report (tables + claim "
                              "verdicts) instead of plain tables")

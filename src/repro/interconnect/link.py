@@ -6,6 +6,17 @@ latency.  Congestion is emergent: when STREAM antagonists saturate a
 direction, every remote DMA or remote memory access that crosses it sees the
 server's queueing delay, which is exactly the effect §5.2 of the paper
 measures.
+
+A link computes each inflated crossing once per instant.  A charge
+(:meth:`InterconnectLink.traverse`, :meth:`InterconnectLink.posted_crossing_ns`)
+keeps the crossing it just computed with the clock reading, and so does
+a read (:meth:`InterconnectLink.loaded_crossing_ns`) that had to compute
+one; a read returns the kept crossing while the clock has not moved,
+since reading the bucket right after a charge gives the same value,
+branch for branch.  A later charge replaces it and a rate change drops
+it.  So the DMA engine's window and a latency-bound line fill, which
+read both crossings of a round trip right after charging them, do not
+recompute them.
 """
 
 from __future__ import annotations
@@ -35,6 +46,11 @@ class InterconnectLink(BandwidthServer):
     crosses a link.
     """
 
+    __slots__ = ("src_node", "dst_node", "crossing_latency_ns",
+                 "max_latency_inflation", "bucket_ns", "_bucket_start",
+                 "_bucket_bytes", "_last_utilization", "_base_bytes_per_sec",
+                 "throttle_factor", "_crossing_at", "_crossing_ns")
+
     def __init__(self, env: Environment, src_node: int, dst_node: int,
                  bytes_per_sec: float, crossing_latency_ns: int,
                  max_latency_inflation: float = 12.0):
@@ -50,6 +66,8 @@ class InterconnectLink(BandwidthServer):
         self._last_utilization = 0.0   # the last completed bucket's load
         self._base_bytes_per_sec = float(bytes_per_sec)
         self.throttle_factor = 1.0
+        self._crossing_at = -1         # the instant _crossing_ns holds,
+        self._crossing_ns = 0          # or -1 when it holds none
 
     # -------------------------------------------------------- throttling
 
@@ -66,6 +84,14 @@ class InterconnectLink(BandwidthServer):
 
     def unthrottle(self) -> None:
         self.throttle(1.0)
+
+    def set_rate(self, bytes_per_sec: float) -> None:
+        """Change the service rate (see
+        :meth:`~repro.sim.resources.BandwidthServer.set_rate`); the load
+        bucket now reads against the new rate, so the kept crossing is
+        dropped."""
+        super().set_rate(bytes_per_sec)
+        self._crossing_at = -1
 
     @property
     def is_throttled(self) -> bool:
@@ -94,10 +120,14 @@ class InterconnectLink(BandwidthServer):
     def loaded_crossing_ns(self) -> int:
         """Congestion-inflated crossing latency, charging nothing.
 
-        load_factor() inlined (hot path; identical math — the
-        conditionals equal max() and min() bit-for-bit).
+        The crossing kept at this instant, else load_factor() inlined
+        (hot path; identical math — the conditionals equal max() and
+        min() bit-for-bit), kept for the rest of the instant.
         """
-        elapsed = self.env._now - self._bucket_start
+        now = self.env._now
+        if now == self._crossing_at:
+            return self._crossing_ns
+        elapsed = now - self._bucket_start
         if elapsed <= 0:
             u = self._last_utilization
         else:
@@ -111,7 +141,10 @@ class InterconnectLink(BandwidthServer):
         inflation = 1.0 + _BETA * u / (idle if idle > 1e-6 else 1e-6)
         if inflation > self.max_latency_inflation:
             inflation = self.max_latency_inflation
-        return int(self.crossing_latency_ns * inflation)
+        crossing = self._crossing_ns = int(self.crossing_latency_ns
+                                           * inflation)
+        self._crossing_at = now
+        return crossing
 
     def posted_crossing_ns(self, nbytes: int) -> int:
         """Charge a posted message (a doorbell or an MSI-X write) to the
@@ -146,7 +179,10 @@ class InterconnectLink(BandwidthServer):
         inflation = 1.0 + _BETA * u / (idle if idle > 1e-6 else 1e-6)
         if inflation > self.max_latency_inflation:
             inflation = self.max_latency_inflation
-        return int(self.crossing_latency_ns * inflation)
+        crossing = self._crossing_ns = int(self.crossing_latency_ns
+                                           * inflation)
+        self._crossing_at = now
+        return crossing
 
     def traverse(self, nbytes: int) -> int:
         """Charge a transfer; return its total delay (latency + queue +
@@ -154,9 +190,10 @@ class InterconnectLink(BandwidthServer):
 
         The size is checked before anything is charged.  Then, in one
         frame: the load bucket takes the bytes and is read for the
-        crossing inflation (as in :meth:`posted_crossing_ns`), and the
-        byte queue takes them (as in
-        :meth:`~repro.sim.resources.BandwidthServer.account`).
+        crossing inflation (as in :meth:`posted_crossing_ns`, which
+        keeps the crossing for this instant), and the byte queue takes
+        them (as in :meth:`~repro.sim.resources.BandwidthServer.account`,
+        service time from the memo).
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
@@ -184,14 +221,19 @@ class InterconnectLink(BandwidthServer):
         inflation = 1.0 + _BETA * u / (idle if idle > 1e-6 else 1e-6)
         if inflation > self.max_latency_inflation:
             inflation = self.max_latency_inflation
+        crossing = self._crossing_ns = int(self.crossing_latency_ns
+                                           * inflation)
+        self._crossing_at = now
         free_at = self._free_at
         start = free_at if free_at > now else now
-        duration = round(nbytes * 1e9 / self.bytes_per_sec)
+        try:
+            duration = self._service[nbytes]
+        except KeyError:
+            duration = self._memoise(nbytes)
         self._free_at = start + duration
         self._busy_ns += duration
         self._bytes_total += nbytes
-        return (int(self.crossing_latency_ns * inflation)
-                + (start - now) + duration)
+        return crossing + (start - now) + duration
 
 
 class Interconnect:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.sim.engine import Environment
 from repro.sim.errors import SimulationError
-from repro.sim.resources import LOAD_BUCKET_NS
+from repro.sim.resources import LOAD_BUCKET_NS, SERVICE_MEMO_ENTRIES
 
 #: Latency inflation strength: fill latency grows as 1 + ALPHA * u^2 with
 #: controller utilisation u (classic open-queue approximation).
@@ -29,7 +29,9 @@ class DramController:
     Every read and write also lands in the controller's load bucket
     (:data:`~repro.sim.resources.LOAD_BUCKET_NS` wide), which
     :meth:`load_factor` reads.  Both run on every STREAM chunk, so they
-    charge and read the bucket inline.
+    charge and read the bucket inline, and take their service time from
+    a memo keyed by size (see :mod:`repro.sim.resources`) that
+    :meth:`enter` and :meth:`leave` empty, since the share changes.
     """
 
     def __init__(self, env: Environment, node_id: int,
@@ -47,6 +49,8 @@ class DramController:
         self.read_bytes = 0
         self.write_bytes = 0
         self._active = 0            # declared long-running consumers
+        #: Service-time memo, nbytes -> ns at the current share.
+        self._service = {}
 
     def read(self, nbytes: int) -> int:
         """Charge a read burst; returns its bandwidth-limited service ns."""
@@ -63,9 +67,11 @@ class DramController:
             self._bucket_bytes = nbytes
         else:
             self._bucket_bytes += nbytes
-        active = self._active
-        return round(nbytes * (active if active > 1 else 1) * 1e9
-                     / self.bytes_per_sec)
+        try:
+            duration = self._service[nbytes]
+        except KeyError:
+            duration = self._memoise(nbytes)
+        return duration
 
     def write(self, nbytes: int) -> int:
         """Charge a write burst; returns its bandwidth-limited service ns."""
@@ -82,9 +88,22 @@ class DramController:
             self._bucket_bytes = nbytes
         else:
             self._bucket_bytes += nbytes
+        try:
+            duration = self._service[nbytes]
+        except KeyError:
+            duration = self._memoise(nbytes)
+        return duration
+
+    def _memoise(self, nbytes: int) -> int:
+        """Service time of ``nbytes`` at the current share, stored in the
+        memo (emptied first when full)."""
+        memo = self._service
+        if len(memo) >= SERVICE_MEMO_ENTRIES:
+            memo.clear()
         active = self._active
-        return round(nbytes * (active if active > 1 else 1) * 1e9
-                     / self.bytes_per_sec)
+        duration = memo[nbytes] = round(
+            nbytes * (active if active > 1 else 1) * 1e9 / self.bytes_per_sec)
+        return duration
 
     def load_factor(self) -> float:
         """Multiplier applied to miss latencies under load (>= 1)."""
@@ -110,12 +129,14 @@ class DramController:
     def enter(self) -> None:
         """Declare a long-running bandwidth consumer (slows everyone)."""
         self._active += 1
+        self._service = {}
 
     def leave(self) -> None:
         if self._active <= 0:
             raise SimulationError(
                 f"leave() without enter() on dram{self.node_id}")
         self._active -= 1
+        self._service = {}
 
     def __repr__(self) -> str:
         return (f"<DramController node={self.node_id} "

@@ -8,7 +8,8 @@ flows (the ARFS callback path, §2.3) — rather than time-slicing.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Generator, List, Optional
+from weakref import WeakValueDictionary
 
 from repro.os_model.thread import SimThread
 from repro.topology.machine import Core, Machine
@@ -21,8 +22,11 @@ class Scheduler:
 
     def __init__(self, machine: Machine):
         self.machine = machine
-        self.threads: List[SimThread] = []
-        self._core_owner: Dict[int, SimThread] = {}
+        #: core id -> the thread pinned there.  Weak: a live thread is
+        #: the argument its suspended body holds, and a finished one is
+        #: freed with its body rather than kept for the testbed's life.
+        self._core_owner: "WeakValueDictionary[int, SimThread]" = (
+            WeakValueDictionary())
         self._migration_callbacks: List[MigrationCallback] = []
 
     # ---------------------------------------------------------- creation
@@ -46,7 +50,6 @@ class Scheduler:
                 f"core {core.core_id} already runs {owner.name!r}; "
                 f"pass allow_shared_core=True to oversubscribe")
         thread = SimThread(self, name, body_fn, core)
-        self.threads.append(thread)
         if owner is None:
             self._core_owner[core.core_id] = thread
         thread.start()

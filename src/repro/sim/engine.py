@@ -22,6 +22,12 @@ entry in place: everything the resumption scheduled (a process start)
 is due at the current time with a larger sequence number, so the
 running entry is still the smallest.  A process queues its entry when
 it starts (at the current time); a finished process loses it.
+
+So every sequence number is a start or a sleep, and every step either
+sleeps (a new sequence number, the queue as long) or finishes (the
+queue one shorter): the steps taken are the sequence number less the
+entries still queued, which is how
+:attr:`Environment.events_processed` counts them without a counter.
 """
 
 from __future__ import annotations
@@ -79,11 +85,12 @@ class Process:
     :class:`~repro.os_model.thread.SimThread` helpers return such delays.
     A negative ``int`` raises :class:`ScheduleInPastError`; anything else
     (``bool`` and ``float`` included) is a :class:`SimulationError`.
-    :meth:`Environment.step` resumes it; ``is_alive`` turns false when
-    the generator returns or raises.
+    :meth:`Environment.step` resumes it through the generator's bound
+    ``send``, held in ``_send``; ``is_alive`` turns false when the
+    generator returns or raises.
     """
 
-    __slots__ = ("_generator", "name", "is_alive")
+    __slots__ = ("_send", "name", "is_alive")
 
     def __init__(self, env: "Environment",
                  generator: Generator[int, None, object],
@@ -91,7 +98,7 @@ class Process:
         if not hasattr(generator, "send"):
             raise TypeError(f"process body must be a generator, "
                             f"got {type(generator).__name__}")
-        self._generator = generator
+        self._send = generator.send
         self.name = name or getattr(generator, "__name__", "process")
         self.is_alive = True
         # Start the generator at env.now, after everything already due.
@@ -113,8 +120,6 @@ class Environment:
         self._now = 0
         self._queue: List[tuple] = []
         self._sequence = 0
-        #: Total resumptions dispatched (the determinism tests pin it).
-        self.events_processed = 0
         #: The ``train_coalescing`` component: when cleared,
         #: :func:`repro.workloads.train.make_governor` hands out
         #: governors that never coalesce (inert in exact mode, where
@@ -125,6 +130,13 @@ class Environment:
     def now(self) -> int:
         """Current simulation time in nanoseconds."""
         return self._now
+
+    @property
+    def events_processed(self) -> int:
+        """Total resumptions dispatched (the determinism tests pin it):
+        the sequence number less the entries still queued (see the
+        module docstring), read between steps."""
+        return self._sequence - len(self._queue)
 
     @property
     def adaptive(self) -> bool:
@@ -147,9 +159,8 @@ class Environment:
             raise SimulationError("step() on an empty event queue")
         now, _seq, process = queue[0]
         self._now = now
-        self.events_processed += 1
         try:
-            delay = process._generator.send(None)
+            delay = process._send(None)
         except StopIteration:
             heappop(queue)
             process.is_alive = False
@@ -177,17 +188,18 @@ class Environment:
         fixed window are exact.
         """
         queue = self._queue
+        step = self.step
         if until is not None:
             until = int(until)
             if until < self._now:
                 raise ScheduleInPastError(
                     f"run(until={until}) but now={self._now}")
             while queue and queue[0][0] <= until:
-                self.step()
+                step()
             self._now = max(self._now, until)
             return
         while queue:
-            self.step()
+            step()
 
     def __repr__(self) -> str:
         return f"<Environment now={self._now} queued={len(self._queue)}>"

@@ -6,6 +6,18 @@ analytically.  QPI links, PCIe links and the Ethernet wire are all
 BandwidthServers (DRAM controllers share their bandwidth instead; see
 :class:`repro.memory.dram.DramController`).  A charge returns its delay
 in ns, which the caller folds into the sleep its process yields.
+
+A resource sees few distinct transfer sizes at one rate (a STREAM chunk,
+a packet batch, a request header), so each server and each DRAM
+controller keeps a service-time memo: ``nbytes`` -> the rounded ns that
+:meth:`BandwidthServer.service_time` would return at the current rate.
+A rate change (:meth:`BandwidthServer.set_rate`, so also a QPI throttle
+and a PCIe retrain) empties it, and so does a change in a DRAM's
+consumer count.  It holds at most :data:`SERVICE_MEMO_ENTRIES` sizes; a
+new size past that empties it first, so a resource whose sizes drift
+(STREAM readers' misses follow LLC residency) keeps a bounded memo of
+its recent sizes.  A memo hit returns the int the formula returns, so
+every charge stays bit-identical.
 """
 
 from __future__ import annotations
@@ -21,6 +33,10 @@ from repro.sim.engine import Environment
 #: the QPI" into "remote cache-line fills got slower" (paper §5.2).
 LOAD_BUCKET_NS = 20_000
 
+#: Distinct transfer sizes one resource's service-time memo holds.  A
+#: new size past this many empties the memo before it is stored.
+SERVICE_MEMO_ENTRIES = 32
+
 
 class BandwidthServer:
     """A FIFO byte-serial server with busy-time accounting.
@@ -30,7 +46,14 @@ class BandwidthServer:
     saturated link exhibits growing delay — this is what turns "STREAM pairs
     hammering the QPI" into measurably worse remote-DMA latency without any
     special-case congestion formula.
+
+    Slotted, as is :class:`~repro.interconnect.link.InterconnectLink`:
+    every STREAM chunk charges a link, and a slot is read and written
+    faster than an instance-dict attribute.
     """
+
+    __slots__ = ("env", "name", "bytes_per_sec", "_free_at", "_busy_ns",
+                 "_bytes_total", "_service")
 
     def __init__(self, env: Environment, bytes_per_sec: float, name: str = ""):
         if bytes_per_sec <= 0:
@@ -41,6 +64,8 @@ class BandwidthServer:
         self._free_at = 0          # time the server next becomes idle
         self._busy_ns = 0          # cumulative service time
         self._bytes_total = 0
+        #: Service-time memo, nbytes -> ns at the current rate.
+        self._service = {}
 
     def service_time(self, nbytes: int) -> int:
         """Pure service time for ``nbytes`` (no queueing), in ns."""
@@ -66,6 +91,17 @@ class BandwidthServer:
             self._free_at = now + int(round(
                 backlog * self.bytes_per_sec / bytes_per_sec))
         self.bytes_per_sec = float(bytes_per_sec)
+        self._service = {}
+
+    def _memoise(self, nbytes: int) -> int:
+        """Service time of ``nbytes`` at the current rate, stored in the
+        memo (emptied first when full).  round() of a float already
+        returns the int that int(round(...)) would."""
+        memo = self._service
+        if len(memo) >= SERVICE_MEMO_ENTRIES:
+            memo.clear()
+        duration = memo[nbytes] = round(nbytes * 1e9 / self.bytes_per_sec)
+        return duration
 
     def queueing_delay(self) -> int:
         """Delay a zero-byte transfer would see right now, in ns."""
@@ -82,9 +118,11 @@ class BandwidthServer:
         now = self.env._now
         free_at = self._free_at
         start = free_at if free_at > now else now
-        # service_time() inlined (hot path): round() of a float already
-        # returns the int that int(round(...)) would.
-        duration = round(nbytes * 1e9 / self.bytes_per_sec)
+        # service_time() from the memo (hot path).
+        try:
+            duration = self._service[nbytes]
+        except KeyError:
+            duration = self._memoise(nbytes)
         self._free_at = start + duration
         self._busy_ns += duration
         self._bytes_total += nbytes
@@ -108,7 +146,10 @@ class BandwidthServer:
         now = self.env._now
         free_at = self._free_at
         start = free_at if free_at > now else now
-        duration = int(round(nbytes * 1e9 / self.bytes_per_sec))
+        try:
+            duration = self._service[nbytes]
+        except KeyError:
+            duration = self._memoise(nbytes)
         total = duration * nbursts
         self._free_at = start + total
         self._busy_ns += total

@@ -181,6 +181,30 @@ def test_cli_dispatch_and_report_file(fake_target, tmp_path, capsys):
     assert json.loads(out.read_text())["figure"] == "fake"
 
 
+@pytest.mark.parametrize("fidelity, variable, flag, tier", [
+    ("quick", None, None, "adaptive"),
+    ("normal", None, None, "exact"),
+    ("quick", "exact", None, "exact"),
+    ("normal", "adaptive", None, "adaptive"),
+    ("quick", "exact", "adaptive", "adaptive"),
+    ("normal", "adaptive", "exact", "exact"),
+])
+def test_cli_tier_is_the_flag_then_the_variable_then_the_fidelity(
+        fake_target, monkeypatch, capsys, fidelity, variable, flag, tier):
+    """ablate resolves its tier as the main CLI does: --accuracy wins,
+    then REPRO_ACCURACY, then the fidelity's default."""
+    from repro.experiments.ablate import main
+    if variable is None:
+        monkeypatch.delenv("REPRO_ACCURACY", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_ACCURACY", variable)
+    argv = ["--figure", "fake", "--fidelity", fidelity, "--json"]
+    if flag is not None:
+        argv += ["--accuracy", flag]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["accuracy"] == tier
+
+
 def test_cli_unknown_figure_fails_cleanly(capsys):
     from repro.experiments.ablate import main
     assert main(["--figure", "fig99"]) == 2

@@ -1,10 +1,13 @@
 """Tests for QPI/UPI interconnect links."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.interconnect import Interconnect
 from repro.interconnect.link import InterconnectLink
 from repro.sim import Environment
+from repro.sim.resources import LOAD_BUCKET_NS, SERVICE_MEMO_ENTRIES
 
 
 @pytest.fixture
@@ -145,3 +148,137 @@ def test_throttle_validates_factor(qpi):
         link.throttle(0.0)
     with pytest.raises(ValueError):
         link.throttle(1.5)
+
+
+# ------------------------------------- memoised charges and crossings
+# traverse() takes its service time from the link's bounded memo, and
+# traverse() and posted_crossing_ns() keep the crossing they computed
+# for loaded_crossing_ns() to return until the clock moves.  _LinkModel
+# is the link with neither: its load bucket, the crossing the bucket
+# inflates and its byte queue, written with the builtins.
+
+class _LinkModel:
+    def __init__(self, rate, crossing_ns, cap):
+        self.rate = float(rate)
+        self.base_rate = float(rate)
+        self.crossing_ns = crossing_ns
+        self.cap = cap
+        self.start = self.bytes = 0
+        self.last = 0.0
+        self.free_at = self.busy = self.total = 0
+
+    def crossing(self, now):
+        elapsed = now - self.start
+        if elapsed <= 0:
+            u = self.last
+        else:
+            current = min(1.0, self.bytes * 1e9 / (self.rate * elapsed))
+            weight = min(1.0, elapsed / LOAD_BUCKET_NS)
+            u = (1.0 - weight) * self.last + weight * current
+        return int(self.crossing_ns
+                   * min(self.cap, 1.0 + 0.6 * u / max(1e-6, 1.0 - u)))
+
+    def posted(self, now, nbytes):
+        elapsed = now - self.start
+        if elapsed >= LOAD_BUCKET_NS:
+            self.last = min(1.0, self.bytes * 1e9
+                            / (self.rate * max(1, elapsed)))
+            self.start = now
+            self.bytes = 0
+        self.bytes += nbytes
+        return self.crossing(now)
+
+    def traverse(self, now, nbytes):
+        crossing = self.posted(now, nbytes)
+        start = max(now, self.free_at)
+        duration = int(round(nbytes * 1e9 / self.rate))
+        self.free_at = start + duration
+        self.busy += duration
+        self.total += nbytes
+        return crossing + start - now + duration
+
+    def throttle(self, now, factor):
+        rate = self.base_rate * factor
+        if self.free_at > now:
+            self.free_at = now + int(round(
+                (self.free_at - now) * self.rate / rate))
+        self.rate = rate
+
+    def state(self):
+        return ((self.last, self.start, self.bytes),
+                (self.free_at, self.busy, self.total))
+
+
+def _state_of(link):
+    return ((link._last_utilization, link._bucket_start,
+             link._bucket_bytes),
+            (link._free_at, link.busy_ns, link.bytes_total))
+
+
+_SIZES = st.one_of(st.sampled_from([0, 8, 64, 512, 4096]),
+                   st.integers(min_value=0, max_value=1 << 16))
+_ADVANCES = st.one_of(st.just(0), st.integers(min_value=1, max_value=500),
+                      st.integers(min_value=0,
+                                  max_value=3 * LOAD_BUCKET_NS))
+
+
+@given(st.sampled_from([12.0, 1e9]), st.lists(st.one_of(
+    st.tuples(st.sampled_from(["traverse", "posted"]),
+              st.integers(min_value=0, max_value=1), _SIZES),
+    st.tuples(st.just("sweep"), st.integers(min_value=0, max_value=1),
+              st.integers(min_value=0,
+                          max_value=2 * SERVICE_MEMO_ENTRIES + 1)),
+    st.tuples(st.just("advance"), _ADVANCES),
+    st.tuples(st.just("throttle"), st.integers(min_value=0, max_value=1),
+              st.sampled_from([0.25, 0.5, 1.0]))), max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_memoised_link_matches_the_formulas(cap, ops):
+    """Charges, doorbells, clock steps (zero included) and throttles in
+    any order: every return value, queue counter and bucket field
+    matches the model, every memo stays within its bound, and after
+    every step each link's loaded_crossing_ns() and the pair's
+    loaded_round_trip_ns() equal the crossing formula on its state."""
+    env = Environment()
+    qpi = Interconnect(env, num_nodes=2, bytes_per_sec_per_direction=1e9,
+                       crossing_latency_ns=30, max_latency_inflation=cap)
+    links = (qpi.table[0][1], qpi.table[1][0])
+    models = (_LinkModel(1e9, 30, cap), _LinkModel(1e9, 30, cap))
+    for op in ops:
+        kind = op[0]
+        if kind == "advance":
+            env._now += op[1]
+            continue
+        link, model = links[op[1]], models[op[1]]
+        if kind == "throttle":
+            link.throttle(op[2])
+            model.throttle(env.now, op[2])
+        elif kind == "posted":
+            assert link.posted_crossing_ns(op[2]) == model.posted(
+                env.now, op[2])
+        else:
+            sizes = range(4000, 4000 + op[2]) if kind == "sweep" else (
+                op[2],)
+            for nbytes in sizes:
+                assert link.traverse(nbytes) == model.traverse(
+                    env.now, nbytes)
+        for link, model in zip(links, models):
+            assert _state_of(link) == model.state()
+            assert len(link._service) <= SERVICE_MEMO_ENTRIES
+            assert link.loaded_crossing_ns() == model.crossing(env.now)
+            assert link.loaded_crossing_ns() == int(
+                link.crossing_latency_ns * link.load_factor())
+        assert qpi.loaded_round_trip_ns(0, 1) == (
+            models[0].crossing(env.now) + models[1].crossing(env.now))
+
+
+def test_kept_crossing_is_dropped_by_a_rate_change():
+    """At one instant, a throttle changes what the loaded bucket reads
+    as, so the crossing the last charge kept no longer holds."""
+    link = InterconnectLink(Environment(), 0, 1, 1e9, 30)
+    link.env._now = LOAD_BUCKET_NS // 2
+    # Half a bucket in, 2 KB over 10 us loads the link to 0.2, blended
+    # to u = 0.1: a 32 ns crossing.
+    assert link.traverse(2000) - 2000 == link.loaded_crossing_ns() == 32
+    link.throttle(0.25)           # the same bytes load it to 0.8: u = 0.4
+    assert link.loaded_crossing_ns() == int(
+        link.crossing_latency_ns * link.load_factor()) == 42

@@ -1,5 +1,8 @@
 """Tests for threads and the scheduler."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.os_model.scheduler import Scheduler
@@ -106,6 +109,21 @@ def test_finished_thread_frees_core(sched, machine):
     assert sched.thread_on_core(5) is None
     # The core can be reused now.
     sched.spawn("r", quick, core=machine.core(5))
+
+
+def test_finished_thread_is_not_kept(sched, machine):
+    """Neither the scheduler nor the kernel keeps a thread whose body
+    returned: once collected, a weak reference to it is dead, while a
+    live thread is kept by its suspended body alone."""
+    def quick(thread):
+        yield thread.compute(10)
+
+    done = weakref.ref(sched.spawn("q", quick, core=machine.core(5)))
+    live = weakref.ref(sched.spawn("a", idle_forever, core=machine.core(6)))
+    machine.env.run(until=100)
+    gc.collect()
+    assert done() is None
+    assert live() is not None and sched.thread_on_core(6) is live()
 
 
 def test_free_cores_shrinks(sched, machine):

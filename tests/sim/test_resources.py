@@ -1,11 +1,13 @@
 """Unit tests for bandwidth servers and the DRAM and QPI load buckets."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.interconnect.link import InterconnectLink
 from repro.memory.dram import DramController
 from repro.sim import BandwidthServer, Environment, SimulationError
-from repro.sim.resources import LOAD_BUCKET_NS
+from repro.sim.resources import LOAD_BUCKET_NS, SERVICE_MEMO_ENTRIES
 
 
 # -------------------------------------------------------- BandwidthServer
@@ -351,3 +353,141 @@ def test_ps_server_tracks_bytes():
         with pytest.raises(ValueError):
             charge(-1)
     assert (dram.read_bytes, dram.write_bytes) == (1123, 877)
+
+
+# ------------------------------------------------- service-time memos
+# BandwidthServer.account/account_batch and DramController.read/write
+# take the service time from a bounded memo keyed by size, which a rate
+# change (set_rate) and a consumer-count change (enter/leave) empty.
+# Random charge sequences must return and count exactly what the
+# formulas below, with no memo, return and count.
+
+class _Queue:
+    """BandwidthServer's byte queue, written with the builtins."""
+
+    def __init__(self, rate):
+        self.rate = float(rate)
+        self.free_at = 0
+        self.busy = 0
+        self.bytes = 0
+
+    def charge(self, now, nbytes, nbursts=1):
+        start = max(now, self.free_at)
+        total = int(round(nbytes * 1e9 / self.rate)) * nbursts
+        self.free_at = start + total
+        self.busy += total
+        self.bytes += nbytes * nbursts
+        return start - now + total
+
+    def set_rate(self, now, rate):
+        if self.free_at > now:
+            self.free_at = now + int(round(
+                (self.free_at - now) * self.rate / rate))
+        self.rate = float(rate)
+
+    def state(self):
+        return self.free_at, self.busy, self.bytes
+
+
+#: Mostly the few sizes a resource repeats, sometimes any size.
+_MEMO_SIZES = st.one_of(st.sampled_from([0, 1, 64, 512, 1500, 4096]),
+                        st.integers(min_value=0, max_value=1 << 20))
+#: Zero-length steps (charges at one instant) and bucket rollovers.
+_ADVANCES = st.one_of(st.just(0), st.integers(min_value=1, max_value=500),
+                      st.integers(min_value=0,
+                                  max_value=3 * LOAD_BUCKET_NS))
+#: ("sweep", n, first): n distinct sizes from first on, which overflow
+#: the memo's bound when n is large.
+_SWEEPS = st.tuples(st.just("sweep"),
+                    st.integers(min_value=0,
+                                max_value=2 * SERVICE_MEMO_ENTRIES + 1),
+                    st.integers(min_value=0, max_value=5000))
+
+
+def _sizes(op):
+    return range(op[2], op[2] + op[1]) if op[0] == "sweep" else (op[1],)
+
+
+@given(st.sampled_from(RATES), st.lists(st.one_of(
+    st.tuples(st.just("account"), _MEMO_SIZES),
+    st.tuples(st.just("batch"), _MEMO_SIZES,
+              st.integers(min_value=1, max_value=9)),
+    st.tuples(st.just("advance"), _ADVANCES),
+    st.tuples(st.just("rate"), st.sampled_from(RATES)),
+    _SWEEPS), max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_memoised_account_matches_the_formula(rate, ops):
+    env = Environment()
+    server = BandwidthServer(env, rate)
+    ref = _Queue(rate)
+    for op in ops:
+        kind = op[0]
+        if kind == "advance":
+            env._now += op[1]
+        elif kind == "rate":
+            server.set_rate(op[1])
+            ref.set_rate(env.now, op[1])
+        elif kind == "batch":
+            assert server.account_batch(op[1], op[2]) == ref.charge(
+                env.now, op[1], op[2])
+        else:
+            for nbytes in _sizes(op):
+                assert server.account(nbytes) == ref.charge(env.now, nbytes)
+        assert (server._free_at, server._busy_ns,
+                server._bytes_total) == ref.state()
+        assert len(server._service) <= SERVICE_MEMO_ENTRIES
+
+
+@given(st.sampled_from(RATES), st.lists(st.one_of(
+    st.tuples(st.sampled_from(["read", "write"]), _MEMO_SIZES),
+    st.tuples(st.just("advance"), _ADVANCES),
+    st.tuples(st.sampled_from(["enter", "leave"])),
+    _SWEEPS), max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_memoised_dram_charges_match_the_formula(rate, ops):
+    env = Environment()
+    dram = DramController(env, 0, rate, miss_latency_ns=80)
+    bucket = _Bucket(rate)
+    active = read = written = 0
+    for op in ops:
+        kind = op[0]
+        if kind == "advance":
+            env._now += op[1]
+        elif kind == "enter":
+            dram.enter()
+            active += 1
+        elif kind == "leave":
+            if active:
+                dram.leave()
+                active -= 1
+        else:
+            charge = dram.write if kind == "write" else dram.read
+            for nbytes in _sizes(op):
+                want = int(round(nbytes * max(1, active) * 1e9 / rate))
+                assert charge(nbytes) == want
+                bucket.charge(env.now, nbytes)
+                if kind == "write":
+                    written += nbytes
+                else:
+                    read += nbytes
+        assert (dram.read_bytes, dram.write_bytes) == (read, written)
+        assert _bucket_of(dram) == bucket.state()
+        assert len(dram._service) <= SERVICE_MEMO_ENTRIES
+
+
+def test_negative_charge_is_refused_before_the_memo():
+    """A negative size raises before anything is charged or memoised,
+    whether or not its absolute value is in the memo."""
+    env = Environment()
+    server = BandwidthServer(env, 1e9)
+    dram = _dram(1e9)
+    server.account(64)
+    dram.read(64)
+    for charge in (server.account, lambda n: server.account_batch(n, 2),
+                   dram.read, dram.write):
+        with pytest.raises(ValueError):
+            charge(-64)
+    assert server._service == {64: 64} and dram._service == {64: 64}
+    assert (server._free_at, server.busy_ns, server.bytes_total) == (
+        64, 64, 64)
+    assert (dram.read_bytes, dram.write_bytes) == (64, 0)
