@@ -65,7 +65,10 @@ class CompletionPath:
             # hit vs miss (remote-LLC forward / DRAM / remote DRAM).
             tag = self.machine.memory.dma_read_class(node, queue.ring)
             stage = "cq.hit" if tag == "ddio_hit" else "cq.miss"
-        cost = ndesc * queue.completion_read_ns(node)
+        # Free when DDIO kept the entry hot, ~80 ns when the DMA landed
+        # remotely (§5.1.1).
+        cost = ndesc * self.machine.memory.read_fresh_dma_line(node,
+                                                               queue.ring)
         if flow is not None:
             flow.step(f"core{node}.cq", "cq.consume", cost,
                       {"ndesc": ndesc, "via": queue.pf.name},

@@ -66,12 +66,6 @@ class DmaQueuePair:
         """
         return self.ring_entries - (self.packets_total % self.ring_entries)
 
-    def completion_read_ns(self, node: int) -> int:
-        """CPU cost of reading one completion entry from this queue's
-        ring on ``node``: free when DDIO kept the line hot, ~80 ns when
-        the DMA landed remotely (§5.1.1)."""
-        return self.machine.memory.read_fresh_dma_line(node, self.ring)
-
     def __repr__(self) -> str:
         return (f"<{type(self).__name__} {self.queue_id} "
                 f"core={self.core.core_id} "

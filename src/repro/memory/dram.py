@@ -31,7 +31,9 @@ class DramController:
     :meth:`load_factor` reads.  Both run on every STREAM chunk, so they
     charge and read the bucket inline, and take their service time from
     a memo keyed by size (see :mod:`repro.sim.resources`) that
-    :meth:`enter` and :meth:`leave` empty, since the share changes.
+    :meth:`enter` and :meth:`leave` empty, since the share changes.  The
+    memory system's CPU paths (STREAM chunks, copies, fresh-DMA reads,
+    line fills) read :meth:`load_factor` inline too.
     """
 
     def __init__(self, env: Environment, node_id: int,

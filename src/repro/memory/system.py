@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.interconnect.link import Interconnect
-from repro.memory.dram import DramController
+from repro.memory.dram import _ALPHA, DramController
 from repro.memory.llc import LastLevelCache
 from repro.memory.region import Region
 from repro.sim.engine import Environment
@@ -83,8 +83,19 @@ class MemorySystem:
             return 0
         home = region.home_node
         dram = self.drams[home]
+        # dram.load_factor(), inline (hot path).
+        elapsed = self.env._now - dram._bucket_start
+        if elapsed <= 0:
+            u = dram._last_utilization
+        else:
+            current = (dram._bucket_bytes * 1e9
+                       / (dram.bytes_per_sec * elapsed))
+            current = current if current < 1.0 else 1.0
+            weight = elapsed / dram.bucket_ns
+            weight = weight if weight < 1.0 else 1.0
+            u = (1.0 - weight) * dram._last_utilization + weight * current
         stall = int(miss / CACHELINE * self._stall_per_line
-                    * dram.load_factor())
+                    * (1.0 + _ALPHA * u * u))
         # max(stall, dram_delay, qpi_delay) as conditionals (hot path);
         # every term is a non-negative int.
         dram_delay = dram.read(miss)
@@ -116,8 +127,19 @@ class MemorySystem:
         miss = self.llcs[node].stream_access(region, nbytes)
         if miss == 0:
             return 0
+        # dram.load_factor(), inline (hot path).
+        elapsed = self.env._now - dram._bucket_start
+        if elapsed <= 0:
+            u = dram._last_utilization
+        else:
+            current = (dram._bucket_bytes * 1e9
+                       / (dram.bytes_per_sec * elapsed))
+            current = current if current < 1.0 else 1.0
+            weight = elapsed / dram.bucket_ns
+            weight = weight if weight < 1.0 else 1.0
+            u = (1.0 - weight) * dram._last_utilization + weight * current
         stall = int(miss / CACHELINE * self._stall_per_line
-                    * dram.load_factor())
+                    * (1.0 + _ALPHA * u * u))
         # Write-allocate fill read now + steady-state writeback later.
         dram_delay = (dram.read(miss) + dram.write(miss)) // 2
         delay = dram_delay if dram_delay > stall else stall
@@ -142,31 +164,56 @@ class MemorySystem:
         device (§5.1.1, multi-core).
         """
         llc = self.llcs[node]
-        llc.touch(region)
-        window = min(inflight_bytes, int(region.size * 0.9))
+        # touch() and resident_bytes() on one probe of the entry.
+        entries = llc._entries
+        entry = entries.get(region)
+        if entry is not None:
+            entries.move_to_end(region)
+        # min(inflight_bytes, 90% of the region) as a conditional.
+        window = int(region.size * 0.9)
+        window = window if window < inflight_bytes else inflight_bytes
         if (region.dma_llc_node == node
-                and llc.resident_bytes(region) >= window):
+                and (0 if entry is None else entry.resident) >= window):
             llc.hits_bytes += nbytes
             return 0
         llc.miss_bytes += nbytes
         home = region.home_node
+        dram = self.drams[home]
+        # dram.load_factor(), inline.
+        elapsed = self.env._now - dram._bucket_start
+        if elapsed <= 0:
+            u = dram._last_utilization
+        else:
+            current = (dram._bucket_bytes * 1e9
+                       / (dram.bytes_per_sec * elapsed))
+            current = current if current < 1.0 else 1.0
+            weight = elapsed / dram.bucket_ns
+            weight = weight if weight < 1.0 else 1.0
+            u = (1.0 - weight) * dram._last_utilization + weight * current
         stall = int(nbytes / CACHELINE * self._stall_per_line
-                    * self.drams[home].load_factor())
-        dram_delay = self.drams[home].read(nbytes)
+                    * (1.0 + _ALPHA * u * u))
+        dram_delay = dram.read(nbytes)
         # Streaming cold DMA data through the LLC evicts an equal volume
         # of dirty lines written in the same pass (the copy destination),
         # so the controller also sees a writeback stream.  Together with
         # the device's write and the copy's read this yields the 3x-of-
         # throughput memory bandwidth the paper measures for remote Rx
         # (Fig 6b); with DDIO none of the three streams exists.
-        dram_delay = max(dram_delay, self.drams[home].write(nbytes))
-        qpi_delay = 0
+        write_delay = dram.write(nbytes)
+        # max(stall, dram_delay, qpi_delay) as conditionals; every term
+        # is a non-negative int.
+        delay = write_delay if write_delay > dram_delay else dram_delay
+        delay = delay if delay > stall else stall
         if home != node:
             qpi_delay = (self._qpi[node][home].traverse(
                 int(nbytes * _REQUEST_OVERHEAD))
                 + self._qpi[home][node].traverse(nbytes))
-        llc.load(region, nbytes)
-        return max(stall, dram_delay, qpi_delay)
+            if qpi_delay > delay:
+                delay = qpi_delay
+        # llc.load(region, nbytes).
+        if not region.non_temporal:
+            llc._insert(region, nbytes, False)
+        return delay
 
     def read_fresh_dma_line(self, node: int, region: Region) -> int:
         """Latency-critical single-line read of a just-DMA-written entry
@@ -231,7 +278,14 @@ class MemorySystem:
         home = region.home_node
         if (device_node == home and self.ddio_enabled
                 and not region.non_temporal):
-            absorbed = self.llcs[home].ddio_write(region, nbytes, nbursts)
+            llc = self.llcs[home]
+            if nbursts == 1:
+                # llc.ddio_write(region, nbytes) for one burst.
+                cap = llc.ddio_capacity
+                absorbed = nbytes if nbytes < cap else cap
+                llc._insert(region, absorbed, True)
+            else:
+                absorbed = llc.ddio_write(region, nbytes, nbursts)
             spill = nbytes - absorbed
             if spill:
                 region.dma_llc_node = None
@@ -246,7 +300,10 @@ class MemorySystem:
                                              engine, nbursts)
             if serial > qpi_delay:
                 qpi_delay = serial
-        self.llcs[home].invalidate(region, nbytes)
+        llc = self.llcs[home]
+        # invalidate() drops nothing from an LLC that holds no entry.
+        if region in llc._entries:
+            llc.invalidate(region, nbytes)
         region.dma_llc_node = None
         return dram_delay if dram_delay > qpi_delay else qpi_delay
 
@@ -260,10 +317,10 @@ class MemorySystem:
         data is ultimately served from the LLC.
         """
         home = region.home_node
-        llc = self.llcs[home]
-        cached_fraction = llc.residency(region)
         if device_node == home:
-            if cached_fraction >= _LINE_HIT_THRESHOLD and self.ddio_enabled:
+            llc = self.llcs[home]
+            if (llc.residency(region) >= _LINE_HIT_THRESHOLD
+                    and self.ddio_enabled):
                 llc.hits_bytes += nbytes
                 return 0
             return self.drams[home].read(nbytes)
@@ -295,8 +352,16 @@ class MemorySystem:
         crossing latency is taken as constant), matching the exact
         path's per-burst integer truncation.
         """
-        round_trip = (self._qpi[device_node][home].loaded_crossing_ns()
-                      + self._qpi[home][device_node].loaded_crossing_ns())
+        # Each direction's loaded_crossing_ns(): the crossing it keeps
+        # for this instant (the caller has just charged at least one
+        # direction), else computed.
+        now = self.env._now
+        link = self._qpi[device_node][home]
+        round_trip = (link._crossing_ns if link._crossing_at == now
+                      else link.loaded_crossing_ns())
+        link = self._qpi[home][device_node]
+        round_trip += (link._crossing_ns if link._crossing_at == now
+                       else link.loaded_crossing_ns())
         if nbursts == 1:
             lines = nbytes // CACHELINE
             if lines < 1:
@@ -310,7 +375,6 @@ class MemorySystem:
                 lines * round_trip / self.dma_outstanding_lines)
         if engine is None:
             return duration
-        now = self.env._now
         free_at = engine.dma_window_free_at
         start = free_at if free_at > now else now
         engine.dma_window_free_at = start + duration
@@ -318,8 +382,20 @@ class MemorySystem:
 
     def _line_fill_latency(self, node: int, region: Region) -> int:
         home = region.home_node
-        latency = self.drams[home].loaded_miss_latency()
-        latency += self.drams[home].read(CACHELINE)
+        dram = self.drams[home]
+        # dram.loaded_miss_latency(), inline.
+        elapsed = self.env._now - dram._bucket_start
+        if elapsed <= 0:
+            u = dram._last_utilization
+        else:
+            current = (dram._bucket_bytes * 1e9
+                       / (dram.bytes_per_sec * elapsed))
+            current = current if current < 1.0 else 1.0
+            weight = elapsed / dram.bucket_ns
+            weight = weight if weight < 1.0 else 1.0
+            u = (1.0 - weight) * dram._last_utilization + weight * current
+        latency = int(dram.miss_latency_ns * (1.0 + _ALPHA * u * u))
+        latency += dram.read(CACHELINE)
         if home != node:
             # Latency-bound single-line fills see the congestion-inflated
             # crossing latency, not the bulk servers' transient batch

@@ -132,7 +132,9 @@ class NicDevice(MultiPfDevice):
         queue.outstanding += npackets
         if queue.outstanding > queue.outstanding_hwm:
             queue.outstanding_hwm = queue.outstanding
-        queue.account(npackets, payload_total)
+        # queue.account(npackets, payload_total), inline.
+        queue.packets_total += npackets
+        queue.bytes_total += payload_total
         self._pf_rx_bytes[pf_id] += payload_total
         return queue, delay
 
@@ -208,7 +210,9 @@ class NicDevice(MultiPfDevice):
         # itself; record it so the depth HWM is meaningful for tx queues.
         if ndesc > queue.outstanding_hwm:
             queue.outstanding_hwm = ndesc
-        queue.account(npackets, payload_total)
+        # queue.account(npackets, payload_total), inline.
+        queue.packets_total += npackets
+        queue.bytes_total += payload_total
         self._pf_tx_bytes[pf.pf_id] += payload_total
         return delay
 

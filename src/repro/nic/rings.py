@@ -11,8 +11,6 @@ node of the core it serves (the XPS/ARFS locality policy, §2.3):
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.device.qp import DmaQueuePair
 from repro.units import KB
 
@@ -68,21 +66,16 @@ class QueueSet:
         self.machine = machine
         self.rx: list = []
         self.tx: list = []
-        # A queue's core never changes, so each core's first queue is
-        # found once, here.  Cores hash by identity.
-        self._rx_by_core: dict = {}
-        self._tx_by_core: dict = {}
+        #: Core -> the first queue serving it.  A queue's core never
+        #: changes, so each is found once, here; cores hash by identity.
+        #: The drivers' per-burst lookups read these maps directly.
+        self.rx_by_core: dict = {}
+        self.tx_by_core: dict = {}
         for i, core in enumerate(cores):
             pf = pf_for_core(core) if pf_for_core else None
             rx = RxQueue(i, core, machine, pf)
             tx = TxQueue(i, core, machine, pf)
             self.rx.append(rx)
             self.tx.append(tx)
-            self._rx_by_core.setdefault(core, rx)
-            self._tx_by_core.setdefault(core, tx)
-
-    def rx_for_core(self, core) -> Optional[RxQueue]:
-        return self._rx_by_core.get(core)
-
-    def tx_for_core(self, core) -> Optional[TxQueue]:
-        return self._tx_by_core.get(core)
+            self.rx_by_core.setdefault(core, rx)
+            self.tx_by_core.setdefault(core, tx)

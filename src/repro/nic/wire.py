@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.nic.packet import wire_bytes
+from repro.nic.packet import (FRAMING_BYTES, HEADER_BYTES, MIN_PAYLOAD,
+                              wire_bytes)
 from repro.sim.engine import Environment
 from repro.sim.resources import BandwidthServer
 from repro.sim.rng import SimRandom
@@ -96,14 +97,18 @@ class EthernetWire:
         """Charge a packet batch; returns the wire delay in ns."""
         if npackets < 0:
             raise ValueError(f"negative packet count {npackets}")
+        if payload_bytes < 0:
+            raise ValueError(f"negative payload {payload_bytes}")
         try:
             server = self._servers[direction]
         except KeyError:
             raise ValueError(f"unknown direction {direction!r}") from None
         self.packets_offered[direction] += npackets
         self.payload_bytes_offered[direction] += npackets * payload_bytes
-        total = npackets * wire_bytes(payload_bytes)
-        delay = self.propagation_ns + server.account(total)
+        # wire_bytes(payload_bytes), inline (hot path).
+        frame = (MIN_PAYLOAD if MIN_PAYLOAD > payload_bytes
+                 else payload_bytes) + HEADER_BYTES + FRAMING_BYTES
+        delay = self.propagation_ns + server.account(npackets * frame)
         if self._impairment is not None and npackets:
             lost, corrupted = self._impairment.losses(npackets)
             bad = lost + corrupted
@@ -113,8 +118,7 @@ class EthernetWire:
                 self.retransmitted_packets += bad
                 # Retransmission: the bad packets cross the wire again
                 # after one propagation round of recovery (SACK/FEC).
-                resend = bad * wire_bytes(payload_bytes)
-                delay += self.propagation_ns + server.account(resend)
+                delay += self.propagation_ns + server.account(bad * frame)
         return delay
 
     def line_rate_packets_per_sec(self, payload_bytes: int) -> float:

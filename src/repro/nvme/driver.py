@@ -96,7 +96,9 @@ class NvmeDriver(OctoTeam, DeviceDriver):
         node = core.node_id
         # One flow per submission batch: the doorbell/completion paths and
         # the controller contribute their steps while it is active.
-        flow = self.machine.tracer.begin_flow(self.machine.now)
+        tracer = self.machine.tracer
+        flow = (tracer.begin_flow(self.machine.now) if tracer.enabled
+                else None)
         prep = ncmds * self.machine.spec.software.fio_request_ns
         if flow is not None:
             flow.step(f"core{node}.app", f"nvme.{op}.submit", prep,

@@ -36,20 +36,29 @@ class NetDriver(DeviceDriver):
         raise NotImplementedError
 
     def rx_queue_for_core(self, core: Core) -> RxQueue:
-        self._check_queues_configured()
-        queue = self.queues.rx_for_core(core)
+        """The Rx queue serving ``core``.  Runs once per burst, so it
+        reads the QueueSet's core map itself."""
+        queues = self.queues
+        if queues is None:
+            self._check_queues_configured()
+        queue = queues.rx_by_core.get(core)
         if queue is None:
             raise LookupError(f"no Rx queue for core {core.core_id}")
         return queue
 
     def tx_queue_for_core(self, core: Core) -> TxQueue:
-        self._check_queues_configured()
-        queue = self.queues.tx_for_core(core)
+        """The Tx queue serving ``core`` (see :meth:`rx_queue_for_core`)."""
+        queues = self.queues
+        if queues is None:
+            self._check_queues_configured()
+        queue = queues.tx_by_core.get(core)
         if queue is None:
             raise LookupError(f"no Tx queue for core {core.core_id}")
         return queue
 
     def _check_queues_configured(self) -> None:
+        """Raise for a netdev with no queues; the lookups test
+        ``queues`` inline and call this only to raise."""
         if self.queues is None:
             raise RuntimeError(
                 f"{type(self).__name__} ({self.name!r}) has no queues "

@@ -292,11 +292,14 @@ class NetworkStack:
         charged the wire for this message (request/response loops)."""
         thread = sock.owner
         node = thread.core.node_id
-        pkts = packets_for(message_bytes, MSS)
+        # packets_for(message_bytes, MSS), inline.
+        pkts = -(-message_bytes // MSS) if message_bytes > 0 else 1
         payload = max(1, min(message_bytes, MSS))
         # One flow per message: the device and completion path contribute
         # their steps (wire, DMA, CQ reads) while it is active.
-        flow = self.machine.tracer.begin_flow(self.machine.env._now)
+        tracer = self.machine.tracer
+        flow = (tracer.begin_flow(self.machine.env._now) if tracer.enabled
+                else None)
         queue, dev_ns = sock.driver.device.rx_deliver(
             sock.flow, sock.dst_mac, pkts, payload, charge_wire=charge_wire)
         queue.outstanding = max(0, queue.outstanding - pkts)
@@ -340,12 +343,15 @@ class NetworkStack:
         thread = sock.owner
         node = thread.core.node_id
         txq = sock.tx_queue
-        pkts = packets_for(message_bytes, MSS)
+        # packets_for(message_bytes, MSS), inline.
+        pkts = -(-message_bytes // MSS) if message_bytes > 0 else 1
         payload = max(1, min(message_bytes, MSS))
         total = pkts * payload
         per_pkt = self.costs.udp_pkt_ns if udp else self.costs.tx_pkt_ns
 
-        flow = self.machine.tracer.begin_flow(self.machine.env._now)
+        tracer = self.machine.tracer
+        flow = (tracer.begin_flow(self.machine.env._now) if tracer.enabled
+                else None)
         kernel = self.costs.syscall_ns + pkts * per_pkt
         app = int(total * self.costs.copy_ns_per_byte)
         app += self.memory.cpu_stream_read(node, sock.app_buffer, total)

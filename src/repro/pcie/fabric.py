@@ -118,7 +118,21 @@ class PhysicalFunction:
         if not self.alive:
             self._check_alive("dma_write")
         if nbursts == 1:
-            pcie_delay = self.link.upstream.account(nbytes)
+            # self.link.upstream.account(nbytes), inline (hot path).
+            if nbytes < 0:
+                raise ValueError(f"negative transfer size {nbytes}")
+            server = self.link.upstream
+            now = server.env._now
+            free_at = server._free_at
+            start = free_at if free_at > now else now
+            try:
+                duration = server._service[nbytes]
+            except KeyError:
+                duration = server._memoise(nbytes)
+            server._free_at = start + duration
+            server._busy_ns += duration
+            server._bytes_total += nbytes
+            pcie_delay = (start - now) + duration
         else:
             per_burst, remainder = divmod(nbytes, nbursts)
             if remainder:
@@ -134,7 +148,21 @@ class PhysicalFunction:
         """Memory -> device read through this PF; returns delay ns."""
         if not self.alive:
             self._check_alive("dma_read")
-        pcie_delay = self.link.downstream.account(nbytes)
+        # self.link.downstream.account(nbytes), inline (hot path).
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size {nbytes}")
+        server = self.link.downstream
+        now = server.env._now
+        free_at = server._free_at
+        start = free_at if free_at > now else now
+        try:
+            duration = server._service[nbytes]
+        except KeyError:
+            duration = server._memoise(nbytes)
+        server._free_at = start + duration
+        server._busy_ns += duration
+        server._bytes_total += nbytes
+        pcie_delay = (start - now) + duration
         mem_delay = self._memory.dma_read(self.attach_node, region,
                                           nbytes, self)
         return mem_delay if mem_delay > pcie_delay else pcie_delay

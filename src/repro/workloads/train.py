@@ -183,7 +183,8 @@ def burst_loop(workload, thread, burst, burst_bytes: int,
     governor.  The workload provides ``env``, ``meter``, ``governor``,
     ``warmup_ns`` and ``duration_ns``.
 
-    Exact accuracy runs ``burst(1)`` per event with no governor call.
+    Exact accuracy runs ``burst(1)`` per event with no governor call,
+    and charges the core and sleeps as ``thread.overlap`` would, inline.
     Adaptive accuracy lets the governor size each train and aligns the meter
     progressively: a train's bytes are recorded at its start, so the
     meter runs from the first train's start to the projected end of the
@@ -203,17 +204,27 @@ def burst_loop(workload, thread, burst, burst_bytes: int,
             cpu, dev = burst(1)
             if warmup_ns <= now:
                 meter.record(burst_bytes, burst_messages)
-        else:
-            k = governor.plan_train(token(), now, warmup_ns, duration_ns,
-                                    burst_bytes=burst_bytes,
-                                    bursts_until_wrap=bursts_until_wrap)
-            cpu, dev = burst(k)
-            wall = max(cpu, dev)
-            if warmup_ns <= now:
-                if meter.messages_total == 0:
-                    meter.start_ns = now
-                meter.record(k * burst_bytes, k * burst_messages)
-                meter.finish(min(now + wall, duration_ns))
-            governor.observe(wall, k)
+            # thread.overlap(cpu, dev), inline: charge the core the CPU
+            # part (core.charge raises for a negative one) and sleep the
+            # slower of the two.
+            cpu = int(cpu)
+            core = thread.core
+            if cpu < 0:
+                core.charge(cpu)
+            core._busy_ns += cpu
+            dev = int(dev)
+            yield dev if dev > cpu else cpu
+            continue
+        k = governor.plan_train(token(), now, warmup_ns, duration_ns,
+                                burst_bytes=burst_bytes,
+                                bursts_until_wrap=bursts_until_wrap)
+        cpu, dev = burst(k)
+        wall = max(cpu, dev)
+        if warmup_ns <= now:
+            if meter.messages_total == 0:
+                meter.start_ns = now
+            meter.record(k * burst_bytes, k * burst_messages)
+            meter.finish(min(now + wall, duration_ns))
+        governor.observe(wall, k)
         yield thread.overlap(cpu, dev)
     meter.finish(min(env._now, duration_ns))

@@ -94,6 +94,14 @@ def test_tcp_rr_no_ddio_golden():
                       seed=2, accuracy="exact") == 9682.681093394078
 
 
+def test_tcp_rr_remote_multi_packet_golden():
+    """Pin the 12-packet remote latency path: each 16 KB message's DMA
+    serialization behind the remote PF's window, the invalidation of the
+    cached copy and the line fills of its completion reads."""
+    assert run_tcp_rr("remote", "remote", True, 16 * KB, D,
+                      seed=0, accuracy="exact") == 43185.700507614216
+
+
 def test_repeat_run_is_identical():
     """Same seed twice in one process: no kernel or model state may carry
     over from one run to the next."""

@@ -44,10 +44,10 @@ def test_queueset_lookup_by_core():
     machine = dell_r730()
     queues = QueueSet(machine, machine.cores[:4])
     core = machine.core(2)
-    assert queues.rx_for_core(core).core is core
-    assert queues.tx_for_core(core).core is core
-    assert queues.rx_for_core(machine.core(20)) is None
-    assert queues.tx_for_core(machine.core(20)) is None
+    assert queues.rx_by_core[core].core is core
+    assert queues.tx_by_core[core].core is core
+    assert machine.core(20) not in queues.rx_by_core
+    assert machine.core(20) not in queues.tx_by_core
 
 
 def test_fresh_queue_has_enabled_moderation():
@@ -61,18 +61,18 @@ def test_fresh_queue_has_enabled_moderation():
 def test_queue_lookup_matches_scan_on_every_testbed_core(config):
     """The core -> queue maps return what a scan of the queue lists in
     order returns, for every core of the server; a core the set does not
-    serve gives None from the set and LookupError from the driver."""
+    serve is in neither map, and the driver raises LookupError."""
     testbed = Testbed(config)
     driver = testbed.server.driver
     queues = driver.queues
     for core in testbed.server.machine.cores:
-        for found, listed in ((queues.rx_for_core(core), queues.rx),
-                              (queues.tx_for_core(core), queues.tx)):
+        for found, listed in ((queues.rx_by_core.get(core), queues.rx),
+                              (queues.tx_by_core.get(core), queues.tx)):
             assert found is next(
                 (queue for queue in listed if queue.core is core), None)
     stranger = testbed.client.machine.core(0)
-    assert queues.rx_for_core(stranger) is None
-    assert queues.tx_for_core(stranger) is None
+    assert stranger not in queues.rx_by_core
+    assert stranger not in queues.tx_by_core
     with pytest.raises(LookupError):
         driver.rx_queue_for_core(stranger)
     with pytest.raises(LookupError):

@@ -14,6 +14,15 @@ def test_wire_delay_includes_propagation_and_service():
     assert delay == 600 + service
 
 
+@pytest.mark.parametrize("payload", [0, 1, 45, 46, 47, 1448, 9000])
+def test_wire_charges_wire_bytes_per_packet(payload):
+    """``send`` sizes its frames inline: each packet charges exactly
+    ``wire_bytes(payload)``, minimum-payload padding included."""
+    wire = EthernetWire(Environment(), gigabits=100)
+    wire.send("a_to_b", 3, payload)
+    assert wire.a_to_b.bytes_total == 3 * wire_bytes(payload)
+
+
 def test_wire_directions_independent():
     wire = EthernetWire(Environment(), gigabits=100)
     wire.send("a_to_b", 1000, 1500)
@@ -45,6 +54,8 @@ def test_wire_rejects_bad_args():
         wire.send("sideways", 1, 100)
     with pytest.raises(ValueError):
         wire.send("a_to_b", -1, 100)
+    with pytest.raises(ValueError):
+        wire.send("a_to_b", 1, -1)
 
 
 def test_impairment_validates_probabilities():
