@@ -2,11 +2,11 @@
 
 A :class:`Component` declares one mechanism the paper's design turns on
 — DDIO, ARFS migration, XPS, the MPFS hardware fast-failover, adaptive
-interrupt moderation, packet-train coalescing, the §4.2 no-reorder
-re-steer rule — as a *first-class, toggleable* unit: a name, the layer
-it lives in, its default state, apply/remove hooks that thread the real
-enable/disable path through the simulator, and a cost note answering
-"what does this mechanism buy / cost" in one line.
+interrupt moderation, the §4.2 no-reorder re-steer rule — as a
+*first-class, toggleable* unit: a name, the layer it lives in, its
+default state, apply/remove hooks that thread the real enable/disable
+path through the simulator, and a cost note answering "what does this
+mechanism buy / cost" in one line.
 
 The hooks are deliberately duck-typed: each receives ``(hosts, env)``
 where ``hosts`` is the list of :class:`~repro.core.configurations.Host`
@@ -33,8 +33,7 @@ from typing import Callable, Dict, List, Tuple
 Hook = Callable[[List, object], None]
 
 #: Layers a component may live in (documentation + registry table).
-LAYERS = ("memory", "nic-firmware", "nic-queues", "driver", "os-stack",
-          "workload")
+LAYERS = ("memory", "nic-firmware", "nic-queues", "driver", "os-stack")
 
 
 @dataclass(frozen=True)
@@ -143,10 +142,6 @@ def _set_moderation(hosts, env, enabled: bool) -> None:
                 queue.moderation.disable()
 
 
-def _set_train_coalescing(hosts, env, enabled: bool) -> None:
-    env.train_coalescing = enabled
-
-
 def _set_no_reorder(hosts, env, enabled: bool) -> None:
     for host in hosts:
         host.driver.no_reorder_resteer = enabled
@@ -201,16 +196,6 @@ register_component(Component(
     cost_note="adaptive per-queue coalescing amortises interrupts under "
               "streaming load; off, every burst interrupts per packet "
               "batch of one",
-    apply=_apply, remove=_remove))
-
-_apply, _remove = _pair(_set_train_coalescing)
-register_component(Component(
-    name="train_coalescing", layer="workload", paper_ref="simulator "
-    "(adaptive tier)",
-    default=True,
-    cost_note="steady-state bursts coalesce into packet trains "
-              "(simulator fast path; inert in exact accuracy); off, "
-              "every burst is its own event",
     apply=_apply, remove=_remove))
 
 _apply, _remove = _pair(_set_no_reorder)

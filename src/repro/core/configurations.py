@@ -225,7 +225,6 @@ class Testbed:
     def __init__(self, config: Union[str, SystemConfig, None] = None,
                  seed: int = 0, spec: Optional[MachineSpec] = None,
                  client_config: str = "local",
-                 accuracy: Optional[str] = None,
                  system: Union[str, SystemConfig, None] = None):
         if config is not None and system is not None:
             raise ValueError("pass either config or system=, not both")
@@ -238,10 +237,7 @@ class Testbed:
         self.system = system
         self.config = system.preset
         self.client_config = client_config
-        # ``accuracy=None`` resolves to the process default (the
-        # --accuracy override, REPRO_ACCURACY or "exact").
-        self.env = Environment(accuracy=accuracy)
-        self.accuracy = self.env.accuracy
+        self.env = Environment()
         self.wire = EthernetWire(self.env)
 
         # --- server: bifurcated x16 NIC, one x8 PF per socket (§4.1).

@@ -31,11 +31,11 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.components import SystemConfig, loo_matrix
-from repro.experiments.base import DURATIONS_MS
+from repro.experiments.base import (ACCURACY_MODES, DURATIONS_MS,
+                                    resolve_accuracy)
 from repro.experiments.cli import check_environment, positive_int
 from repro.experiments.runners import (run_pktgen, run_tcp_rr,
                                        run_tcp_stream)
-from repro.sim.engine import ACCURACY_MODES, resolve_accuracy
 from repro.units import KB
 
 #: Leave-one-out deltas smaller than this (relative to baseline) are
@@ -132,7 +132,7 @@ def _duration_ns(fidelity: str) -> int:
 def matrix_points(target: AblationTarget,
                   matrix: Sequence[SystemConfig],
                   duration_ns: int, seed: int,
-                  accuracy: Optional[str]) -> List[Dict]:
+                  accuracy: str) -> List[Dict]:
     """One sweep point per matrix row.  The components dict rides in the
     point's JSON kwargs, so the sweep cache key — like the row's
     ``run_id()`` — is a pure function of the configuration content."""

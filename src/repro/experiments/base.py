@@ -8,17 +8,52 @@ assert the paper's qualitative claims (who wins, by what factor).
 from __future__ import annotations
 
 import inspect
+import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.metrics.collect import format_table
-from repro.sim.engine import (  # noqa: F401  (re-exports configure_accuracy)
-    configure_accuracy,
-    resolve_accuracy,
-)
 
 #: Milliseconds of simulated time per configuration point, by fidelity.
 DURATIONS_MS = {"quick": 10, "normal": 40, "long": 200}
+
+#: Accuracy tiers of the point runners that take one.
+#:
+#: * ``"exact"``    — today's per-packet, bit-identical behaviour; seeded
+#:   runs reproduce the determinism goldens byte-for-byte.
+#: * ``"adaptive"`` — steady-state packet-train coalescing in the
+#:   workloads plus early termination in the experiment runners: far
+#:   fewer events, but not exact; README lists the quick-fidelity
+#:   cells it puts more than 2% off.
+ACCURACY_MODES = ("exact", "adaptive")
+
+
+#: Process-wide accuracy override, set by the CLI's --accuracy flag.
+_accuracy_override: Optional[str] = None
+
+
+def configure_accuracy(mode: Optional[str]) -> None:
+    """Set (or clear, with None) the process-wide accuracy override."""
+    global _accuracy_override
+    if mode is not None and mode not in ACCURACY_MODES:
+        raise ValueError(
+            f"accuracy must be one of {ACCURACY_MODES}, got {mode!r}")
+    _accuracy_override = mode
+
+
+def resolve_accuracy(fallback: str) -> str:
+    """The accuracy tier of a run that names none: the
+    :func:`configure_accuracy` override, else ``REPRO_ACCURACY``, else
+    the caller's ``fallback``."""
+    if _accuracy_override is not None:
+        return _accuracy_override
+    mode = os.environ.get("REPRO_ACCURACY")
+    if not mode:
+        return fallback
+    if mode not in ACCURACY_MODES:
+        raise ValueError(f"REPRO_ACCURACY must be one of {ACCURACY_MODES}, "
+                         f"got {mode!r}")
+    return mode
 
 
 @dataclass
@@ -81,14 +116,15 @@ class Experiment:
     def accuracy(self) -> str:
         """Accuracy mode for this experiment's sweep points.
 
-        Resolved by :func:`~repro.sim.engine.resolve_accuracy`, whose
-        fallback here is the fidelity default: quick runs take the
-        adaptive fast path, normal/long runs stay exact.  Only point
-        functions with an ``accuracy`` parameter receive it (see
-        :meth:`sweep`): at quick, the points of fig06–fig12 and sec24.
-        Throughput points coalesce packet trains and stop early once
-        their rate converges; latency points (fig09's TCP_RR, fig12's
-        sockperf) form no trains and stop once their average converges.
+        Resolved by :func:`resolve_accuracy`, whose fallback here is the
+        fidelity default: quick runs take the adaptive fast path,
+        normal/long runs stay exact.  Only point functions with an
+        ``accuracy`` parameter receive it (see :meth:`sweep`): the
+        points of fig06–fig09, fig11, fig12 and sec24.  Throughput
+        points coalesce packet trains and stop early once their rate
+        converges; latency points (fig09's TCP_RR, fig12's sockperf)
+        form no trains and stop once their average converges.  Every
+        other experiment runs exact at every tier.
         """
         quick = getattr(self, "_fidelity", None) == "quick"
         return resolve_accuracy("adaptive" if quick else "exact")
@@ -105,10 +141,11 @@ class Experiment:
 
         Point functions that accept an ``accuracy`` parameter get this
         experiment's resolved mode injected (explicit per-point values
-        win); functions without the parameter — the fault and
-        time-series runners, and the fio points of fig15 and
-        abl_octossd, whose meters count whole 4 MB batches and so keep
-        the fixed window — are left untouched and stay exact.
+        win); functions without the parameter — fig10's memcached
+        points, the fault and time-series runners, and the fio points
+        of fig15 and abl_octossd, whose meters count whole 4 MB batches
+        and so keep the fixed window — are left untouched and stay
+        exact.
         """
         from repro.experiments.sweep import sweep_map
         if "accuracy" in inspect.signature(fn).parameters:

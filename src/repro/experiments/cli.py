@@ -16,8 +16,9 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.experiments.base import all_experiment_names, get_experiment
-from repro.sim.engine import ACCURACY_MODES
+from repro.experiments.base import (ACCURACY_MODES, all_experiment_names,
+                                    configure_accuracy, get_experiment,
+                                    resolve_accuracy)
 
 
 def _int_at_least(text: str, floor: int) -> int:
@@ -55,7 +56,6 @@ def check_environment(parser: argparse.ArgumentParser,
     is then not read.
     """
     from repro.experiments.sweep import current_jobs
-    from repro.sim.engine import resolve_accuracy
     try:
         if accuracy is None:
             resolve_accuracy("exact")
@@ -80,12 +80,16 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("quick", "normal", "long"),
                         help="simulated duration per data point")
     parser.add_argument("--accuracy", default=None, choices=ACCURACY_MODES,
-                        help="exact: per-burst simulation (bit-identical "
-                             "goldens); adaptive: coalesce steady-state "
-                             "packet trains and stop converged points "
-                             "early (default: REPRO_ACCURACY if set, "
-                             "else adaptive for --fidelity quick and "
-                             "exact otherwise)")
+                        help="tier of the sweep points that take one "
+                             "(fig06-fig09, fig11, fig12, sec24); every "
+                             "other experiment, fig10 included, runs "
+                             "exact at every tier.  exact: per-burst "
+                             "simulation (bit-identical goldens); "
+                             "adaptive: coalesce steady-state packet "
+                             "trains and stop converged points early "
+                             "(default: REPRO_ACCURACY if set, else "
+                             "adaptive for --fidelity quick and exact "
+                             "otherwise)")
     parser.add_argument("--report", action="store_true",
                         help="emit a markdown report (tables + claim "
                              "verdicts) instead of plain tables")
@@ -130,7 +134,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.experiments.sweep import configure
         configure(jobs=args.jobs, cache_dir=args.cache_dir)
     if args.accuracy is not None:
-        from repro.experiments.base import configure_accuracy
         configure_accuracy(args.accuracy)
     if args.servers is not None or args.connections is not None:
         from repro.experiments.fig16_fleet import configure_fleet

@@ -1,14 +1,15 @@
-"""Figure 10 (§5.1.3): memcached throughput vs. SET ratio."""
+"""Figure 10 (§5.1.3): memcached throughput vs. SET ratio.
+
+Its points take no accuracy tier and run the fixed window at every
+fidelity: most of them never converge early, so the fast path saved
+little of the experiment's time.
+"""
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.configurations import Testbed
 from repro.experiments.base import Experiment, ExperimentResult, register
-from repro.experiments.runners import (MembwProbe, meter_elapsed,
-                                       run_until_converged, run_with_slack,
-                                       warmup_of)
+from repro.experiments.runners import MembwProbe, run_with_slack, warmup_of
 from repro.workloads.memcached import MemcachedServer
 
 SET_RATIOS = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -16,22 +17,14 @@ SET_RATIOS = [0.0, 0.25, 0.5, 0.75, 1.0]
 WORKERS = 2
 
 
-def run_memcached(config: str, set_fraction: float, duration_ns: int,
-                  accuracy: Optional[str] = None) -> dict:
-    testbed = Testbed(config, accuracy=accuracy)
+def run_memcached(config: str, set_fraction: float,
+                  duration_ns: int) -> dict:
+    testbed = Testbed(config)
     host = testbed.server
     cores = host.machine.cores_on_node(
         testbed.server_workload_node)[:WORKERS]
     server = MemcachedServer(host, cores, set_fraction, duration_ns,
                              warmup_of(duration_ns))
-    if testbed.env.adaptive:
-        window = run_until_converged(testbed, duration_ns,
-                                     server.meter.ktps)
-        elapsed = meter_elapsed(server.meter)
-        return {
-            "ktps": server.transactions_ktps(),
-            "membw_gbps": window.membw_gbps(elapsed),
-        }
     probe = MembwProbe(testbed, duration_ns)
     run_with_slack(testbed, duration_ns)
     return {

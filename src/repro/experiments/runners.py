@@ -1,24 +1,29 @@
 """Shared experiment runners (build a testbed, run one workload point).
 
-Every runner here, and the point functions of fig10 and fig12, takes an
-``accuracy`` mode (``None`` = the process default, see
-:func:`repro.sim.engine.resolve_accuracy`).  A quick sweep passes them
-``"adaptive"``, so the points of fig06–fig12 and sec24 run it:
+Every runner here, and fig12's point function, takes an ``accuracy``
+tier (one of :data:`~repro.experiments.base.ACCURACY_MODES`, default
+``"exact"``); the tier is an argument, never a process default, so a
+point's result depends only on its parameters.  A quick sweep passes
+them ``"adaptive"``, so the points of fig06–fig09, fig11, fig12 and
+sec24 run it:
 
 * ``"exact"`` — the full run: every burst is its own event, metrics are
   probed over the fixed measurement window.  Bit-identical to the
   pre-train behaviour (the determinism goldens pin this).
-* ``"adaptive"`` — the quick-fidelity fast path: workloads coalesce
-  steady-state packet trains (``repro.workloads.train``) and the runner
-  stops the point early once its primary estimate has converged
-  (:func:`run_until_converged`), reading metrics over the train-aligned
-  covered time instead of the full window.  Latency points (TCP_RR,
-  sockperf) form no trains and stop once their average latency
-  converges (:func:`run_latency_point`).
+* ``"adaptive"`` — the quick-fidelity fast path: the runner hands its
+  workload a :class:`~repro.workloads.train.TrainGovernor`, which
+  coalesces steady-state packet trains, and stops the point early once
+  its primary estimate has converged (:func:`run_until_converged`),
+  reading metrics over the train-aligned covered time instead of the
+  full window.  Latency points (TCP_RR, sockperf) form no trains and
+  stop once their average latency converges
+  (:func:`run_latency_point`).
 
-The STREAM-loaded points of abl_window, fig15 and abl_octossd take no
-mode and keep the fixed window: their meters count whole bursts (64 KB
-TCP bursts, 4 MB fio batches), so a shorter window moves their cells.
+fig10's memcached points and the STREAM-loaded points of abl_window,
+fig15 and abl_octossd take no tier and keep the fixed window: their
+meters count whole transactions or bursts (512 KB values, 64 KB TCP
+bursts, 4 MB fio batches), so a shorter window moves their cells or
+saves little.
 
 Every window is measured the same way: snapshot the cumulative counters
 when it opens and difference them when it is read (:class:`Window`,
@@ -33,11 +38,13 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.components import SystemConfig
 from repro.core.configurations import Testbed
+from repro.experiments.base import ACCURACY_MODES
 from repro.metrics.collect import LatencyRecorder, TimeSeries
 from repro.nic.packet import Flow
 from repro.workloads.netperf import TcpRr, TcpStream
 from repro.workloads.pktgen import Pktgen
 from repro.workloads.stream_bench import spawn_stream_pairs
+from repro.workloads.train import TrainGovernor
 
 #: Fraction of the run used as warmup before measurement starts.
 WARMUP_FRACTION = 0.15
@@ -51,9 +58,8 @@ SLACK_DIVISOR = 5
 CONVERGE_SLICES = 16
 #: The last this-many estimates must agree ...  (so no point stops
 #: before this many slices; 5, not 3: workloads with coarse per-sample
-#: quantisation — memcached's ~100 us transactions — drift at the
-#: percent scale for several slices, and a 3-slice window can sit flat
-#: on a transient plateau.)
+#: quantisation drift at the percent scale for several slices, and a
+#: 3-slice window can sit flat on a transient plateau.)
 CONVERGE_WINDOW = 5
 #: ... to within this relative half-width for the point to stop early.
 CONVERGE_REL = 0.005
@@ -61,6 +67,15 @@ CONVERGE_REL = 0.005
 
 def warmup_of(duration_ns: int) -> int:
     return int(duration_ns * WARMUP_FRACTION)
+
+
+def is_adaptive(accuracy: str) -> bool:
+    """Whether a runner given ``accuracy`` takes the fast path; any
+    value outside :data:`ACCURACY_MODES` is a ValueError."""
+    if accuracy not in ACCURACY_MODES:
+        raise ValueError(f"accuracy must be one of {ACCURACY_MODES}, "
+                         f"got {accuracy!r}")
+    return accuracy == "adaptive"
 
 
 def system_for(config: str,
@@ -191,7 +206,7 @@ def run_until_converged(testbed: Testbed, duration_ns: int,
 
 
 def run_latency_point(testbed: Testbed, duration_ns: int,
-                      latencies: LatencyRecorder) -> None:
+                      latencies: LatencyRecorder, accuracy: str) -> None:
     """Run one latency point (TCP_RR, sockperf) to its end.
 
     Exact runs the fixed window plus drain slack.  Adaptive stops once
@@ -200,7 +215,7 @@ def run_latency_point(testbed: Testbed, duration_ns: int,
     per-iteration latency is nearly deterministic, and the average
     settles within a few convergence slices.
     """
-    if testbed.env.adaptive:
+    if is_adaptive(accuracy):
         run_until_converged(testbed, duration_ns, latencies.average)
     else:
         run_with_slack(testbed, duration_ns)
@@ -208,9 +223,9 @@ def run_latency_point(testbed: Testbed, duration_ns: int,
 
 def meter_elapsed(meter) -> int:
     """Covered time of an adaptive run: first record to the (train-
-    aligned, progressively finished) end.  Adaptive workload bodies snap
-    ``start_ns`` to their first recorded train and project ``end_ns``
-    past their last, so dividing a :class:`Window`'s differences by
+    aligned, progressively finished) end.  A governed burst loop snaps
+    ``start_ns`` to its first recorded train and projects ``end_ns``
+    past its last, so dividing a :class:`Window`'s differences by
     this — instead of env.now − warmup — cancels both boundary effects:
     the dead gap before the first post-warmup train and the charge-ahead
     of the last one."""
@@ -251,22 +266,23 @@ class MembwProbe:
 def run_tcp_stream(config: str, message_bytes: int, direction: str,
                    duration_ns: int, stream_pairs: int = 0,
                    seed: int = 0,
-                   accuracy: Optional[str] = None,
+                   accuracy: str = "exact",
                    components: Optional[Dict[str, bool]] = None,
                    obs=None) -> Dict[str, float]:
     """One netperf TCP_STREAM point; returns throughput/membw/cpu."""
-    testbed = Testbed(system=system_for(config, components), seed=seed,
-                      accuracy=accuracy)
+    adaptive = is_adaptive(accuracy)
+    testbed = Testbed(system=system_for(config, components), seed=seed)
     if obs is not None:
         obs.attach(testbed, horizon_ns=duration_ns)
     host = testbed.server
     warmup = warmup_of(duration_ns)
     workload = TcpStream(host, testbed.server_core(0), Flow.make(0),
-                         message_bytes, direction, duration_ns, warmup)
+                         message_bytes, direction, duration_ns, warmup,
+                         governor=TrainGovernor() if adaptive else None)
     if stream_pairs:
         spawn_stream_pairs(host, stream_pairs, duration_ns, warmup,
                            skip_cores=[testbed.server_core(0)])
-    if testbed.env.adaptive:
+    if adaptive:
         window = run_until_converged(testbed, duration_ns,
                                      workload.meter.gbps)
         elapsed = meter_elapsed(workload.meter)
@@ -288,18 +304,19 @@ def run_tcp_stream(config: str, message_bytes: int, direction: str,
 def run_pktgen(config: str, packet_bytes: int, duration_ns: int,
                ring_home_node: Optional[int] = None,
                seed: int = 0,
-               accuracy: Optional[str] = None,
+               accuracy: str = "exact",
                components: Optional[Dict[str, bool]] = None,
                obs=None) -> Dict[str, float]:
     """One pktgen point."""
-    testbed = Testbed(system=system_for(config, components), seed=seed,
-                      accuracy=accuracy)
+    adaptive = is_adaptive(accuracy)
+    testbed = Testbed(system=system_for(config, components), seed=seed)
     if obs is not None:
         obs.attach(testbed, horizon_ns=duration_ns)
     workload = Pktgen(testbed.server, testbed.server_core(0), packet_bytes,
                       duration_ns, warmup_of(duration_ns),
-                      ring_home_node=ring_home_node)
-    if testbed.env.adaptive:
+                      ring_home_node=ring_home_node,
+                      governor=TrainGovernor() if adaptive else None)
+    if adaptive:
         window = run_until_converged(testbed, duration_ns,
                                      workload.meter.mpps)
         elapsed = meter_elapsed(workload.meter)
@@ -319,7 +336,7 @@ def run_pktgen(config: str, packet_bytes: int, duration_ns: int,
 
 def run_tcp_rr(server_config: str, client_config: str, ddio: bool,
                message_bytes: int, duration_ns: int,
-               seed: int = 0, accuracy: Optional[str] = None,
+               seed: int = 0, accuracy: str = "exact",
                components: Optional[Dict[str, bool]] = None,
                obs=None) -> float:
     """One TCP_RR point; returns average RTT in ns."""
@@ -327,10 +344,10 @@ def run_tcp_rr(server_config: str, client_config: str, ddio: bool,
     if not ddio:
         system = system.with_override("ddio", False)
     testbed = Testbed(system=system, client_config=client_config,
-                      seed=seed, accuracy=accuracy)
+                      seed=seed)
     if obs is not None:
         obs.attach(testbed, horizon_ns=duration_ns)
     workload = TcpRr(testbed, message_bytes, duration_ns,
                      warmup_of(duration_ns))
-    run_latency_point(testbed, duration_ns, workload.latencies)
+    run_latency_point(testbed, duration_ns, workload.latencies, accuracy)
     return workload.average_rtt_ns()

@@ -24,7 +24,6 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.sim.engine import resolve_accuracy
 
 #: Process-wide defaults, set once by the CLI (or tests) via configure().
 #: ``_jobs`` stays None until configured; :func:`current_jobs` then reads
@@ -135,10 +134,9 @@ def _fn_path(fn: Callable) -> str:
 
 
 def _point_key(fn_path: str, params: Dict) -> str:
-    # A point that names no tier runs the process default, which
-    # --accuracy and REPRO_ACCURACY set, so that default is in the key.
-    payload = json.dumps({"fn": fn_path, "params": params,
-                          "accuracy": resolve_accuracy("exact")},
+    # A point's result depends only on its parameters: a tier, where the
+    # function takes one, is among them.
+    payload = json.dumps({"fn": fn_path, "params": params},
                          sort_keys=True, default=repr)
     return hashlib.sha256(
         (code_fingerprint() + payload).encode()).hexdigest()

@@ -21,7 +21,7 @@ import re
 from typing import Dict, List, Optional
 
 from repro.core.configurations import Testbed, attach_octossd
-from repro.experiments.runners import system_for, warmup_of
+from repro.experiments.runners import is_adaptive, system_for, warmup_of
 from repro.faults.injector import FaultInjector
 from repro.fuzz.case import FuzzCase
 from repro.nic.packet import Flow
@@ -33,6 +33,7 @@ from repro.workloads.fio import FioReader
 from repro.workloads.memcached import MemcachedServer
 from repro.workloads.netperf import TcpRr, TcpStream
 from repro.workloads.pktgen import Pktgen
+from repro.workloads.train import TrainGovernor
 
 #: Slack past every fault's recovery so post-recovery state settles.
 RECOVERY_SLACK_NS = 200_000
@@ -44,8 +45,9 @@ _RESIDUAL = re.compile(r"residual=(\d+)")
 
 def _build(case: FuzzCase, accuracy: str, trace: bool,
            blame_collector=None):
+    adaptive = is_adaptive(accuracy)
     testbed = Testbed(system=system_for(case.config, case.components),
-                      seed=case.seed, accuracy=accuracy)
+                      seed=case.seed)
     if trace:
         for machine in (testbed.server.machine, testbed.client.machine):
             machine.tracer.enabled = True
@@ -70,12 +72,14 @@ def _build(case: FuzzCase, accuracy: str, trace: bool,
     if case.workload == "pktgen":
         workloads["pktgen"] = Pktgen(
             server, testbed.server_core(0), params["packet_bytes"],
-            case.duration_ns, warmup)
+            case.duration_ns, warmup,
+            governor=TrainGovernor() if adaptive else None)
     elif case.workload == "tcp_stream":
         workloads["stream"] = TcpStream(
             server, testbed.server_core(0), Flow.make(0),
             params["message_bytes"], params["direction"],
-            case.duration_ns, warmup)
+            case.duration_ns, warmup,
+            governor=TrainGovernor() if adaptive else None)
     elif case.workload == "tcp_rr":
         workloads["rr"] = TcpRr(testbed, params["message_bytes"],
                                 case.duration_ns, warmup)
@@ -94,7 +98,8 @@ def _build(case: FuzzCase, accuracy: str, trace: bool,
     else:  # colocated: TCP_STREAM rx + one fio thread on the same box.
         workloads["stream"] = TcpStream(
             server, testbed.server_core(0), Flow.make(0),
-            params["message_bytes"], "rx", case.duration_ns, warmup)
+            params["message_bytes"], "rx", case.duration_ns, warmup,
+            governor=TrainGovernor() if adaptive else None)
         workloads["fio0"] = FioReader(
             server, testbed.server_core(1), nvme_driver,
             case.duration_ns, warmup,
@@ -214,9 +219,9 @@ def _metrics(case: FuzzCase, workloads: Dict):
     return metrics, records
 
 
-def _collect(case: FuzzCase, testbed, workloads, injectors, nvme_ctrl,
-             nvme_driver, outcome: str, error: Optional[str],
-             trace: bool) -> Dict:
+def _collect(case: FuzzCase, accuracy: str, testbed, workloads,
+             injectors, nvme_ctrl, nvme_driver, outcome: str,
+             error: Optional[str], trace: bool) -> Dict:
     server, client = testbed.server, testbed.client
     wire = testbed.wire
     counts: Dict[str, int] = {}
@@ -246,7 +251,7 @@ def _collect(case: FuzzCase, testbed, workloads, injectors, nvme_ctrl,
         "outcome": outcome,
         "error": error,
         "end_ns": testbed.env.now,
-        "accuracy": testbed.accuracy,
+        "accuracy": accuracy,
         "wire": {
             "packets_offered_a_to_b": wire.packets_offered["a_to_b"],
             "packets_offered_b_to_a": wire.packets_offered["b_to_a"],
@@ -313,8 +318,8 @@ def execute(case: FuzzCase, accuracy: str = "exact",
         outcome = "crashed"
         error = (f"{type(exc).__name__} at {testbed.env.now}ns: "
                  f"{exc}")
-    return _collect(case, testbed, workloads, injectors, nvme_ctrl,
-                    nvme_driver, outcome, error, trace)
+    return _collect(case, accuracy, testbed, workloads, injectors,
+                    nvme_ctrl, nvme_driver, outcome, error, trace)
 
 
 def run_case(case: Dict, invariants: Optional[List[str]] = None,

@@ -26,10 +26,9 @@ import pstats
 import sys
 from typing import List, Optional
 
-from repro.experiments.base import DURATIONS_MS
+from repro.experiments.base import ACCURACY_MODES, DURATIONS_MS
 from repro.experiments.cli import positive_int
 from repro.obs.session import ObsSession
-from repro.sim.engine import ACCURACY_MODES
 from repro.workloads.pktgen import MIN_PACKET_BYTES
 
 WORKLOADS = ("pktgen", "tcp_rx", "tcp_tx", "rr")

@@ -239,9 +239,8 @@ def render_text(report: Dict) -> str:
 # -------------------------------------------------------------------- CLI
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.experiments.base import DURATIONS_MS
+    from repro.experiments.base import ACCURACY_MODES, DURATIONS_MS
     from repro.experiments.cli import positive_int
-    from repro.sim.engine import ACCURACY_MODES
     parser = argparse.ArgumentParser(
         prog="ioctopus-repro obs diff",
         description="Attribute the latency delta between two runs "

@@ -146,7 +146,7 @@ class NetworkStack:
         """Receive ``nmessages`` messages; returns (cpu_ns, dev_ns).
 
         ``ntrains > 1`` coalesces that many identical back-to-back bursts
-        into one call (adaptive accuracy): every count is the per-burst
+        into one call (a packet train): every count is the per-burst
         value scaled by ``ntrains`` — preserving the per-burst quantisation
         of packets-per-message and interrupts — so the charge equals the
         sum of ``ntrains`` individual calls wherever the model is linear.
@@ -175,7 +175,9 @@ class NetworkStack:
         # Blame-only interval (no trace records): the shared paths below
         # contribute their stage charges while it is active.
         now = self.machine.env._now
-        bflow = self.machine.tracer.begin_blame(now)
+        tracer = self.machine.tracer
+        bflow = (tracer.begin_blame(now) if tracer.blame is not None
+                 else None)
         cpu = sock.driver.completion.interrupt(queue, burst_packets,
                                                ntrains, now)
         stack = (npackets * self.costs.rx_pkt_ns
@@ -233,7 +235,9 @@ class NetworkStack:
         stack_cost = ndesc * self.costs.tx_segment_ns
 
         now = self.machine.env._now
-        bflow = self.machine.tracer.begin_blame(now)
+        tracer = self.machine.tracer
+        bflow = (tracer.begin_blame(now) if tracer.blame is not None
+                 else None)
         kernel = total_messages * self.costs.syscall_ns + stack_cost
         cpu = kernel
         # Copy userspace -> kernel skbs.

@@ -32,49 +32,10 @@ entries still queued, which is how
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush, heapreplace
 from typing import Generator, List, Optional
 
 from repro.sim.errors import ScheduleInPastError, SimulationError
-
-#: Accuracy modes governing the adaptive fast paths.
-#:
-#: * ``"exact"``    — today's per-packet, bit-identical behaviour; seeded
-#:   runs reproduce the determinism goldens byte-for-byte.
-#: * ``"adaptive"`` — steady-state packet-train coalescing in the
-#:   workloads plus early termination in the experiment runners: far
-#:   fewer events, but not exact; README lists the quick-fidelity
-#:   cells it puts more than 2% off.
-ACCURACY_MODES = ("exact", "adaptive")
-
-
-#: Process-wide accuracy override, set by the CLI's --accuracy flag.
-_accuracy_override: Optional[str] = None
-
-
-def configure_accuracy(mode: Optional[str]) -> None:
-    """Set (or clear, with None) the process-wide accuracy override."""
-    global _accuracy_override
-    if mode is not None and mode not in ACCURACY_MODES:
-        raise ValueError(
-            f"accuracy must be one of {ACCURACY_MODES}, got {mode!r}")
-    _accuracy_override = mode
-
-
-def resolve_accuracy(fallback: str) -> str:
-    """The accuracy tier of a run that names none: the
-    :func:`configure_accuracy` override, else ``REPRO_ACCURACY``, else
-    the caller's ``fallback``."""
-    if _accuracy_override is not None:
-        return _accuracy_override
-    mode = os.environ.get("REPRO_ACCURACY")
-    if not mode:
-        return fallback
-    if mode not in ACCURACY_MODES:
-        raise ValueError(f"REPRO_ACCURACY must be one of {ACCURACY_MODES}, "
-                         f"got {mode!r}")
-    return mode
 
 
 class Process:
@@ -109,22 +70,10 @@ class Process:
 class Environment:
     """The simulation clock and the queue of process resumptions."""
 
-    def __init__(self, accuracy: Optional[str] = None):
-        if accuracy is None:
-            accuracy = resolve_accuracy("exact")
-        if accuracy not in ACCURACY_MODES:
-            raise ValueError(f"accuracy must be one of {ACCURACY_MODES}, "
-                             f"got {accuracy!r}")
-        #: Accuracy mode every model layer consults (see ACCURACY_MODES).
-        self.accuracy = accuracy
+    def __init__(self):
         self._now = 0
         self._queue: List[tuple] = []
         self._sequence = 0
-        #: The ``train_coalescing`` component: when cleared,
-        #: :func:`repro.workloads.train.make_governor` hands out
-        #: governors that never coalesce (inert in exact mode, where
-        #: trains never form anyway).
-        self.train_coalescing = True
 
     @property
     def now(self) -> int:
@@ -137,12 +86,6 @@ class Environment:
         the sequence number less the entries still queued (see the
         module docstring), read between steps."""
         return self._sequence - len(self._queue)
-
-    @property
-    def adaptive(self) -> bool:
-        """True when the fast paths may engage (train coalescing, early
-        termination)."""
-        return self.accuracy != "exact"
 
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)

@@ -136,7 +136,7 @@ class BandwidthServer:
         ``_free_at``/counters), collapsed into one call; the return value
         is the delay until the *final* burst completes — exactly what the
         last of the sequential calls would have returned.  This is how
-        an adaptive train charges the PCIe link and interconnect per
+        a packet train charges the PCIe link and interconnect per
         burst.
         """
         if nbytes < 0:

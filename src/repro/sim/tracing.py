@@ -163,7 +163,7 @@ class TraceFlow:
         """Close the flow for blame purposes: report the accumulated
         stage charges against the end-to-end total the caller actually
         returned.  ``represented`` is how many base units (bursts,
-        requests) this flow stands for — adaptive packet trains
+        requests) this flow stands for — packet trains
         seal once per train with ``represented=k`` and the collector
         apportions stage time across them.  Safe to call after
         :meth:`finish`; a no-op when no blame collector is attached."""

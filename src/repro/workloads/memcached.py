@@ -39,16 +39,6 @@ class MemcachedServer(Workload):
         self._txn_interval_ns = (int(1e6 / offered_ktps * len(cores))
                                  if offered_ktps else 0)
         self.meter = measured_meter(self)
-        #: Adaptive mode: each worker's first recorded transaction start
-        #: and projected end of its last one.  The shared meter is
-        #: aligned to the mean of each, so an early-terminated run
-        #: divides by time that matches what all workers actually
-        #: covered — neither the dead gap between warmup and the first
-        #: post-warmup transaction nor the charge-ahead of the last one
-        #: biases the rate (a single worker's projection would over- or
-        #: under-count the others' in-flight transactions).
-        self._record_starts: dict = {}
-        self._projected_ends: dict = {}
         node = cores[0].node_id
         # The slab heap is far larger than the LLC: GETs stream values
         # from DRAM, as a real memcached with a production dataset does.
@@ -102,24 +92,8 @@ class MemcachedServer(Workload):
                     dev = max(dev, dev2)
                 txn += 1
                 busy = max(cpu, dev)
-                wall = max(busy, self._txn_interval_ns)
                 if self.in_measurement():
                     self.meter.record(self.value_bytes, 1)
-                    if self.env.adaptive:
-                        # Progressive start/finish: keep the meter's
-                        # window aligned with the workers' recorded
-                        # transactions, so the convergence loop can stop
-                        # the run early and still read a covered-time
-                        # rate.
-                        if worker_id not in self._record_starts:
-                            self._record_starts[worker_id] = self.env.now
-                            starts = self._record_starts.values()
-                            self.meter.start_ns = int(
-                                sum(starts) / len(starts))
-                        self._projected_ends[worker_id] = min(
-                            self.env.now + wall, self.duration_ns)
-                        ends = self._projected_ends.values()
-                        self.meter.finish(int(sum(ends) / len(ends)))
                 if self._txn_interval_ns > busy:
                     # Offered-load pacing: idle until the clients send the
                     # next request.

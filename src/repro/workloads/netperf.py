@@ -8,12 +8,14 @@ disabled, run across the testbed's two machines.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.metrics.collect import LatencyRecorder
 from repro.nic.packet import Flow, packets_for
 from repro.os_model.netstack import MSS
 from repro.units import KB
 from repro.workloads.base import Workload, measured_meter
-from repro.workloads.train import burst_loop, make_governor
+from repro.workloads.train import TrainGovernor, burst_loop
 
 #: Default burst sizing: batch messages up to this many bytes per loop.
 BURST_BYTES = 64 * KB
@@ -24,7 +26,7 @@ class TcpStream(Workload):
 
     def __init__(self, host, core, flow: Flow, message_bytes: int,
                  direction: str, duration_ns: int, warmup_ns: int = 0,
-                 driver=None):
+                 driver=None, governor: Optional[TrainGovernor] = None):
         super().__init__(host, duration_ns, warmup_ns)
         if direction not in ("rx", "tx"):
             raise ValueError(f"direction must be 'rx' or 'tx', "
@@ -39,9 +41,9 @@ class TcpStream(Workload):
         self.driver = driver or host.driver
         self.meter = measured_meter(self)
         self.batch = max(1, BURST_BYTES // message_bytes)
-        #: Packet-train coalescing state (drives the adaptive fast path;
-        #: idle in exact mode).  Tests read its counters.
-        self.governor = make_governor(host.machine.env)
+        #: Sizes the packet trains; None runs one event per burst.
+        #: Tests read its counters.
+        self.governor = governor
         self.thread = self._spawn(f"netperf-{direction}", self._body, core)
 
     def _body(self, thread):

@@ -9,8 +9,10 @@ miss with a remote one.  That single miss is the paper's entire 4.1 vs
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.workloads.base import Workload, measured_meter
-from repro.workloads.train import burst_loop, make_governor
+from repro.workloads.train import TrainGovernor, burst_loop
 
 #: pktgen posts descriptors in bursts of this many packets.
 BURST_PKTS = 64
@@ -23,7 +25,8 @@ class Pktgen(Workload):
 
     def __init__(self, host, core, packet_bytes: int, duration_ns: int,
                  warmup_ns: int = 0, driver=None,
-                 ring_home_node: int = None):
+                 ring_home_node: int = None,
+                 governor: Optional[TrainGovernor] = None):
         super().__init__(host, duration_ns, warmup_ns)
         if packet_bytes < MIN_PACKET_BYTES:
             raise ValueError(f"packet too small: {packet_bytes} bytes "
@@ -33,9 +36,9 @@ class Pktgen(Workload):
         self.driver = driver or host.driver
         self.meter = measured_meter(self)
         self._ring_home_node = ring_home_node
-        #: Packet-train coalescing state (drives the adaptive fast path;
-        #: idle in exact mode).  Tests read its counters.
-        self.governor = make_governor(host.machine.env)
+        #: Sizes the packet trains; None runs one event per burst.
+        #: Tests read its counters.
+        self.governor = governor
         self.thread = self._spawn("pktgen", self._body, core)
 
     def _body(self, thread):
@@ -66,7 +69,9 @@ class Pktgen(Workload):
             the event count — and the doorbell/propagation amortisation
             the paper's drivers also batch away — changes."""
             pkts = k * BURST_PKTS
-            bflow = machine.tracer.begin_blame(env._now)
+            tracer = machine.tracer
+            bflow = (tracer.begin_blame(env._now)
+                     if tracer.blame is not None else None)
             stack = pkts * costs.pktgen_pkt_ns
             door = k * txq.pf.mmio_latency(node)  # doorbell per burst
             cpu = stack + door

@@ -1,23 +1,23 @@
-"""One burst loop for every accuracy tier, and the governors that size
-its packet trains.
+"""One burst loop for every workload of identical bursts, and the
+governors that size its packet trains.
 
 pktgen and netperf TCP_STREAM are loops of identical bursts.
-:func:`burst_loop` runs that loop for every tier; each workload supplies
-a ``burst(k)`` callable that charges k identical back-to-back bursts
-through the model layer and returns ``(cpu_ns, dev_ns)``, its bytes and
-messages per burst, a steady-state token and its bursts until the
-descriptor ring wraps.
+:func:`burst_loop` runs that loop; each workload supplies a ``burst(k)``
+callable that charges k identical back-to-back bursts through the model
+layer and returns ``(cpu_ns, dev_ns)``, its bytes and messages per
+burst, a steady-state token and its bursts until the descriptor ring
+wraps.
 
-``exact`` accuracy is the k = 1 case: one event per burst, every burst
-re-walks wire -> NIC ring -> DMA/LLC -> netstack, the loop makes no
-governor call and the meter covers exactly the measurement window.
+A workload built without a governor runs the k = 1 case: one event per
+burst, every burst re-walks wire -> NIC ring -> DMA/LLC -> netstack and
+the meter covers exactly the measurement window.
 
-In ``adaptive`` mode the :class:`TrainGovernor` watches the
+A workload given a :class:`TrainGovernor` lets the governor watch the
 *steady-state token* — a fingerprint of every decision a burst depends
 on (core, queues, serving PF and its liveness, the firmware steering
 epoch, interrupt-moderation budget, wire impairment) — and, while the
-token holds and the per-burst wall time is stable, lets the loop
-coalesce K back-to-back bursts into a single *train* event.  The model
+token holds and the per-burst wall time is stable, coalesce K
+back-to-back bursts into a single *train* event.  The model
 layer is closed-form in the batch size (every ``*_burst``/``tx``/
 ``rx_deliver`` call takes an ``npackets``/``nmessages`` count and the
 bandwidth/DRAM/interconnect servers are linear in bytes), so a train is
@@ -158,20 +158,6 @@ class TrainGovernor:
             self._next_k = min(self._next_k * 2, self.max_bursts)
 
 
-def make_governor(env) -> TrainGovernor:
-    """A per-flow governor (exact mode constructs one too, but never
-    plans k > 1 because :func:`burst_loop` only consults it when
-    ``env.adaptive``).
-
-    The ``train_coalescing`` component clears ``env.train_coalescing``:
-    the governor then never coalesces (max one burst per train), which
-    in the adaptive tier reverts every flow to per-burst events — and
-    is inert in exact mode, where trains never form anyway."""
-    if not getattr(env, "train_coalescing", True):
-        return TrainGovernor(max_bursts=1)
-    return TrainGovernor()
-
-
 def burst_loop(workload, thread, burst, burst_bytes: int,
                burst_messages: int, token, bursts_until_wrap):
     """Run ``workload``'s steady burst loop on ``thread`` until its
@@ -183,19 +169,19 @@ def burst_loop(workload, thread, burst, burst_bytes: int,
     governor.  The workload provides ``env``, ``meter``, ``governor``,
     ``warmup_ns`` and ``duration_ns``.
 
-    Exact accuracy runs ``burst(1)`` per event with no governor call,
-    and charges the core and sleeps as ``thread.overlap`` would, inline.
-    Adaptive accuracy lets the governor size each train and aligns the meter
-    progressively: a train's bytes are recorded at its start, so the
-    meter runs from the first train's start to the projected end of the
-    last (the convergence loop may stop the run mid-train, and the
-    first post-warmup train may start a little after warmup).
+    With no governor the loop runs ``burst(1)`` per event, and charges
+    the core and sleeps as ``thread.overlap`` would, inline.  A governor
+    sizes each train, and the meter is aligned progressively: a train's
+    bytes are recorded at its start, so the meter runs from the first
+    train's start to the projected end of the last (the convergence
+    loop may stop the run mid-train, and the first post-warmup train may
+    start a little after warmup).
     """
     env = workload.env
     meter = workload.meter
     warmup_ns = workload.warmup_ns
     duration_ns = workload.duration_ns
-    governor = workload.governor if env.adaptive else None
+    governor = workload.governor
     while env._now < duration_ns:
         # Nothing in an iteration before its yield advances the clock,
         # and the loop test already holds now < duration_ns.

@@ -3,8 +3,8 @@ slow-client starvation bound, independence from the accuracy tier."""
 
 from repro.cluster import FleetSpec, run_fleet_server
 from repro.cluster.workload import FLEET_MAX_BATCH, SLOW_HOLD_CAP_NS
+from repro.experiments.base import ACCURACY_MODES, configure_accuracy
 from repro.metrics.collect import LatencyDigest
-from repro.sim.engine import ACCURACY_MODES, configure_accuracy
 
 BASE = dict(servers=2, connections=8192, duration_ns=4_000_000,
             epochs=4, conn_rate_tps=16.0)

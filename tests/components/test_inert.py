@@ -8,8 +8,7 @@ Two contracts from the refactor:
   no state and creates no events);
 * switching a component off is exactly a no-op for figures whose
   workload never exercises it (no migrations -> arfs/xps dormant, no
-  faults -> fast-failover dormant, exact accuracy -> train coalescing
-  dormant).
+  faults -> fast-failover dormant).
 """
 
 from __future__ import annotations
@@ -41,12 +40,12 @@ def test_default_system_config_reproduces_tcp_rx_golden():
 
 
 def test_dormant_components_off_leave_pktgen_bit_identical():
-    """pktgen on an exact, fault-free run never migrates, never faults,
-    never coalesces: switching these components off must not move a
-    single bit."""
+    """pktgen on an exact, fault-free run never migrates and never
+    faults: switching these components off must not move a single
+    bit."""
     baseline = run_pktgen("ioctopus", 256, SHORT, accuracy="exact")
     for name in ("arfs_migration", "xps", "mpfs_fast_failover",
-                 "train_coalescing", "no_reorder_resteer"):
+                 "no_reorder_resteer"):
         assert run_pktgen("ioctopus", 256, SHORT, accuracy="exact",
                           components={name: False}) == baseline, name
 
@@ -60,18 +59,3 @@ def test_active_components_off_change_the_metrics():
     assert without_ddio["mpps"] < baseline["mpps"]
     assert without_ddio["membw_gbps"] > baseline["membw_gbps"]
 
-
-def test_train_coalescing_off_is_inert_under_exact_only():
-    """Under the adaptive tier the same toggle is *not* inert — it
-    forces single-burst trains — but the metrics still agree closely
-    (coalescing is a fast path, not a model change)."""
-    exact_off = run_pktgen("ioctopus", 256, SHORT, accuracy="exact",
-                           components={"train_coalescing": False})
-    exact_on = run_pktgen("ioctopus", 256, SHORT, accuracy="exact")
-    assert exact_off == exact_on
-    adaptive_on = run_pktgen("ioctopus", 256, SHORT, accuracy="adaptive")
-    adaptive_off = run_pktgen("ioctopus", 256, SHORT,
-                              accuracy="adaptive",
-                              components={"train_coalescing": False})
-    assert abs(adaptive_off["mpps"] - adaptive_on["mpps"]) \
-        <= 0.05 * adaptive_on["mpps"]

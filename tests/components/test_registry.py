@@ -13,8 +13,7 @@ from repro.components import (
 )
 
 EXPECTED = ("ddio", "arfs_migration", "xps", "mpfs_fast_failover",
-            "interrupt_moderation", "train_coalescing",
-            "no_reorder_resteer")
+            "interrupt_moderation", "no_reorder_resteer")
 
 
 def test_registry_contains_the_paper_components():

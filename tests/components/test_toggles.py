@@ -5,7 +5,6 @@ import pytest
 from repro.components import SystemConfig
 from repro.core.configurations import Testbed
 from repro.sim.errors import DeviceGoneError
-from repro.workloads.train import make_governor
 
 
 def build(*names_off, preset="ioctopus"):
@@ -64,14 +63,6 @@ def test_moderation_toggle_reaches_every_queue():
 
     assert all(q.moderation.enabled for q in queues(on))
     assert all(not q.moderation.enabled for q in queues(off))
-
-
-def test_train_coalescing_toggle_pins_governor_to_single_bursts():
-    on, off = build(), build("train_coalescing")
-    assert on.env.train_coalescing
-    assert not off.env.train_coalescing
-    assert make_governor(off.env).max_bursts == 1
-    assert make_governor(on.env).max_bursts > 1 or not on.env.adaptive
 
 
 def test_no_reorder_toggle_reaches_the_drivers():

@@ -7,10 +7,10 @@ of the original straight-line code.  If any of these change, an
 "optimization" altered simulation behaviour — that is a bug, not a
 baseline refresh.
 
-Every call pins ``accuracy="exact"``: the goldens define the exact mode,
-regardless of the REPRO_ACCURACY process default (the CI matrix runs the
-suite under both modes).  Adaptive-vs-exact fidelity is covered by
-``test_batching.py``.
+Every call names ``accuracy="exact"``: the goldens define the exact
+mode, which is also each runner's default (a runner never reads the
+REPRO_ACCURACY process default).  Adaptive-vs-exact fidelity is covered
+by ``test_batching.py``.
 """
 
 from __future__ import annotations

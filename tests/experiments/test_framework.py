@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.configurations import Testbed
 from repro.experiments import all_experiment_names, get_experiment
 from repro.experiments.base import (
     DURATIONS_MS,
@@ -10,10 +9,10 @@ from repro.experiments.base import (
     ExperimentResult,
     configure_accuracy,
     register,
+    resolve_accuracy,
 )
 from repro.experiments.cli import build_parser, main
-from repro.experiments.fig15_nvme import build_nvme_host
-from repro.sim.engine import Environment
+from repro.experiments.runners import run_pktgen
 
 
 def test_result_add_checks_arity():
@@ -74,21 +73,45 @@ def adaptive_override(monkeypatch):
     configure_accuracy(None)
 
 
-def test_accuracy_override_reaches_every_environment(adaptive_override):
-    """--accuracy reaches testbeds built without a tier, as fig15,
-    failover_ssd, abl_window and abl_octossd build them."""
-    assert Testbed("local").accuracy == "adaptive"
-    host, _ = build_nvme_host(octo_mode=False)
-    assert host.machine.env.accuracy == "adaptive"
-    for name in all_experiment_names():
-        assert get_experiment(name).accuracy() == "adaptive", name
+#: Experiments whose points take no tier and that build their own
+#: testbeds: the override must not reach them.
+TIERLESS = ("sec511", "abl_ddio", "abl_scale")
+
+
+def test_accuracy_override_leaves_tierless_experiments_unchanged(
+        monkeypatch):
+    """--accuracy sets every experiment's tier, but only point functions
+    that take one receive it: the testbeds sec511, abl_ddio and
+    abl_scale build themselves run exact under either tier."""
+    monkeypatch.delenv("REPRO_ACCURACY", raising=False)
+    plain = {name: get_experiment(name).run(fidelity="quick").table()
+             for name in TIERLESS}
+    configure_accuracy("adaptive")
+    try:
+        for name in all_experiment_names():
+            assert get_experiment(name).accuracy() == "adaptive", name
+        for name in TIERLESS:
+            table = get_experiment(name).run(fidelity="quick").table()
+            assert table == plain[name], name
+    finally:
+        configure_accuracy(None)
+
+
+def test_point_runners_never_read_the_process_tier(adaptive_override):
+    """A runner's tier is its argument, exact by default; anything
+    outside ACCURACY_MODES is a ValueError."""
+    point = dict(config="remote", packet_bytes=256, duration_ns=2_000_000)
+    assert run_pktgen(**point) == run_pktgen(**point, accuracy="exact")
+    assert run_pktgen(**point) != run_pktgen(**point, accuracy="adaptive")
+    with pytest.raises(ValueError, match="accuracy must be one of"):
+        run_pktgen(**point, accuracy=None)
 
 
 def test_bogus_repro_accuracy_is_rejected(monkeypatch):
     for bogus in ("bogus", "fluid"):
         monkeypatch.setenv("REPRO_ACCURACY", bogus)
         with pytest.raises(ValueError, match="REPRO_ACCURACY"):
-            Environment()
+            resolve_accuracy("exact")
         with pytest.raises(ValueError, match="REPRO_ACCURACY"):
             get_experiment("fig08").accuracy()
 
@@ -224,9 +247,8 @@ def test_cli_rejects_non_positive_counts(argv, error, capsys):
 def unconfigured(monkeypatch):
     """No --accuracy or --jobs configured yet; a CLI run configures them
     process-wide, so both are restored after the test."""
-    from repro.experiments import sweep
-    from repro.sim import engine
-    monkeypatch.setattr(engine, "_accuracy_override", None)
+    from repro.experiments import base, sweep
+    monkeypatch.setattr(base, "_accuracy_override", None)
     monkeypatch.setattr(sweep, "_jobs", None)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import sweep
-from repro.experiments.base import configure_accuracy
+from repro.experiments.base import Experiment, configure_accuracy
 from repro.experiments.runners import run_pktgen
 from repro.experiments.sweep import sweep_map
 
@@ -22,6 +22,12 @@ def point_fn(x: int, seed: int = 0) -> dict:
     """A toy point runner: records calls so tests can count executions."""
     CALLS.append((x, seed))
     return {"x": x, "seed": seed, "value": x * 10 + seed}
+
+
+def tiered_fn(x: int, accuracy: str = "exact") -> dict:
+    """A toy point runner that takes a tier, as the packet runners do."""
+    CALLS.append((x, accuracy))
+    return {"x": x, "accuracy": accuracy}
 
 
 def unpicklable_result(x: int):
@@ -78,17 +84,24 @@ def test_cache_miss_on_param_change(tmp_path):
 
 
 def test_cache_miss_on_accuracy_override(tmp_path, monkeypatch):
-    """A point that names no tier runs the --accuracy override, so a
-    result cached under one tier must not serve another."""
+    """The cache key is the point, not the process tier: a function that
+    takes no tier hits the cache under any --accuracy override, and
+    points the override injects with different tiers miss each other."""
     monkeypatch.delenv("REPRO_ACCURACY", raising=False)
-    sweep_map(point_fn, [dict(x=1)], cache_dir=str(tmp_path))
+    monkeypatch.setattr(sweep, "_cache_dir", str(tmp_path))
+    experiment = Experiment()
+    experiment.duration_ns("normal")  # normal: exact by default
+    sweep_map(point_fn, [dict(x=1)])
+    experiment.sweep(tiered_fn, [dict(x=1)])
     configure_accuracy("adaptive")
     try:
-        sweep_map(point_fn, [dict(x=1)], cache_dir=str(tmp_path))
+        sweep_map(point_fn, [dict(x=1)])
+        experiment.sweep(tiered_fn, [dict(x=1)])
+        experiment.sweep(tiered_fn, [dict(x=1)])
     finally:
         configure_accuracy(None)
-    sweep_map(point_fn, [dict(x=1)], cache_dir=str(tmp_path))
-    assert CALLS == [(1, 0), (1, 0)]
+    experiment.sweep(tiered_fn, [dict(x=1)])
+    assert CALLS == [(1, 0), (1, "exact"), (1, "adaptive")]
 
 
 def test_cache_invalidated_on_code_change(tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ LONG = 20_000_000
 def _probe_readings(durations):
     """Remote Rx 64 KB on the exact tier with one probe per duration;
     returns each probe's (memory bandwidth, workload core CPU)."""
-    testbed = Testbed("remote", accuracy="exact")
+    testbed = Testbed("remote")
     workload = TcpStream(testbed.server, testbed.server_core(0),
                          Flow.make(0), 64 * KB, "rx", LONG,
                          warmup_of(LONG))

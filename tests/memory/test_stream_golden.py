@@ -61,7 +61,7 @@ def test_udp_latency_point_stream_golden():
     """fig12's remote point with three STREAM pairs: every ping-pong
     message rings a doorbell and raises an MSI-X across the loaded
     links."""
-    testbed = Testbed("remote", accuracy="exact")
+    testbed = Testbed("remote")
     workload = UdpPingPong(testbed, 64, D, warmup_of(D))
     pairs = spawn_stream_pairs(testbed.server, 3, D,
                                skip_cores=[testbed.server_core(0)])

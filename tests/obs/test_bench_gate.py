@@ -25,7 +25,7 @@ def obs_pair(obs):
     two event counts and the names of the functions in repro/obs called
     while the observed run executes (counted with ``sys.setprofile``)."""
     def point(obs=None):
-        testbed = Testbed("remote", seed=0, accuracy="exact")
+        testbed = Testbed("remote", seed=0)
         Pktgen(testbed.server, testbed.server_core(0), 256, DURATION_NS,
                warmup_of(DURATION_NS))
         if obs is not None:

@@ -5,12 +5,12 @@ import pytest
 
 from repro.cluster import FleetSpec, run_fleet
 from repro.core.configurations import Testbed
+from repro.experiments.base import ACCURACY_MODES
 from repro.experiments.runners import run_with_slack, warmup_of
 from repro.obs import ObsSession
 from repro.obs.blame import (BlameCollector, BlameDomain, build_report,
                              is_nudma_stage, render_text, run_blame_point,
                              stage_family)
-from repro.sim.engine import ACCURACY_MODES
 from repro.sim.tracing import Tracer
 from repro.workloads.pktgen import Pktgen
 
@@ -149,7 +149,7 @@ def test_blame_session_keeps_events_and_samples_bursts():
     as an unobserved run, and every sealed flow conserves.  The stride
     bounds the cost: at most one flow per ``blame_stride`` candidates."""
     def events(obs=None):
-        testbed = Testbed("remote", seed=0, accuracy="exact")
+        testbed = Testbed("remote", seed=0)
         Pktgen(testbed.server, testbed.server_core(0), 256, SHORT_NS,
                warmup_of(SHORT_NS))
         if obs is not None:

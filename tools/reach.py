@@ -128,8 +128,8 @@ def _paths(tmp: Path):
 def _reset() -> None:
     """Undo the process-wide settings a CLI call leaves behind."""
     from repro.experiments import sweep
+    from repro.experiments.base import configure_accuracy
     from repro.experiments.fig16_fleet import configure_fleet
-    from repro.sim.engine import configure_accuracy
     sweep.configure(jobs=1, cache_dir="")
     configure_accuracy(None)
     configure_fleet(None, None)
