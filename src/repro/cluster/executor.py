@@ -20,15 +20,20 @@ why the merged result — and its fingerprint — is identical for any
 The parent plans what servers share, once per call: :func:`run_fleets`
 generates each distinct client population once and computes the LB's
 block homes once per distinct alive set (a
-:class:`~repro.cluster.server.FleetPlanner`), then runs every server of
-every fleet through one ``sweep_map`` call, each point carrying only its
-JSON slice of that plan.
+:class:`~repro.cluster.server.FleetPlanner`), then runs every distinct
+server point of every fleet through one ``sweep_map`` call, each point
+carrying only its JSON slice of that plan.  A shard is a pure function
+of its server id, the master seed, the ``blame`` flag, its plan slice
+and the spec as that server sees it (:func:`server_view`), so servers
+of different fleets that agree on all of these share one simulation and
+one shard: fig16's ioctopus pf-flap fleet differs from the baseline only
+on server 0, and its batch runs 41 server simulations rather than 48.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import List, Optional, Sequence, Union
+import json
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.cluster.merge import FleetResult
 from repro.cluster.server import FleetPlanner, run_fleet_server
@@ -44,6 +49,16 @@ def fleet_parallel_when(npoints: int, jobs: int) -> bool:
     return jobs > 1 and npoints > 1
 
 
+def server_view(spec: FleetSpec, server_id: int) -> Dict:
+    """The spec as one server's simulation reads it: its own death and
+    survivable PF flap in place of the fleet's failure scenario.  A
+    fault aimed at another server reaches this one only through the LB,
+    that is through its plan slice."""
+    return dict(spec.to_dict(), server_down=None, pf_flap=None,
+                death_ns=spec.death_ns(server_id),
+                flap_for=spec.flap_for(server_id))
+
+
 def run_fleets(specs: Sequence[Union[FleetSpec, dict]],
                master_seed: int = 0,
                jobs: Optional[int] = None,
@@ -54,28 +69,40 @@ def run_fleets(specs: Sequence[Union[FleetSpec, dict]],
 
     Fleets that share a client population (same master seed,
     connections, duration, epochs and client knobs) generate it once,
-    and the plan lives only for this call.  ``blame=True`` ships a
-    transaction-domain blame shard per server (merged into
-    ``FleetResult.blame``); opt-in because it changes the shard payloads
-    and hence the fleet fingerprint."""
+    and a server point several fleets ask for (same :func:`server_view`,
+    same plan slice) is simulated once, its shard handed to each of
+    them.  Neither the plan nor the shards outlive the call.
+    ``blame=True`` ships a transaction-domain blame shard per server
+    (merged into ``FleetResult.blame``); opt-in because it changes the
+    shard payloads and hence the fleet fingerprint."""
     specs = [FleetSpec.from_dict(spec) if isinstance(spec, dict) else spec
              for spec in specs]
     planner = FleetPlanner(master_seed)
-    points = []
+    points: List[Dict] = []
+    # point key -> index into ``points`` (and into the shards).
+    index_of: Dict[str, int] = {}
+    fleet_points: List[List[int]] = []
     for spec in specs:
         spec_dict = spec.to_dict()
+        indices = []
         for server in range(spec.servers):
             point = dict(server_id=server, spec=spec_dict,
                          master_seed=master_seed,
                          plan_slice=planner.server_slice(spec, server))
             if blame:
                 point["blame"] = True
-            points.append(point)
-    shards = iter(sweep_map(run_fleet_server, points, jobs=jobs,
-                            cache_dir=cache_dir,
-                            parallel_when=fleet_parallel_when))
-    return [FleetResult(spec, master_seed, list(islice(shards, spec.servers)))
-            for spec in specs]
+            key = json.dumps(dict(point, spec=server_view(spec, server)),
+                             sort_keys=True)
+            if key not in index_of:
+                index_of[key] = len(points)
+                points.append(point)
+            indices.append(index_of[key])
+        fleet_points.append(indices)
+    shards = sweep_map(run_fleet_server, points, jobs=jobs,
+                       cache_dir=cache_dir,
+                       parallel_when=fleet_parallel_when)
+    return [FleetResult(spec, master_seed, [shards[i] for i in indices])
+            for spec, indices in zip(specs, fleet_points)]
 
 
 def run_fleet(spec: Union[FleetSpec, dict], master_seed: int = 0,

@@ -17,11 +17,13 @@ incast bursts), and three scenarios run under both the ``ioctopus`` and
   (the LB reaction path itself, no failover story).
 
 The six fleets run as one :func:`~repro.cluster.run_fleets` batch, so
-their shared client population is generated once.  Each server
-simulates in its own worker process (``--jobs``), and the
-merged fleet digests/metrics carry a determinism fingerprint: the same
-``--servers/--connections`` and master seed reproduce the identical
-fleet, at any jobs count.
+their shared client population is generated once, and each distinct
+server point is simulated once: servers 1..N-1 of the ioctopus pf-flap
+fleet see exactly the baseline's input, so 8 servers take 41
+simulations rather than 48.  Each server simulates in its own worker
+process (``--jobs``), and the merged fleet digests/metrics carry a
+determinism fingerprint: the same ``--servers/--connections`` and
+master seed reproduce the identical fleet, at any jobs count.
 """
 
 from __future__ import annotations
@@ -84,7 +86,9 @@ class Fig16Fleet(Experiment):
                  for scenario, faults in scenarios
                  for config in ("ioctopus", "remote")]
         # One batch: the six fleets share one client population, which
-        # run_fleets then generates once rather than once per fleet.
+        # run_fleets then generates once rather than once per fleet, and
+        # the pf-flap ioctopus fleet shares all servers but 0 with the
+        # baseline, which run_fleets then simulates once.
         fleets = run_fleets([spec for _, _, spec in cells], master_seed=0,
                             jobs=jobs)
         for (scenario, config, _), fleet in zip(cells, fleets):

@@ -29,9 +29,11 @@ list means the invariant held.  The catalogue:
   read-only).
 * ``agreement`` — (harness-level) exact and adaptive accuracy agree on
   every primary metric within tolerance.  Only checked for cases whose
-  faults are performance-only (degrade/loss/throttle): topology-killing
-  faults land at different event boundaries under train coalescing, so
-  crash/failover timing is allowed to differ there.
+  workload forms packet trains (pktgen, TCP_STREAM, colocated: the
+  tier changes nothing else) and whose faults are performance-only
+  (degrade/loss/throttle): topology-killing faults land at different
+  event boundaries under train coalescing, so crash/failover timing is
+  allowed to differ there.
 * ``mutation_smoke`` — intentionally-broken invariant used to prove the
   harness catches and shrinks: it *fails* whenever a PF-level fault
   actually fired.  Never in the default set.
@@ -51,6 +53,12 @@ from typing import Callable, Dict, List
 
 #: Fault kinds that only change performance, never topology.
 PERF_ONLY_FAULTS = {"pcie_degrade", "wire_loss", "qpi_throttle"}
+
+#: Workloads that coalesce packet trains at the adaptive tier (their
+#: build takes a ``TrainGovernor``).  The tier reaches nothing else a
+#: fuzz case builds, so a TCP_RR, memcached or fio case runs the same
+#: simulation at either tier.
+TRAINED_WORKLOADS = {"pktgen", "tcp_stream", "colocated"}
 
 
 def _crashed(obs: Dict) -> bool:
@@ -212,8 +220,10 @@ def check(case: Dict, obs: Dict, names: List[str]) -> List[Dict]:
 
 def needs_adaptive_run(case: Dict, obs: Dict) -> bool:
     """Whether the agreement invariant applies to this case: the exact
-    run finished, and every fault was performance-only (topology faults
-    legitimately shift event boundaries under train coalescing)."""
-    if obs["outcome"] != "ok":
+    run finished, its workload forms trains (otherwise the adaptive
+    replay repeats the exact run), and every fault was performance-only
+    (topology faults legitimately shift event boundaries under train
+    coalescing)."""
+    if obs["outcome"] != "ok" or case["workload"] not in TRAINED_WORKLOADS:
         return False
     return all(f["kind"] in PERF_ONLY_FAULTS for f in case["faults"])

@@ -375,8 +375,9 @@ def run_case(case: Dict, invariants: Optional[List[str]] = None,
                           f"{want[:16]} != {got[:16]}"})
 
     if "agreement" in names and needs_adaptive_run(case, obs):
-        # Every perf-only case is replayed under the adaptive tier,
-        # which must tell the exact mode's performance story.
+        # Every perf-only case that forms trains is replayed under the
+        # adaptive tier, which must tell the exact mode's performance
+        # story.
         adaptive_obs = execute(fuzz_case, "adaptive", trace=False)
         violations.extend(_check_agreement(obs, adaptive_obs,
                                            agreement_rel))

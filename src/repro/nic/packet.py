@@ -8,7 +8,7 @@ per-packet cost accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Tuple
 
 #: Bytes of TCP/IP/Ethernet headers carried per packet on the wire.
@@ -19,33 +19,30 @@ FRAMING_BYTES = 24
 MIN_PAYLOAD = 46
 
 
-@dataclass(frozen=True, order=True)
-class Flow:
-    """A transport flow 5-tuple."""
+class Flow(namedtuple("Flow", "src_ip src_port dst_ip dst_port protocol")):
+    """A transport flow 5-tuple.
 
-    src_ip: str
-    src_port: int
-    dst_ip: str
-    dst_port: int
-    protocol: str = "tcp"
+    A tuple, so the hash and equality every steered batch's rule-table
+    probe runs are computed in C: ``hash(flow)`` is the hash of its
+    5-tuple, and flows order field by field.
+    """
 
-    def __post_init__(self):
-        for port in (self.src_port, self.dst_port):
+    __slots__ = ()
+
+    def __new__(cls, src_ip: str, src_port: int, dst_ip: str,
+                dst_port: int, protocol: str = "tcp") -> "Flow":
+        for port in (src_port, dst_port):
             if not 0 < port < 65536:
                 raise ValueError(f"invalid port {port}")
-        if self.protocol not in ("tcp", "udp"):
-            raise ValueError(f"unsupported protocol {self.protocol!r}")
-        # Every steered batch hashes its flow into the rule tables: hash
-        # the 5-tuple once (the value the dataclass hash would compute).
-        object.__setattr__(self, "_hash", hash(self.as_tuple()))
+        if protocol not in ("tcp", "udp"):
+            raise ValueError(f"unsupported protocol {protocol!r}")
+        return tuple.__new__(cls, (src_ip, src_port, dst_ip, dst_port,
+                                   protocol))
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # Rebuild through __init__: string hashes differ between
-        # interpreters, so a pickled ``_hash`` would be stale.
-        return Flow, self.as_tuple()
+    @classmethod
+    def _make(cls, iterable) -> "Flow":
+        # ``_replace`` builds through here: validate like the constructor.
+        return cls(*iterable)
 
     @classmethod
     def make(cls, index: int, protocol: str = "tcp") -> "Flow":
@@ -58,8 +55,7 @@ class Flow:
                     self.protocol)
 
     def as_tuple(self) -> Tuple[str, int, str, int, str]:
-        return (self.src_ip, self.src_port, self.dst_ip, self.dst_port,
-                self.protocol)
+        return tuple(self)
 
 
 def wire_bytes(payload: int) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from itertools import repeat, starmap
 from typing import Sequence
 
 
@@ -48,8 +49,7 @@ class SimRandom:
         """
         if n < 0:
             raise ValueError(f"batch size must be >= 0, got {n}")
-        draw = self._rng.random
-        return [draw() for _ in range(n)]
+        return list(starmap(self._rng.random, repeat((), n)))
 
     def expovariate(self, rate: float) -> float:
         return self._rng.expovariate(rate)

@@ -1,6 +1,7 @@
 """The fleet determinism gate, tools/fleet_smoke.py (CI fleet-smoke):
 on a tiny rack, inline, repeat and process-sharded runs must merge to
-the same fingerprint, and the gate must fail when they do not."""
+the same fingerprint, each fleet of a batch must merge to its
+fingerprint alone, and the gate must fail when they do not."""
 
 import importlib.util
 from pathlib import Path
@@ -42,3 +43,19 @@ def test_gate_fails_on_fingerprint_mismatch(fleet_smoke, monkeypatch,
     captured = capsys.readouterr()
     assert "fingerprint is not deterministic" in captured.err
     assert "planned != served + lost" not in captured.err
+
+
+def test_gate_fails_on_batch_mismatch(fleet_smoke, monkeypatch, capsys):
+    # A batch that simulates something else (here: another seed) must
+    # fail the gate, though every single-fleet leg agrees.
+    run_fleets = fleet_smoke.run_fleets
+
+    def divergent(specs, master_seed, jobs):
+        return run_fleets(specs, master_seed=master_seed + 1, jobs=jobs)
+
+    monkeypatch.setattr(fleet_smoke, "run_fleets", divergent)
+    assert fleet_smoke.main(TINY_RACK) == 1
+    captured = capsys.readouterr()
+    assert ("batched fleets differ from their runs alone: baseline, "
+            "pf-flap, server-down") in captured.err
+    assert "fingerprint is not deterministic" not in captured.err

@@ -5,11 +5,15 @@ import math
 from bisect import bisect_right
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.cluster.clients import (diurnal_factor, epoch_edges, fleet_rng,
+from repro.cluster.clients import (MAX_CONN_WEIGHT, BlockProfile,
+                                   diurnal_factor, epoch_edges, fleet_rng,
                                    generate_block, incast_schedule,
                                    server_seed)
 from repro.cluster.spec import FleetSpec
+from repro.sim.rng import SimRandom
 
 SPEC = FleetSpec(servers=4, connections=32768, duration_ns=8_000_000,
                  epochs=4)
@@ -132,3 +136,90 @@ def test_fleet_rng_streams_are_order_independent():
     b_then_a = (root2.child("block-2").random(),
                 root2.child("block-1").random())
     assert a_then_b == (b_then_a[1], b_then_a[0])
+
+
+def reference_block(master_seed, block_id, size, spec):
+    """The per-connection population loop :func:`generate_block` replaced:
+    one interpreter step per draw and per connection.  Its output must
+    stay bit-identical."""
+    if size <= 0:
+        return BlockProfile(block_id, 0, 0.0, 0.0, 0.0,
+                            tuple([0] * spec.epochs))
+    rng = fleet_rng(master_seed).child(f"block-{block_id}")
+    u_weight, u_slow, u_birth, u_life = (
+        [rng.random() for _ in range(size)] for _ in range(4))
+
+    if spec.zipf_s > 0:
+        inv_s = 1.0 / spec.zipf_s
+        weights = [min((1.0 - u) ** -inv_s, MAX_CONN_WEIGHT)
+                   for u in u_weight]
+    else:
+        weights = [1.0] * size
+    scale = size / sum(weights)
+    weights = [w * scale for w in weights]
+
+    slow_weight = 0.0
+    for u, w in zip(u_slow, weights):
+        if u < spec.slow_fraction:
+            slow_weight += w
+
+    mean_life = spec.mean_lifetime_ns()
+    duration = spec.duration_ns
+    edges = epoch_edges(spec)
+    churn = [0] * spec.epochs
+    for ub, ul in zip(u_birth, u_life):
+        birth = int(ub * duration)
+        death = birth + int(-mean_life * math.log(1.0 - ul))
+        if death < duration:
+            churn[bisect_right(edges, death)] += 1
+
+    return BlockProfile(block_id, size, sum(weights), slow_weight,
+                        max(weights), tuple(churn))
+
+
+@st.composite
+def population_specs(draw):
+    duration = draw(st.integers(1, 10**9))
+    # The block size is drawn apart: generate_block reads no connections.
+    return FleetSpec(
+        connections=1,
+        duration_ns=duration,
+        epochs=draw(st.integers(1, min(16, duration))),
+        # Below ~0.25 the parent's power overflows a double.
+        zipf_s=draw(st.one_of(st.just(0.0), st.floats(0.25, 4.0))),
+        slow_fraction=draw(st.floats(0.0, 1.0)),
+        churn_lifetime_ns=draw(st.one_of(st.just(0),
+                                         st.integers(1, 2 * 10**9))))
+
+
+#: A block whose draws reach MAX_CONN_WEIGHT (the clamped branch).
+CAPPED = dict(master_seed=11, block_id=5, size=600,
+              spec=FleetSpec(connections=1, zipf_s=0.3, epochs=5,
+                             duration_ns=7_000_003))
+
+
+def test_capped_example_reaches_the_weight_cap():
+    spec = CAPPED["spec"]
+    draws = fleet_rng(CAPPED["master_seed"]).child(
+        f"block-{CAPPED['block_id']}").batch(CAPPED["size"])
+    assert max((1.0 - u) ** -(1.0 / spec.zipf_s)
+               for u in draws) > MAX_CONN_WEIGHT
+
+
+@settings(max_examples=200, deadline=None)
+@given(master_seed=st.integers(0, 2**32), block_id=st.integers(0, 511),
+       size=st.integers(0, 700), spec=population_specs())
+@example(**CAPPED)
+def test_generate_block_matches_the_per_connection_reference(
+        master_seed, block_id, size, spec):
+    assert (generate_block(master_seed, block_id, size, spec)
+            == reference_block(master_seed, block_id, size, spec))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), n=st.integers(0, 500))
+def test_batch_equals_sequential_draws(seed, n):
+    batched, single = SimRandom(seed), SimRandom(seed)
+    assert batched.batch(n) == [single.random() for _ in range(n)]
+    # The stream continues from the same place.
+    assert batched.random() == single.random()

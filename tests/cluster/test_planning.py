@@ -1,11 +1,12 @@
 """Fleet planning: one run_fleets call generates each client population
-once, computes the LB homes once per alive set, and ships every server
-point only its JSON slice of that plan."""
+once, computes the LB homes once per alive set, ships every server
+point only its JSON slice of that plan, and simulates each distinct
+server point once."""
 
 import json
 
 from repro.cluster import FleetSpec, run_fleet, run_fleet_server, run_fleets
-from repro.cluster import server
+from repro.cluster import executor, server
 from repro.cluster.clients import generate_block
 from repro.cluster.lb import blocks_for
 from repro.cluster.server import FleetPlanner
@@ -20,6 +21,14 @@ SPEC_A = FleetSpec(servers=3, connections=400, duration_ns=2_000_000,
                    epochs=2)
 SPEC_B = FleetSpec(servers=3, connections=400, duration_ns=2_000_000,
                    epochs=2, config="remote", server_down=(1, 500_000))
+#: SPEC_A with server 0's serving PF flapping: the team driver rides it
+#: out, so the LB sees no death and servers 1 and 2 are SPEC_A's.
+SPEC_FLAP = FleetSpec(servers=3, connections=400, duration_ns=2_000_000,
+                      epochs=2, pf_flap=(0, 600_000, 400_000))
+#: SPEC_A with server 0 dead in epoch 0: every server's plan differs.
+SPEC_DOWN = FleetSpec(servers=3, connections=400, duration_ns=2_000_000,
+                      epochs=2, server_down=(0, 700_000))
+BATCH = [SPEC_A, SPEC_FLAP, SPEC_DOWN]
 
 
 def _count_blocks(monkeypatch):
@@ -91,14 +100,60 @@ def test_point_fed_the_parent_slice_matches_self_planning():
 
 
 def test_batch_matches_separate_runs_inline_and_sharded():
-    alone = [run_fleet(spec, master_seed=SEED).fingerprint()
-             for spec in (SPEC_A, SPEC_B)]
-    inline = run_fleets([SPEC_A, SPEC_B.to_dict()], master_seed=SEED,
-                        jobs=1)
-    try:
-        sharded = run_fleets([SPEC_A, SPEC_B], master_seed=SEED, jobs=2)
-    finally:
-        sweep.shutdown_pool()
-    assert [fleet.spec for fleet in inline] == [SPEC_A, SPEC_B]
-    assert [fleet.fingerprint() for fleet in inline] == alone
-    assert [fleet.fingerprint() for fleet in sharded] == alone
+    # BATCH's pf-flap fleet gets two of its three shards from SPEC_A's.
+    for batch in ([SPEC_A, SPEC_B], BATCH):
+        alone = [run_fleet(spec, master_seed=SEED).fingerprint()
+                 for spec in batch]
+        # A batch may mix specs and their dicts.
+        inline = run_fleets(batch[:1] + [spec.to_dict()
+                                         for spec in batch[1:]],
+                            master_seed=SEED, jobs=1)
+        try:
+            sharded = run_fleets(batch, master_seed=SEED, jobs=2)
+        finally:
+            sweep.shutdown_pool()
+        assert len(set(alone)) == len(batch)
+        assert [fleet.spec for fleet in inline] == batch
+        assert [fleet.fingerprint() for fleet in inline] == alone
+        assert [fleet.fingerprint() for fleet in sharded] == alone
+
+
+def test_batch_simulates_each_distinct_server_point_once(monkeypatch):
+    calls = []
+    real = executor.run_fleet_server
+
+    def counting(server_id, spec, **kwargs):
+        calls.append((server_id, FleetSpec.from_dict(spec)))
+        return real(server_id, spec, **kwargs)
+
+    monkeypatch.setattr(executor, "run_fleet_server", counting)
+    fleets = run_fleets(BATCH, master_seed=SEED, jobs=1)
+    # SPEC_A's three servers, SPEC_FLAP's flapping server 0, and
+    # SPEC_DOWN's three: 7 simulations for 9 server shards.
+    assert sorted((server_id, BATCH.index(spec))
+                  for server_id, spec in calls) == [
+        (0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 2)]
+    for server_id in (1, 2):
+        assert fleets[1].servers[server_id] == fleets[0].servers[server_id]
+    assert fleets[1].servers[0] != fleets[0].servers[0]
+    # Nothing outlives the call: a second one simulates them again.
+    calls.clear()
+    run_fleets(BATCH, master_seed=SEED, jobs=1)
+    assert len(calls) == 7
+
+
+def test_fault_aimed_at_another_server_leaves_the_shard_unchanged():
+    # Server 2 keeps the unfaulted fleet's slice: a fault elsewhere may
+    # reach it only through that slice.
+    plan_slice = FleetPlanner(SEED).server_slice(SPEC_A, 2)
+    for config in ("ioctopus", "remote"):
+        base = FleetSpec(**dict(SPEC_A.to_dict(), config=config))
+        view = executor.server_view(base, 2)
+        want = run_fleet_server(2, base.to_dict(), SEED,
+                                plan_slice=plan_slice)
+        for faults in ({"pf_flap": (0, 600_000, 400_000)},
+                       {"server_down": (1, 500_000)}):
+            faulted = FleetSpec(**dict(base.to_dict(), **faults))
+            assert executor.server_view(faulted, 2) == view
+            assert run_fleet_server(2, faulted.to_dict(), SEED,
+                                    plan_slice=plan_slice) == want

@@ -117,3 +117,29 @@ def test_needs_adaptive_run_gates_on_fault_kinds(clean_run):
 
     crashed = dict(obs, outcome="crashed")
     assert not needs_adaptive_run(case, crashed)
+
+
+#: A perf-only fault, so only the workload keeps these cases from the
+#: adaptive replay.
+WIRE_LOSS = {"target": "nic", "kind": "wire_loss", "at_ns": 100_000,
+             "duration_ns": 200_000, "loss_probability": 0.01,
+             "corrupt_probability": 0.0}
+
+
+@pytest.mark.parametrize("workload, params", [
+    ("tcp_rr", {"message_bytes": 256}),
+    ("memcached", {"value_bytes": 1024, "set_fraction": 0.5,
+                   "workers": 2}),
+    ("fio", {"block_bytes": 32 * 1024, "iodepth": 8, "threads": 1}),
+])
+def test_workloads_without_trains_skip_the_adaptive_replay(workload,
+                                                           params):
+    case = make_case(workload=workload, params=params, faults=[WIRE_LOSS])
+    exact = execute(case, "exact")
+    assert exact["outcome"] == "ok"
+    assert not needs_adaptive_run(case.to_dict(), exact)
+    # The skip is sound: the tier reaches nothing these cases build, so
+    # the replay would observe exactly what the exact run did.
+    adaptive = execute(case, "adaptive")
+    assert adaptive["accuracy"] == "adaptive"
+    assert dict(adaptive, accuracy="exact") == exact

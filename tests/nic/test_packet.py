@@ -35,12 +35,23 @@ def test_flow_validates_ports():
         Flow("a", 0, "b", 80)
     with pytest.raises(ValueError):
         Flow("a", 80, "b", 70000)
+    with pytest.raises(ValueError):
+        Flow.make(1)._replace(dst_port=0)
 
 
 def test_flow_validates_protocol():
     with pytest.raises(ValueError):
         Flow("a", 1, "b", 2, protocol="sctp")
     assert Flow.make(0, protocol="udp").protocol == "udp"
+
+
+def test_flow_repr_and_order_are_field_by_field():
+    assert repr(Flow.make(3)) == (
+        "Flow(src_ip='10.0.0.1', src_port=10003, dst_ip='10.0.0.2', "
+        "dst_port=5201, protocol='tcp')")
+    flows = [Flow.make(4), Flow.make(3, protocol="udp"), Flow.make(3)]
+    assert sorted(flows) == [Flow.make(3), Flow.make(3, protocol="udp"),
+                             Flow.make(4)]
 
 
 def test_flow_hashable_and_usable_as_key():

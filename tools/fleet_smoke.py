@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
 """Fleet determinism smoke: run a small rack and verify the headline
 claim — the merged fleet fingerprint is identical across repeats and
-across ``--jobs`` values (process sharding is invisible).
+across ``--jobs`` values (process sharding is invisible).  Then run the
+rack as one ``run_fleets`` batch beside an ioctopus pf-flap and a
+server-down fleet, at ``--jobs``: the batch simulates each distinct
+server once and hands shared shards to several fleets, and each batched
+fleet must still merge to its fingerprint when run alone.
 
 Usage::
 
@@ -24,7 +28,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.cluster import FleetSpec, run_fleet  # noqa: E402
+from repro.cluster import FleetSpec, run_fleet, run_fleets  # noqa: E402
 from repro.experiments import sweep  # noqa: E402
 
 #: Mirror of tests/cluster/test_fleet.py's pinned golden fleet.
@@ -55,10 +59,26 @@ def main(argv=None) -> int:
 
     spec = FleetSpec(servers=args.servers, connections=args.connections,
                      duration_ns=args.duration_ns, epochs=args.epochs)
+    # fig16's scenarios: the pf-flap fleet shares every server but 0
+    # with the baseline, the server-down fleet none.
+    batch = {
+        "baseline": spec,
+        "pf-flap": FleetSpec(**dict(
+            spec.to_dict(), pf_flap=(0, args.duration_ns // 3,
+                                     args.duration_ns // 4))),
+        "server-down": FleetSpec(**dict(
+            spec.to_dict(), server_down=(0, args.duration_ns // 2))),
+    }
     inline = run_fleet(spec, master_seed=args.seed, jobs=1)
     again = run_fleet(spec, master_seed=args.seed, jobs=1)
+    alone = {"baseline": inline.fingerprint()}
+    for name in ("pf-flap", "server-down"):
+        alone[name] = run_fleet(batch[name], master_seed=args.seed,
+                                jobs=1).fingerprint()
     try:
         sharded = run_fleet(spec, master_seed=args.seed, jobs=args.jobs)
+        batched = run_fleets(list(batch.values()), master_seed=args.seed,
+                             jobs=args.jobs)
     finally:
         sweep.shutdown_pool()
 
@@ -69,6 +89,12 @@ def main(argv=None) -> int:
     print(f"  inline fingerprint  {inline.fingerprint()}")
     print(f"  repeat fingerprint  {again.fingerprint()}")
     print(f"  jobs={args.jobs} fingerprint  {sharded.fingerprint()}")
+    mismatched = [name for name, fleet in zip(batch, batched)
+                  if fleet.fingerprint() != alone[name]]
+    for name, fleet in zip(batch, batched):
+        verdict = "differs from" if name in mismatched else "matches"
+        print(f"  batch jobs={args.jobs} {name:<12} {verdict} its run "
+              f"alone ({fleet.fingerprint()[:16]})")
 
     ok = (inline.fingerprint() == again.fingerprint()
           == sharded.fingerprint())
@@ -78,9 +104,13 @@ def main(argv=None) -> int:
               file=sys.stderr)
     if not conserved:
         print("FAIL: planned != served + lost", file=sys.stderr)
-    if ok and conserved:
-        print("fleet smoke OK: deterministic across repeats and jobs")
-    return 0 if ok and conserved else 1
+    if mismatched:
+        print(f"FAIL: batched fleets differ from their runs alone: "
+              f"{', '.join(mismatched)}", file=sys.stderr)
+    if ok and conserved and not mismatched:
+        print("fleet smoke OK: deterministic across repeats and jobs, "
+              "and batched fleets match their runs alone")
+    return 0 if ok and conserved and not mismatched else 1
 
 
 if __name__ == "__main__":
