@@ -42,9 +42,8 @@ from repro.workloads import (
     MemcachedServer,
     PageRank,
     Pktgen,
-    TcpRr,
+    RequestResponse,
     TcpStream,
-    UdpPingPong,
     spawn_stream_pairs,
 )
 
@@ -68,13 +67,12 @@ __all__ = [
     "PageRank",
     "PhysicalFunction",
     "Pktgen",
+    "RequestResponse",
     "Scheduler",
     "StandardDriver",
     "StandardFirmware",
-    "TcpRr",
     "TcpStream",
     "Testbed",
-    "UdpPingPong",
     "all_experiment_names",
     "bifurcate",
     "dell_r730",

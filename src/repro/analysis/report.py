@@ -49,11 +49,10 @@ def render_result(result: ExperimentResult) -> str:
     return "\n".join(parts)
 
 
-def render_report(results: Iterable[ExperimentResult],
-                  title: str = "IOctopus reproduction report") -> str:
+def render_report(results: Iterable[ExperimentResult]) -> str:
     """A complete markdown report for a set of results."""
     results = list(results)
-    sections = [f"# {title}", ""]
+    sections = ["# IOctopus reproduction report", ""]
     passed = failed = 0
     bodies = []
     for result in results:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.configurations import CONFIGS
+from repro.components import PRESETS
 
 #: Fleet-wide connection blocks the load balancer assigns to servers.
 #: Connections are organised in blocks (not individually) so any worker
@@ -82,8 +82,8 @@ class FleetSpec:
         if self.connections < 1:
             raise ValueError(
                 f"connections must be >= 1, got {self.connections}")
-        if self.config not in CONFIGS:
-            raise ValueError(f"config must be one of {CONFIGS}, "
+        if self.config not in PRESETS:
+            raise ValueError(f"config must be one of {PRESETS}, "
                              f"got {self.config!r}")
         if self.duration_ns < 1:
             raise ValueError(

@@ -1,7 +1,7 @@
 """The paper's contribution: the octoNIC driver stack and testbed configs."""
 
 from repro.core.configurations import (
-    CONFIGS,
+    CLIENT_CONFIGS,
     FAR_NODE,
     NIC_NODE,
     Host,
@@ -21,7 +21,7 @@ from repro.core.sg import (
 from repro.core.teaming import RULE_IDLE_NS, OctoTeamDriver
 
 __all__ = [
-    "CONFIGS",
+    "CLIENT_CONFIGS",
     "FAR_NODE",
     "Host",
     "NIC_NODE",

@@ -40,7 +40,10 @@ from repro.sim.engine import Environment
 from repro.topology.constants import MachineSpec, dell_r730_spec
 from repro.topology.machine import Machine
 
-CONFIGS = ("local", "remote", "ioctopus")
+#: Where a testbed's client may run its workload: its single-PF NIC
+#: sits on node 0, so ``"remote"`` puts the client's DMA across its
+#: interconnect.
+CLIENT_CONFIGS = ("local", "remote")
 
 #: The node the server NIC's PF0 attaches to.
 NIC_NODE = 0
@@ -196,22 +199,26 @@ class TestbedBuilder:
         return host
 
 
-def attach_octossd(machine: Machine, octo: bool, name: str,
-                   lanes_per_port: int = 8) -> NvmeController:
+#: PCIe lanes per SSD port.
+SSD_LANES_PER_PORT = 8
+
+
+def attach_octossd(machine: Machine, octo: bool,
+                   name: str) -> NvmeController:
     """One NVMe controller wired per the arrangement under test: a
     single-port drive on node 0, or (``octo=True``) a dual-port octoSSD
     with one PF per socket — the storage twin of the NIC bifurcation.
     Shared by the mixed-IO ablation and the fuzz runner."""
     attach = [0, 1] if octo else [0]
     return NvmeController(
-        machine, bifurcate(machine, lanes_per_port * len(attach), attach,
-                           name=name), name=name)
+        machine, bifurcate(machine, SSD_LANES_PER_PORT * len(attach),
+                           attach, name=name), name=name)
 
 
-def attach_octossd_fleet(machine: Machine, octo: bool, count: int,
-                         name_prefix: str = "ssd") -> List[NvmeDriver]:
+def attach_octossd_fleet(machine: Machine, octo: bool,
+                         count: int) -> List[NvmeDriver]:
     """``count`` SSDs plus their drivers (octo teaming per ``octo``)."""
-    ssds = [attach_octossd(machine, octo, name=f"{name_prefix}{i}")
+    ssds = [attach_octossd(machine, octo, name=f"ssd{i}")
             for i in range(count)]
     return [NvmeDriver(machine, ssd, octo_mode=octo) for ssd in ssds]
 
@@ -222,18 +229,15 @@ class Testbed:
     #: Not a pytest test class, despite the name.
     __test__ = False
 
-    def __init__(self, config: Union[str, SystemConfig, None] = None,
-                 seed: int = 0, spec: Optional[MachineSpec] = None,
-                 client_config: str = "local",
-                 system: Union[str, SystemConfig, None] = None):
-        if config is not None and system is not None:
-            raise ValueError("pass either config or system=, not both")
-        if isinstance(config, str) and config not in CONFIGS:
-            raise ValueError(f"config must be one of {CONFIGS}, "
-                             f"got {config!r}")
-        system = as_system_config(system if system is not None else config)
-        if client_config not in ("local", "remote"):
-            raise ValueError("client_config must be 'local' or 'remote'")
+    def __init__(self, config: Union[str, SystemConfig], seed: int = 0,
+                 spec: Optional[MachineSpec] = None,
+                 client_config: str = "local"):
+        """``config`` is the system under test: a preset name or a
+        :class:`~repro.components.SystemConfig`."""
+        system = as_system_config(config)
+        if client_config not in CLIENT_CONFIGS:
+            raise ValueError(f"client_config must be one of "
+                             f"{CLIENT_CONFIGS}, got {client_config!r}")
         self.system = system
         self.config = system.preset
         self.client_config = client_config

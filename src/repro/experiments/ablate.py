@@ -30,12 +30,11 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.components import SystemConfig, loo_matrix
+from repro.components import PRESETS, SystemConfig, loo_matrix
 from repro.experiments.base import (ACCURACY_MODES, DURATIONS_MS,
-                                    resolve_accuracy)
+                                    duration_of, resolve_accuracy)
 from repro.experiments.cli import check_environment, positive_int
-from repro.experiments.runners import (run_pktgen, run_tcp_rr,
-                                       run_tcp_stream)
+from repro.experiments.runners import run_pktgen, run_rr, run_tcp_stream
 from repro.units import KB
 
 #: Leave-one-out deltas smaller than this (relative to baseline) are
@@ -53,13 +52,15 @@ class AblationTarget:
     unit: str
     #: False for latency-style metrics where lower is better.
     higher_is_better: bool
-    #: Module-level point runner (picklable by path for sweep workers).
+    #: Module-level point runner (picklable by path for sweep workers)
+    #: whose first parameter, ``config``, is the server arrangement.
     fn: Callable
     #: Fixed kwargs of the representative point; the engine adds
+    #: ``config`` (the matrix row's preset) and
     #: ``duration_ns``/``seed``/``accuracy``/``components``.
     base_params: Tuple[Tuple[str, object], ...]
     #: Key of ``metric`` in the runner's result dict; None when the
-    #: runner returns the scalar itself (run_tcp_rr).
+    #: runner returns the scalar itself (run_rr).
     result_key: Optional[str]
     description: str
 
@@ -89,56 +90,46 @@ def target_names() -> List[str]:
 register_target(AblationTarget(
     figure="fig08", metric="mpps", unit="Mpps", higher_is_better=True,
     fn=run_pktgen,
-    base_params=(("config", "ioctopus"), ("packet_bytes", 64)),
+    base_params=(("packet_bytes", 64),),
     result_key="mpps",
     description="single-core 64 B pktgen rate (§5.1.1)"))
 
 register_target(AblationTarget(
     figure="fig06", metric="throughput_gbps", unit="Gb/s",
     higher_is_better=True, fn=run_tcp_stream,
-    base_params=(("config", "ioctopus"), ("message_bytes", 16 * KB),
-                 ("direction", "rx")),
+    base_params=(("message_bytes", 16 * KB), ("direction", "rx")),
     result_key="throughput_gbps",
     description="single-flow 16 KB TCP Rx throughput (§5.1.2)"))
 
 register_target(AblationTarget(
     figure="fig07", metric="throughput_gbps", unit="Gb/s",
     higher_is_better=True, fn=run_tcp_stream,
-    base_params=(("config", "ioctopus"), ("message_bytes", 16 * KB),
-                 ("direction", "tx")),
+    base_params=(("message_bytes", 16 * KB), ("direction", "tx")),
     result_key="throughput_gbps",
     description="single-flow 16 KB TCP Tx throughput (§5.1.2)"))
 
 register_target(AblationTarget(
     figure="fig09", metric="rtt_ns", unit="ns", higher_is_better=False,
-    fn=run_tcp_rr,
-    base_params=(("server_config", "ioctopus"),
-                 ("client_config", "local"), ("ddio", True),
-                 ("message_bytes", 64)),
+    fn=run_rr,
+    base_params=(("message_bytes", 64),),
     result_key=None,
     description="64 B TCP_RR round-trip latency (§5.1.3)"))
 
 
 # ----------------------------------------------------------------- engine
 
-def _duration_ns(fidelity: str) -> int:
-    try:
-        return DURATIONS_MS[fidelity] * 1_000_000
-    except KeyError:
-        raise ValueError(f"fidelity must be one of {sorted(DURATIONS_MS)},"
-                         f" got {fidelity!r}") from None
-
-
 def matrix_points(target: AblationTarget,
                   matrix: Sequence[SystemConfig],
                   duration_ns: int, seed: int,
                   accuracy: str) -> List[Dict]:
-    """One sweep point per matrix row.  The components dict rides in the
-    point's JSON kwargs, so the sweep cache key — like the row's
-    ``run_id()`` — is a pure function of the configuration content."""
+    """One sweep point per matrix row.  The row's preset and components
+    dict ride in the point's JSON kwargs, so the sweep cache key — like
+    the row's ``run_id()`` — is a pure function of the configuration
+    content."""
     points = []
     for config in matrix:
         point = dict(target.base_params)
+        point["config"] = config.preset
         point["duration_ns"] = duration_ns
         point["seed"] = seed
         point["accuracy"] = accuracy
@@ -177,7 +168,7 @@ def run_ablation(figure: str, fidelity: str = "quick",
         accuracy = resolve_accuracy(
             "adaptive" if fidelity == "quick" else "exact")
     if duration_ns is None:
-        duration_ns = _duration_ns(fidelity)
+        duration_ns = duration_of(fidelity)
     base = SystemConfig(preset=preset)
     matrix = loo_matrix(base, names=components, pairwise=pairwise)
     points = matrix_points(target, matrix, duration_ns, seed, accuracy)
@@ -297,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--components", default=None, metavar="A,B,...",
                         help="restrict the matrix to these components "
                              "(default: every registered component)")
-    parser.add_argument("--preset", default="ioctopus",
-                        choices=("local", "remote", "ioctopus"),
+    parser.add_argument("--preset", default="ioctopus", choices=PRESETS,
                         help="baseline system preset")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=positive_int, default=None,

@@ -17,6 +17,17 @@ from repro.metrics.collect import format_table
 #: Milliseconds of simulated time per configuration point, by fidelity.
 DURATIONS_MS = {"quick": 10, "normal": 40, "long": 200}
 
+
+def duration_of(fidelity: str) -> int:
+    """Simulated ns per configuration point at ``fidelity``; an unknown
+    fidelity is a ValueError."""
+    try:
+        return DURATIONS_MS[fidelity] * 1_000_000
+    except KeyError:
+        raise ValueError(f"fidelity must be one of {sorted(DURATIONS_MS)}, "
+                         f"got {fidelity!r}") from None
+
+
 #: Accuracy tiers of the point runners that take one.
 #:
 #: * ``"exact"``    — today's per-packet, bit-identical behaviour; seeded
@@ -102,12 +113,7 @@ class Experiment:
         raise NotImplementedError
 
     def duration_ns(self, fidelity: str) -> int:
-        try:
-            duration = DURATIONS_MS[fidelity] * 1_000_000
-        except KeyError:
-            raise ValueError(
-                f"fidelity must be one of {sorted(DURATIONS_MS)}, "
-                f"got {fidelity!r}") from None
+        duration = duration_of(fidelity)
         # Remember the fidelity so accuracy() can default quick runs to
         # the adaptive fast path.
         self._fidelity = fidelity

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.experiments.base import DURATIONS_MS, Experiment, \
-    ExperimentResult, register
-from repro.experiments.runners import run_tcp_rr
+from repro.experiments.base import Experiment, ExperimentResult, \
+    duration_of, register
+from repro.experiments.runners import run_rr
 from repro.units import KB
 
 MESSAGE_SIZES = [1, 64, 256, 1 * KB, 4 * KB, 16 * KB, 64 * KB]
@@ -32,7 +32,7 @@ def run_breakdown(message_bytes: int = 64, fidelity: str = "quick",
                   accuracy: str = "exact", seed: int = 0) -> Dict:
     """Per-stage latency budgets for the figure's three RR variants."""
     from repro.obs.blame import run_blame_point
-    duration = DURATIONS_MS[fidelity] * 1_000_000
+    duration = duration_of(fidelity)
     variants = {}
     for label, server, client, ddio in BREAKDOWN_VARIANTS:
         variants[label] = run_blame_point(
@@ -100,13 +100,11 @@ class Fig09Latency(Experiment):
              "rr_over_ll", "llnd_over_ll"],
             notes="ll/rr: both sides local/remote; nd: DDIO disabled in "
                   "hardware on both sides")
-        variants = (("local", "local", True), ("remote", "remote", True),
-                    ("local", "local", False))
-        runs = self.sweep(run_tcp_rr, [
-            dict(server_config=server, client_config=client, ddio=ddio,
+        runs = self.sweep(run_rr, [
+            dict(config=server, client_config=client, ddio=ddio,
                  message_bytes=msg, duration_ns=duration)
             for msg in MESSAGE_SIZES
-            for server, client, ddio in variants])
+            for _, server, client, ddio in BREAKDOWN_VARIANTS])
         for i, msg in enumerate(MESSAGE_SIZES):
             ll, rr, llnd = runs[3 * i:3 * i + 3]
             result.add(

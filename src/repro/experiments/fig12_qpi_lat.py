@@ -2,25 +2,10 @@
 
 from __future__ import annotations
 
-from repro.core.configurations import Testbed
 from repro.experiments.base import Experiment, ExperimentResult, register
-from repro.experiments.runners import run_latency_point, warmup_of
-from repro.workloads.sockperf import UdpPingPong
-from repro.workloads.stream_bench import spawn_stream_pairs
+from repro.experiments.runners import run_rr
 
 STREAM_PAIRS = [1, 2, 3, 4, 5, 6]
-
-
-def run_udp_latency(config: str, pairs: int, duration_ns: int,
-                    accuracy: str = "exact") -> float:
-    """One sockperf point beside ``pairs`` STREAM pairs; returns the
-    average one-way latency in us."""
-    testbed = Testbed(config)
-    workload = UdpPingPong(testbed, 64, duration_ns, warmup_of(duration_ns))
-    spawn_stream_pairs(testbed.server, pairs, duration_ns,
-                       skip_cores=[testbed.server_core(0)])
-    run_latency_point(testbed, duration_ns, workload.latencies, accuracy)
-    return workload.average_one_way_us()
 
 
 @register
@@ -38,10 +23,13 @@ class Fig12QpiLatency(Experiment):
              "ioct_over_remote"],
             notes="one-way latency; paper's 0.90/0.81/0.78 annotations "
                   "are ioct/remote ratios")
-        runs = self.sweep(run_udp_latency, [
-            dict(config=config, pairs=pairs, duration_ns=duration)
+        # sockperf beside the STREAM pairs; it reports one-way latency
+        # (RTT/2) in us.
+        runs = [rtt / 2 / 1000.0 for rtt in self.sweep(run_rr, [
+            dict(config=config, message_bytes=64, duration_ns=duration,
+                 protocol="udp", stream_pairs=pairs)
             for pairs in STREAM_PAIRS
-            for config in ("ioctopus", "remote")])
+            for config in ("ioctopus", "remote")])]
         for i, pairs in enumerate(STREAM_PAIRS):
             ioct, remote = runs[2 * i:2 * i + 2]
             result.add(pairs, round(ioct, 2), round(remote, 2),

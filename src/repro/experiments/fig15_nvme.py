@@ -9,13 +9,9 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.configurations import Host, attach_octossd_fleet
+from repro.core.configurations import TestbedBuilder, attach_octossd_fleet
 from repro.experiments.base import Experiment, ExperimentResult, register
-from repro.nic.device import NicDevice
-from repro.nic.firmware import StandardFirmware
-from repro.os_model.driver import StandardDriver
-from repro.pcie.fabric import bifurcate
-from repro.topology import dell_skylake
+from repro.topology.constants import dell_skylake_spec
 from repro.workloads.fio import spawn_fio_fleet
 from repro.workloads.stream_bench import StreamThread
 
@@ -27,11 +23,9 @@ STREAM_COUNTS = [0, 1, 2, 3, 4, 5, 6, 8, 10]
 def build_nvme_host(octo_mode: bool = False) -> tuple:
     """A Skylake server with 4 SSDs on socket 0, or (``octo_mode``)
     4 dual-port octoSSDs with one port per socket, teamed."""
-    machine = dell_skylake()
-    nic = NicDevice(machine, bifurcate(machine, 16, [0], name="mgmt"),
-                    StandardFirmware(1))
-    host = Host(machine, nic, StandardDriver(machine, nic, 0))
-    return host, attach_octossd_fleet(machine, octo_mode, N_SSDS)
+    host = (TestbedBuilder("local").spec(dell_skylake_spec())
+            .attach_nodes([0]).pf_name("mgmt").build_host())
+    return host, attach_octossd_fleet(host.machine, octo_mode, N_SSDS)
 
 
 def run_fio_point(n_streams: int, duration_ns: int,

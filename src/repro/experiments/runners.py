@@ -1,11 +1,11 @@
 """Shared experiment runners (build a testbed, run one workload point).
 
-Every runner here, and fig12's point function, takes an ``accuracy``
-tier (one of :data:`~repro.experiments.base.ACCURACY_MODES`, default
-``"exact"``); the tier is an argument, never a process default, so a
-point's result depends only on its parameters.  A quick sweep passes
-them ``"adaptive"``, so the points of fig06–fig09, fig11, fig12 and
-sec24 run it:
+Every runner here takes an ``accuracy`` tier (one of
+:data:`~repro.experiments.base.ACCURACY_MODES`, default ``"exact"``);
+the tier is an argument, never a process default, so a point's result
+depends only on its parameters.  A quick sweep passes them
+``"adaptive"``, so the points of fig06–fig09, fig11, fig12 and sec24
+run it:
 
 * ``"exact"`` — the full run: every burst is its own event, metrics are
   probed over the fixed measurement window.  Bit-identical to the
@@ -15,9 +15,9 @@ sec24 run it:
   coalesces steady-state packet trains, and stops the point early once
   its primary estimate has converged (:func:`run_until_converged`),
   reading metrics over the train-aligned covered time instead of the
-  full window.  Latency points (TCP_RR, sockperf) form no trains and
-  stop once their average latency converges
-  (:func:`run_latency_point`).
+  full window.  Request/response points (:func:`run_rr`: TCP_RR,
+  sockperf) form no trains and stop once their average latency
+  converges.
 
 fig10's memcached points and the STREAM-loaded points of abl_window,
 fig15 and abl_octossd take no tier and keep the fixed window: their
@@ -39,9 +39,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 from repro.components import SystemConfig
 from repro.core.configurations import Testbed
 from repro.experiments.base import ACCURACY_MODES
-from repro.metrics.collect import LatencyRecorder, TimeSeries
+from repro.metrics.collect import TimeSeries
 from repro.nic.packet import Flow
-from repro.workloads.netperf import TcpRr, TcpStream
+from repro.workloads.netperf import RequestResponse, TcpStream
 from repro.workloads.pktgen import Pktgen
 from repro.workloads.stream_bench import spawn_stream_pairs
 from repro.workloads.train import TrainGovernor
@@ -205,22 +205,6 @@ def run_until_converged(testbed: Testbed, duration_ns: int,
     return window
 
 
-def run_latency_point(testbed: Testbed, duration_ns: int,
-                      latencies: LatencyRecorder, accuracy: str) -> None:
-    """Run one latency point (TCP_RR, sockperf) to its end.
-
-    Exact runs the fixed window plus drain slack.  Adaptive stops once
-    the recorder's average has converged: the latency loops form no
-    trains, so early termination alone does the saving — the
-    per-iteration latency is nearly deterministic, and the average
-    settles within a few convergence slices.
-    """
-    if is_adaptive(accuracy):
-        run_until_converged(testbed, duration_ns, latencies.average)
-    else:
-        run_with_slack(testbed, duration_ns)
-
-
 def meter_elapsed(meter) -> int:
     """Covered time of an adaptive run: first record to the (train-
     aligned, progressively finished) end.  A governed burst loop snaps
@@ -271,7 +255,7 @@ def run_tcp_stream(config: str, message_bytes: int, direction: str,
                    obs=None) -> Dict[str, float]:
     """One netperf TCP_STREAM point; returns throughput/membw/cpu."""
     adaptive = is_adaptive(accuracy)
-    testbed = Testbed(system=system_for(config, components), seed=seed)
+    testbed = Testbed(system_for(config, components), seed=seed)
     if obs is not None:
         obs.attach(testbed, horizon_ns=duration_ns)
     host = testbed.server
@@ -309,7 +293,7 @@ def run_pktgen(config: str, packet_bytes: int, duration_ns: int,
                obs=None) -> Dict[str, float]:
     """One pktgen point."""
     adaptive = is_adaptive(accuracy)
-    testbed = Testbed(system=system_for(config, components), seed=seed)
+    testbed = Testbed(system_for(config, components), seed=seed)
     if obs is not None:
         obs.attach(testbed, horizon_ns=duration_ns)
     workload = Pktgen(testbed.server, testbed.server_core(0), packet_bytes,
@@ -334,20 +318,58 @@ def run_pktgen(config: str, packet_bytes: int, duration_ns: int,
     }
 
 
-def run_tcp_rr(server_config: str, client_config: str, ddio: bool,
-               message_bytes: int, duration_ns: int,
-               seed: int = 0, accuracy: str = "exact",
-               components: Optional[Dict[str, bool]] = None,
-               obs=None) -> float:
-    """One TCP_RR point; returns average RTT in ns."""
-    system = system_for(server_config, components)
+def run_rr(config: str, message_bytes: int, duration_ns: int,
+           protocol: str = "tcp", client_config: str = "local",
+           ddio: bool = True, stream_pairs: int = 0, seed: int = 0,
+           accuracy: str = "exact",
+           components: Optional[Dict[str, bool]] = None,
+           obs=None) -> float:
+    """One request/response point (fig09's TCP_RR, fig12's sockperf
+    beside ``stream_pairs`` STREAM pairs); returns the mean round trip
+    in ns."""
+    system = system_for(config, components)
     if not ddio:
         system = system.with_override("ddio", False)
-    testbed = Testbed(system=system, client_config=client_config,
-                      seed=seed)
+    testbed = Testbed(system, client_config=client_config, seed=seed)
     if obs is not None:
         obs.attach(testbed, horizon_ns=duration_ns)
-    workload = TcpRr(testbed, message_bytes, duration_ns,
-                     warmup_of(duration_ns))
-    run_latency_point(testbed, duration_ns, workload.latencies, accuracy)
+    workload = RequestResponse(testbed, message_bytes, duration_ns,
+                               warmup_of(duration_ns), protocol)
+    if stream_pairs:
+        spawn_stream_pairs(testbed.server, stream_pairs, duration_ns,
+                           skip_cores=[testbed.server_core(0)])
+    if is_adaptive(accuracy):
+        # The loop forms no trains, so early termination alone does the
+        # saving: the per-iteration latency is nearly deterministic, and
+        # the average settles within a few convergence slices.
+        run_until_converged(testbed, duration_ns,
+                            workload.latencies.average)
+    else:
+        run_with_slack(testbed, duration_ns)
     return workload.average_rtt_ns()
+
+
+#: The workloads :func:`run_point` runs (``obs``, ``obs blame`` and
+#: ``obs diff`` offer these).
+POINT_WORKLOADS = ("pktgen", "tcp_rx", "tcp_tx", "rr")
+
+
+def run_point(workload: str, config: str, size: int, duration_ns: int,
+              seed: int = 0, accuracy: str = "exact",
+              components: Optional[Dict[str, bool]] = None, obs=None,
+              client_config: str = "local",
+              ddio: bool = True) -> Dict[str, float]:
+    """One point of a :data:`POINT_WORKLOADS` workload with ``size``-byte
+    packets or messages; rr's result is ``{"rtt_ns": mean}``, and only
+    rr reads ``client_config`` and ``ddio``."""
+    common = dict(duration_ns=duration_ns, seed=seed, accuracy=accuracy,
+                  components=components, obs=obs)
+    if workload == "pktgen":
+        return run_pktgen(config, size, **common)
+    if workload in ("tcp_rx", "tcp_tx"):
+        return run_tcp_stream(config, size, workload[4:], **common)
+    if workload == "rr":
+        return {"rtt_ns": run_rr(config, size, client_config=client_config,
+                                 ddio=ddio, **common)}
+    raise ValueError(f"workload must be one of {POINT_WORKLOADS}, "
+                     f"got {workload!r}")

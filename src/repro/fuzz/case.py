@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.components import fault_safe_component_names
+from repro.components import PRESETS, fault_safe_component_names
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.sim.rng import SimRandom
 from repro.units import KB
@@ -40,9 +40,6 @@ from repro.units import KB
 #: Workload mixes the harness knows how to build.
 WORKLOADS = ("pktgen", "tcp_stream", "tcp_rr", "memcached", "fio",
              "colocated")
-
-#: Topology variants (the paper's evaluated configurations).
-CONFIGS = ("local", "remote", "ioctopus")
 
 #: Simulated durations a case may run for.
 DURATIONS_NS = (1_000_000, 2_000_000, 4_000_000)
@@ -95,8 +92,8 @@ class FuzzCase:
     components: Dict[str, bool] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.config not in CONFIGS:
-            raise ValueError(f"config must be one of {CONFIGS}, "
+        if self.config not in PRESETS:
+            raise ValueError(f"config must be one of {PRESETS}, "
                              f"got {self.config!r}")
         if self.workload not in WORKLOADS + (FLEET_WORKLOAD,):
             raise ValueError(f"workload must be one of "
@@ -260,7 +257,7 @@ def generate_case(master_seed: int, index: int) -> FuzzCase:
     cases never perturbs the others — corpus entries stay replayable.
     """
     rng = SimRandom(master_seed, name="fuzz").child(f"case-{index}")
-    config = rng.choice(list(CONFIGS))
+    config = rng.choice(list(PRESETS))
     workload = rng.choice(list(WORKLOADS))
     duration_ns = rng.choice(list(DURATIONS_NS))
     params = _workload_params(rng, workload)
@@ -296,7 +293,7 @@ def generate_fleet_case(master_seed: int, index: int) -> FuzzCase:
     spec = {
         "servers": servers,
         "connections": rng.choice(list(FLEET_CONNECTIONS)),
-        "config": rng.choice(list(CONFIGS)),
+        "config": rng.choice(list(PRESETS)),
         "duration_ns": duration_ns,
         "epochs": rng.choice([2, 4]),
         "workers": rng.choice([1, 2]),

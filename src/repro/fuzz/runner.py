@@ -31,7 +31,7 @@ from repro.sim.rng import SimRandom
 from repro.units import KB
 from repro.workloads.fio import FioReader
 from repro.workloads.memcached import MemcachedServer
-from repro.workloads.netperf import TcpRr, TcpStream
+from repro.workloads.netperf import RequestResponse, TcpStream
 from repro.workloads.pktgen import Pktgen
 from repro.workloads.train import TrainGovernor
 
@@ -46,7 +46,7 @@ _RESIDUAL = re.compile(r"residual=(\d+)")
 def _build(case: FuzzCase, accuracy: str, trace: bool,
            blame_collector=None):
     adaptive = is_adaptive(accuracy)
-    testbed = Testbed(system=system_for(case.config, case.components),
+    testbed = Testbed(system_for(case.config, case.components),
                       seed=case.seed)
     if trace:
         for machine in (testbed.server.machine, testbed.client.machine):
@@ -81,8 +81,8 @@ def _build(case: FuzzCase, accuracy: str, trace: bool,
             case.duration_ns, warmup,
             governor=TrainGovernor() if adaptive else None)
     elif case.workload == "tcp_rr":
-        workloads["rr"] = TcpRr(testbed, params["message_bytes"],
-                                case.duration_ns, warmup)
+        workloads["rr"] = RequestResponse(testbed, params["message_bytes"],
+                                          case.duration_ns, warmup)
     elif case.workload == "memcached":
         cores = [testbed.server_core(i) for i in range(params["workers"])]
         workloads["memcached"] = MemcachedServer(
@@ -322,8 +322,7 @@ def execute(case: FuzzCase, accuracy: str = "exact",
                     nvme_ctrl, nvme_driver, outcome, error, trace)
 
 
-def run_case(case: Dict, invariants: Optional[List[str]] = None,
-             agreement_rel: float = 0.1) -> Dict:
+def run_case(case: Dict, invariants: Optional[List[str]] = None) -> Dict:
     """Run one case dict and check the selected invariants.
 
     Module-level and JSON-in/JSON-out so ``sweep_map`` can ship it to a
@@ -379,8 +378,7 @@ def run_case(case: Dict, invariants: Optional[List[str]] = None,
         # adaptive tier, which must tell the exact mode's performance
         # story.
         adaptive_obs = execute(fuzz_case, "adaptive", trace=False)
-        violations.extend(_check_agreement(obs, adaptive_obs,
-                                           agreement_rel))
+        violations.extend(_check_agreement(obs, adaptive_obs, AGREEMENT_REL))
 
     return {
         "case": case,
@@ -526,6 +524,8 @@ def run_fleet_case(case: Dict,
 #: in the window, the two modes' meter alignment (fixed window vs
 #: train-aligned) quantises differently by design.
 MIN_AGREEMENT_RECORDS = 40
+#: ... and must then agree to within this relative error.
+AGREEMENT_REL = 0.1
 
 #: Full-run ledger totals are mode-independent up to end-of-run
 #: truncation: the horizon can cut adaptive mode mid-train, leaving its

@@ -64,12 +64,11 @@ class NvmeController(MultiPfDevice):
     kind = "nvme"
 
     def __init__(self, machine, pfs: List[PhysicalFunction],
-                 name: str = "nvme",
-                 flash_bytes_per_sec: float = FLASH_BYTES_PER_SEC):
+                 name: str = "nvme"):
         if not pfs:
             raise ValueError("an NVMe controller needs at least one PF")
         super().__init__(machine, pfs, name)
-        self.flash = BandwidthServer(machine.env, flash_bytes_per_sec,
+        self.flash = BandwidthServer(machine.env, FLASH_BYTES_PER_SEC,
                                      name=f"{name}.flash")
         self.read_bytes = 0
         self.write_bytes = 0

@@ -388,22 +388,13 @@ def run_blame_point(workload: str, config: str, *, size: int,
     """Run one experiment point with blame collection attached and
     return its :func:`build_report` dict (plus point metadata, the
     workload result, and the session's counters for ``obs diff``)."""
-    from repro.experiments.runners import (run_pktgen, run_tcp_rr,
-                                           run_tcp_stream)
+    from repro.experiments.runners import run_point
     from repro.obs.session import ObsSession
 
     obs = ObsSession(enabled=True, blame=True)
-    common = dict(duration_ns=duration_ns, seed=seed, accuracy=accuracy,
-                  components=components, obs=obs)
-    if workload == "pktgen":
-        result = run_pktgen(config, size, **common)
-    elif workload in ("tcp_rx", "tcp_tx"):
-        result = run_tcp_stream(config, size, workload[4:], **common)
-    elif workload == "rr":
-        rtt = run_tcp_rr(config, client_config, ddio, size, **common)
-        result = {"rtt_ns": rtt}
-    else:
-        raise ValueError(f"unknown workload {workload!r}")
+    result = run_point(workload, config, size, duration_ns, seed=seed,
+                       accuracy=accuracy, components=components, obs=obs,
+                       client_config=client_config, ddio=ddio)
     point = {"workload": workload, "config": config, "size": size,
              "duration_ns": duration_ns, "seed": seed,
              "accuracy": accuracy}

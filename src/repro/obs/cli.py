@@ -26,12 +26,13 @@ import pstats
 import sys
 from typing import List, Optional
 
-from repro.experiments.base import ACCURACY_MODES, DURATIONS_MS
+from repro.components import PRESETS
+from repro.core.configurations import CLIENT_CONFIGS
+from repro.experiments.base import ACCURACY_MODES, DURATIONS_MS, duration_of
 from repro.experiments.cli import positive_int
+from repro.experiments.runners import POINT_WORKLOADS, run_point
 from repro.obs.session import ObsSession
 from repro.workloads.pktgen import MIN_PACKET_BYTES
-
-WORKLOADS = ("pktgen", "tcp_rx", "tcp_tx", "rr")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,9 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ioctopus-repro obs",
         description="Run one experiment point with full observability "
                     "and print a per-component utilization table")
-    parser.add_argument("--workload", default="pktgen", choices=WORKLOADS)
-    parser.add_argument("--config", default="remote",
-                        choices=("local", "remote", "ioctopus"),
+    parser.add_argument("--workload", default="pktgen",
+                        choices=POINT_WORKLOADS)
+    parser.add_argument("--config", default="remote", choices=PRESETS,
                         help="server-side configuration (default: remote, "
                              "the NUDMA-afflicted case)")
     parser.add_argument("--packet-bytes", type=int, default=256,
@@ -85,24 +86,9 @@ def _parse_args(parser: argparse.ArgumentParser,
     return args
 
 
-def _run_point(args, obs: ObsSession) -> dict:
-    from repro.experiments.runners import (
-        run_pktgen,
-        run_tcp_rr,
-        run_tcp_stream,
-    )
-    duration = DURATIONS_MS[args.fidelity] * 1_000_000
-    common = dict(duration_ns=duration, seed=args.seed,
-                  accuracy=args.accuracy, obs=obs)
-    if args.workload == "pktgen":
-        return run_pktgen(args.config, args.packet_bytes, **common)
-    if args.workload in ("tcp_rx", "tcp_tx"):
-        direction = args.workload[4:]
-        return run_tcp_stream(args.config, args.message_bytes, direction,
-                              **common)
-    rtt = run_tcp_rr(args.config, "local", True, args.message_bytes,
-                     **common)
-    return {"avg_rtt_us": rtt / 1000}
+def _size(args: argparse.Namespace) -> int:
+    return (args.packet_bytes if args.workload == "pktgen"
+            else args.message_bytes)
 
 
 def build_blame_parser() -> argparse.ArgumentParser:
@@ -110,9 +96,9 @@ def build_blame_parser() -> argparse.ArgumentParser:
         prog="ioctopus-repro obs blame",
         description="Run one experiment point with latency-blame "
                     "attribution and print the per-stage budget table")
-    parser.add_argument("--workload", default="pktgen", choices=WORKLOADS)
-    parser.add_argument("--config", default="remote",
-                        choices=("local", "remote", "ioctopus"))
+    parser.add_argument("--workload", default="pktgen",
+                        choices=POINT_WORKLOADS)
+    parser.add_argument("--config", default="remote", choices=PRESETS)
     parser.add_argument("--packet-bytes", type=int, default=256)
     parser.add_argument("--message-bytes", type=positive_int,
                         default=16384)
@@ -122,7 +108,7 @@ def build_blame_parser() -> argparse.ArgumentParser:
                         choices=ACCURACY_MODES)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--client-config", default="local",
-                        choices=("local", "remote", "ioctopus"),
+                        choices=CLIENT_CONFIGS,
                         help="rr client-side configuration")
     parser.add_argument("--no-ddio", action="store_true",
                         help="rr: disable DDIO on the server")
@@ -139,13 +125,11 @@ def blame_main(argv: Optional[List[str]] = None) -> int:
     from repro.obs.blame import render_text, run_blame_point
 
     args = _parse_args(build_blame_parser(), argv)
-    size = (args.packet_bytes if args.workload == "pktgen"
-            else args.message_bytes)
-    duration = DURATIONS_MS[args.fidelity] * 1_000_000
     report = run_blame_point(
-        args.workload, args.config, size=size, duration_ns=duration,
-        seed=args.seed, accuracy=args.accuracy,
-        client_config=args.client_config, ddio=not args.no_ddio)
+        args.workload, args.config, size=_size(args),
+        duration_ns=duration_of(args.fidelity), seed=args.seed,
+        accuracy=args.accuracy, client_config=args.client_config,
+        ddio=not args.no_ddio)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(json.dumps(report, indent=2, sort_keys=True)
@@ -168,17 +152,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parse_args(build_parser(), argv)
     obs = ObsSession(enabled=True, trace=bool(args.trace),
                      sample_interval_ns=args.sample_interval_us * 1000)
+    size = _size(args)
+    point = dict(workload=args.workload, config=args.config, size=size,
+                 duration_ns=duration_of(args.fidelity), seed=args.seed,
+                 accuracy=args.accuracy, obs=obs)
     profiler = cProfile.Profile() if args.profile else None
     if profiler is None:
-        result = _run_point(args, obs)
+        result = run_point(**point)
     else:
-        result = profiler.runcall(_run_point, args, obs)
+        result = profiler.runcall(run_point, **point)
 
-    size = (args.packet_bytes if args.workload == "pktgen"
-            else args.message_bytes)
-    point = (f"{args.workload} {args.config} {size}B "
-             f"{args.fidelity}/{args.accuracy}")
-    print(f"point: {point}")
+    print(f"point: {args.workload} {args.config} {size}B "
+          f"{args.fidelity}/{args.accuracy}")
     for key, value in result.items():
         print(f"  {key}: {value:.4f}")
     print()

@@ -239,8 +239,10 @@ def render_text(report: Dict) -> str:
 # -------------------------------------------------------------------- CLI
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.components import PRESETS
     from repro.experiments.base import ACCURACY_MODES, DURATIONS_MS
     from repro.experiments.cli import positive_int
+    from repro.experiments.runners import POINT_WORKLOADS
     parser = argparse.ArgumentParser(
         prog="ioctopus-repro obs diff",
         description="Attribute the latency delta between two runs "
@@ -251,11 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--b", metavar="FILE", default=None,
                         help="load side B from a JSON report")
     parser.add_argument("--workload", default="pktgen",
-                        choices=("pktgen", "tcp_rx", "tcp_tx", "rr"))
-    parser.add_argument("--a-config", default="ioctopus",
-                        choices=("local", "remote", "ioctopus"))
-    parser.add_argument("--b-config", default="remote",
-                        choices=("local", "remote", "ioctopus"))
+                        choices=POINT_WORKLOADS)
+    parser.add_argument("--a-config", default="ioctopus", choices=PRESETS)
+    parser.add_argument("--b-config", default="remote", choices=PRESETS)
     parser.add_argument("--size", type=positive_int, default=None,
                         help="packet/message bytes (default: 256 for "
                              "pktgen, 64 for rr, 16384 for tcp_*)")
@@ -293,7 +293,7 @@ def _is_blame_report(report) -> bool:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.experiments.base import DURATIONS_MS
+    from repro.experiments.base import duration_of
     from repro.workloads.pktgen import MIN_PACKET_BYTES
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -315,7 +315,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"argument {flag}: not a JSON file: {path}")
         if not _is_blame_report(loaded[path]):
             parser.error(f"argument {flag}: not an obs blame report: {path}")
-    duration = DURATIONS_MS[args.fidelity] * 1_000_000
+    duration = duration_of(args.fidelity)
 
     def side(path: Optional[str], config: str) -> Tuple[Dict, str]:
         if path:

@@ -11,12 +11,12 @@ from repro.sim.tracing import Tracer
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
 
-def prometheus_name(name: str, prefix: str = "repro") -> str:
+def prometheus_name(name: str) -> str:
     """Dotted instrument name -> Prometheus metric name."""
-    return f"{prefix}_{_NAME_RE.sub('_', name)}"
+    return f"repro_{_NAME_RE.sub('_', name)}"
 
 
-def to_prometheus(registry: MetricsRegistry, prefix: str = "repro",
+def to_prometheus(registry: MetricsRegistry,
                   labels: Optional[Dict[str, str]] = None) -> str:
     """Prometheus text exposition (0.0.4) of every gauge.
 
@@ -29,7 +29,7 @@ def to_prometheus(registry: MetricsRegistry, prefix: str = "repro",
     lines = []
     for name in registry.names():
         gauge = registry.instruments[name]
-        metric = prometheus_name(name, prefix)
+        metric = prometheus_name(name)
         if gauge.help:
             lines.append(f"# HELP {metric} {gauge.help}")
         lines.append(f"# TYPE {metric} gauge")

@@ -63,13 +63,12 @@ class Machine:
     """The composed server."""
 
     def __init__(self, spec: MachineSpec, seed: int = 0,
-                 tracer: Optional[Tracer] = None,
                  env: Optional[Environment] = None):
         self.spec = spec
         # Client/server experiments share one Environment across machines.
         self.env = env if env is not None else Environment()
         self.rng = SimRandom(seed, name=spec.name)
-        self.tracer = tracer or Tracer(enabled=False)
+        self.tracer = Tracer(enabled=False)
 
         self.interconnect = Interconnect(
             self.env, spec.num_nodes,

@@ -8,10 +8,9 @@ from repro.workloads.memcached import (
     VALUE_BYTES,
     MemcachedServer,
 )
-from repro.workloads.netperf import TcpRr, TcpStream
+from repro.workloads.netperf import RequestResponse, TcpStream
 from repro.workloads.pagerank import PageRank
 from repro.workloads.pktgen import Pktgen
-from repro.workloads.sockperf import UdpPingPong
 from repro.workloads.stream_bench import (
     StreamPair,
     StreamThread,
@@ -27,11 +26,10 @@ __all__ = [
     "MemcachedServer",
     "PageRank",
     "Pktgen",
+    "RequestResponse",
     "StreamPair",
     "StreamThread",
-    "TcpRr",
     "TcpStream",
-    "UdpPingPong",
     "VALUE_BYTES",
     "Workload",
     "spawn_fio_fleet",

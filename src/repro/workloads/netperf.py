@@ -1,9 +1,11 @@
-"""netperf: TCP_STREAM (Rx and Tx) and TCP_RR (§5.1).
+"""netperf TCP_STREAM (Rx and Tx, §5.1) and the request/response
+latency benchmarks: netperf TCP_RR (§5.1.2) and sockperf UDP ping-pong
+(§5.2).
 
 ``TcpStream`` is the single-core throughput benchmark: the process and all
-OS networking activity (interrupts included) run on one core.  ``TcpRr``
-is the request/response latency benchmark with interrupt coalescing
-disabled, run across the testbed's two machines.
+OS networking activity (interrupts included) run on one core.
+``RequestResponse`` is the latency benchmark with interrupt coalescing
+disabled, run across the testbed's two machines, over TCP or UDP.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class TcpStream(Workload):
 
     def __init__(self, host, core, flow: Flow, message_bytes: int,
                  direction: str, duration_ns: int, warmup_ns: int = 0,
-                 driver=None, governor: Optional[TrainGovernor] = None):
+                 governor: Optional[TrainGovernor] = None):
         super().__init__(host, duration_ns, warmup_ns)
         if direction not in ("rx", "tx"):
             raise ValueError(f"direction must be 'rx' or 'tx', "
@@ -38,7 +40,7 @@ class TcpStream(Workload):
         self.flow = flow
         self.message_bytes = message_bytes
         self.direction = direction
-        self.driver = driver or host.driver
+        self.driver = host.driver
         self.meter = measured_meter(self)
         self.batch = max(1, BURST_BYTES // message_bytes)
         #: Sizes the packet trains; None runs one event per burst.
@@ -75,8 +77,21 @@ class TcpStream(Workload):
         return self.meter.gbps()
 
 
-class TcpRr(Workload):
-    """netperf TCP_RR across the testbed: client <-> server round trips.
+#: What differs between the two request/response programs: the
+#: client's flow, its socket buffer for a message size, and the program
+#: the threads are named after.  UDP sends take the datagram path.
+PROTOCOLS = {
+    "tcp": (Flow.make(1), lambda message: max(64 * KB, message),
+            "netperf-rr"),
+    "udp": (Flow.make(2, protocol="udp"), lambda message: 4 * KB,
+            "sockperf"),
+}
+
+
+class RequestResponse(Workload):
+    """Round trips between the testbed's client and server: netperf
+    TCP_RR (``protocol="tcp"``, §5.1.2) or sockperf UDP ping-pong
+    (``"udp"``, §5.2).
 
     The round-trip time is the sum of the four critical paths (client tx,
     server rx, server tx, client rx); the wire is charged once per
@@ -84,7 +99,10 @@ class TcpRr(Workload):
     """
 
     def __init__(self, testbed, message_bytes: int, duration_ns: int,
-                 warmup_ns: int = 0):
+                 warmup_ns: int = 0, protocol: str = "tcp"):
+        if protocol not in PROTOCOLS:
+            raise ValueError(f"protocol must be one of {tuple(PROTOCOLS)}, "
+                             f"got {protocol!r}")
         if message_bytes < 1:
             raise ValueError(f"message_bytes must be >= 1, "
                              f"got {message_bytes}")
@@ -92,38 +110,40 @@ class TcpRr(Workload):
         self.testbed = testbed
         self.message_bytes = message_bytes
         self.latencies = LatencyRecorder()
+        self.flow, buffer_for, program = PROTOCOLS[protocol]
+        self.buffer_bytes = buffer_for(message_bytes)
 
         server = testbed.server
-        flow = Flow.make(1)
 
         # The server side of the connection is owned by an idle thread
         # pinned to the server's workload core; the client thread drives
         # the whole round trip.
         def server_body(thread):
             self._server_sock = server.stack.open_socket(
-                thread, server.driver, flow.reversed(),
-                app_buffer_bytes=max(64 * KB, message_bytes))
+                thread, server.driver, self.flow.reversed(),
+                app_buffer_bytes=self.buffer_bytes)
             if False:  # a generator that never runs again
                 yield None
 
         self._server_thread = server.scheduler.spawn(
-            "netperf-rr-server", server_body, core=testbed.server_core(0))
+            f"{program}-server", server_body, core=testbed.server_core(0))
 
-        self.thread = self._spawn("netperf-rr-client", self._client_body,
+        self.thread = self._spawn(f"{program}-client", self._client_body,
                                   testbed.client_core(0))
 
     def _client_body(self, thread):
         client = self.testbed.client
         server = self.testbed.server
         sock = client.stack.open_socket(
-            thread, client.driver, Flow.make(1),
-            app_buffer_bytes=max(64 * KB, self.message_bytes))
+            thread, client.driver, self.flow,
+            app_buffer_bytes=self.buffer_bytes)
         msg = self.message_bytes
+        udp = self.flow.protocol == "udp"
         while not self.done():
-            rtt = client.stack.latency_tx(sock, msg)
+            rtt = client.stack.latency_tx(sock, msg, udp=udp)
             rtt += server.stack.latency_rx(self._server_sock, msg,
                                            charge_wire=False)
-            rtt += server.stack.latency_tx(self._server_sock, msg)
+            rtt += server.stack.latency_tx(self._server_sock, msg, udp=udp)
             rtt += client.stack.latency_rx(sock, msg, charge_wire=False)
             if self.in_measurement():
                 self.latencies.record(rtt)
@@ -131,6 +151,3 @@ class TcpRr(Workload):
 
     def average_rtt_ns(self) -> float:
         return self.latencies.average()
-
-    def p99_rtt_ns(self) -> int:
-        return self.latencies.percentile(99)

@@ -24,7 +24,7 @@ class Pktgen(Workload):
     """Single-core pktgen transmit loop."""
 
     def __init__(self, host, core, packet_bytes: int, duration_ns: int,
-                 warmup_ns: int = 0, driver=None,
+                 warmup_ns: int = 0,
                  ring_home_node: int = None,
                  governor: Optional[TrainGovernor] = None):
         super().__init__(host, duration_ns, warmup_ns)
@@ -33,7 +33,7 @@ class Pktgen(Workload):
                              f"(minimum {MIN_PACKET_BYTES})")
         self.core = core
         self.packet_bytes = packet_bytes
-        self.driver = driver or host.driver
+        self.driver = host.driver
         self.meter = measured_meter(self)
         self._ring_home_node = ring_home_node
         #: Sizes the packet trains; None runs one event per burst.

@@ -8,7 +8,7 @@ from repro.sim.errors import DeviceGoneError
 
 
 def build(*names_off, preset="ioctopus"):
-    return Testbed(system=SystemConfig(preset).without(*names_off))
+    return Testbed(SystemConfig(preset).without(*names_off))
 
 
 def test_ddio_toggle_reaches_both_memory_systems():

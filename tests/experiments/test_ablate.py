@@ -18,9 +18,12 @@ from repro.experiments.ablate import (
     run_ablation,
     target_names,
 )
+from repro.experiments.runners import run_pktgen
 from repro.experiments.sweep import configure
 
 SHORT = 1_000_000
+#: Long enough for the pktgen rates of two arrangements to part.
+PRESET_NS = 3_000_000
 
 
 @pytest.fixture(autouse=True)
@@ -50,8 +53,8 @@ def fake_point(config="ioctopus", duration_ns=0, seed=0, accuracy=None,
 def fake_target():
     target = AblationTarget(
         figure="fake", metric="metric", unit="u", higher_is_better=True,
-        fn=fake_point, base_params=(("config", "ioctopus"),),
-        result_key="metric", description="synthetic ranking fixture")
+        fn=fake_point, base_params=(), result_key="metric",
+        description="synthetic ranking fixture")
     register_target(target)
     yield target
     del ablate._TARGETS["fake"]
@@ -104,9 +107,8 @@ def test_ranking_importance_and_harmful_flag(fake_target):
 def test_lower_is_better_flips_importance(fake_target):
     flipped = AblationTarget(
         figure="fake-lat", metric="metric", unit="ns",
-        higher_is_better=False, fn=fake_point,
-        base_params=(("config", "ioctopus"),), result_key="metric",
-        description="synthetic latency fixture")
+        higher_is_better=False, fn=fake_point, base_params=(),
+        result_key="metric", description="synthetic latency fixture")
     register_target(flipped)
     try:
         report = run_ablation("fake-lat", duration_ns=SHORT)
@@ -157,6 +159,20 @@ def test_real_matrix_row_through_simulator():
     assert report["rows"][0]["components"] == ["ddio"]
     assert report["rows"][0]["importance"] > 0
     assert not report["rows"][0]["inert"]
+
+
+def test_preset_reaches_the_simulated_point():
+    """--preset sets the arrangement every row runs: a remote ablation's
+    baseline is the remote pktgen point, not the ioctopus one."""
+    remote = run_ablation("fig08", fidelity="quick", components=["ddio"],
+                          preset="remote", duration_ns=PRESET_NS)
+    ioctopus = run_ablation("fig08", fidelity="quick", components=["ddio"],
+                            preset="ioctopus", duration_ns=PRESET_NS)
+    point = run_pktgen("remote", 64, PRESET_NS,
+                       accuracy=remote["accuracy"])
+    assert remote["baseline"]["value"] == point["mpps"]
+    assert remote["baseline"]["value"] != ioctopus["baseline"]["value"]
+    assert remote["baseline"]["run_id"] != ioctopus["baseline"]["run_id"]
 
 
 def test_render_text_and_json(fake_target):

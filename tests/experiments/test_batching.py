@@ -25,20 +25,25 @@ from functools import partial
 import pytest
 
 from repro.core import Testbed
-from repro.experiments.fig12_qpi_lat import run_udp_latency
-from repro.experiments.runners import (run_latency_point, run_pktgen,
-                                       run_tcp_stream, run_until_converged,
-                                       warmup_of)
+from repro.experiments.runners import (run_pktgen, run_rr, run_tcp_stream,
+                                       run_until_converged, warmup_of)
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.nic.packet import Flow
 from repro.units import KB
 from repro.workloads.netperf import TcpStream
 from repro.workloads.pktgen import Pktgen
-from repro.workloads.sockperf import UdpPingPong
-from repro.workloads.stream_bench import spawn_stream_pairs
 from repro.workloads.train import TrainGovernor
 
 D = 10_000_000  # the "quick" fidelity duration
+
+
+def udp_latency_us(config: str, pairs: int, duration_ns: int,
+                   accuracy: str = "exact") -> float:
+    """fig12's point: 64 B sockperf beside ``pairs`` STREAM pairs, as
+    the one-way latency in us the figure prints."""
+    rtt = run_rr(config, 64, duration_ns, protocol="udp",
+                 stream_pairs=pairs, accuracy=accuracy)
+    return rtt / 2 / 1000.0
 
 
 def assert_within(exact: dict, adaptive: dict, rel: float = 0.01) -> None:
@@ -105,9 +110,9 @@ def test_adaptive_matches_exact_fig08_points(config, packet_bytes):
         "membw_gbps": 6.587948860415962,
         "cpu_cores": 1.0,
     }, id="tcp-tx-local-4096"),
-    pytest.param(partial(run_udp_latency, "remote", 4, D),
+    pytest.param(partial(udp_latency_us, "remote", 4, D),
                  5.1152374517374515, id="udp-latency-remote-4-pairs"),
-    pytest.param(partial(run_udp_latency, "ioctopus", 6, D),
+    pytest.param(partial(udp_latency_us, "ioctopus", 6, D),
                  4.4705, id="udp-latency-ioctopus-6-pairs"),
 ])
 def test_adaptive_golden(point, want):
@@ -194,16 +199,23 @@ def test_pf_failover_decoalesces_train():
     # 5.1149 us and adaptive 5.1152 us print as 5.11 and 5.12.
     ("remote", 4), ("ioctopus", 6)])
 def test_adaptive_matches_exact_fig12_points(config, pairs):
-    exact = run_udp_latency(config, pairs, D, accuracy="exact")
-    adaptive = run_udp_latency(config, pairs, D, accuracy="adaptive")
+    exact = udp_latency_us(config, pairs, D, accuracy="exact")
+    adaptive = udp_latency_us(config, pairs, D, accuracy="adaptive")
     assert adaptive == pytest.approx(exact, rel=0.005)
 
 
+class _Recorder:
+    """Stands in for an ObsSession: keeps the testbed a runner attaches."""
+
+    testbed = None
+
+    def attach(self, testbed, horizon_ns=None):
+        self.testbed = testbed
+
+
 def test_adaptive_latency_point_stops_early():
-    testbed = Testbed("remote")
-    workload = UdpPingPong(testbed, 64, D, warmup_of(D))
-    spawn_stream_pairs(testbed.server, 4, D,
-                       skip_cores=[testbed.server_core(0)])
-    run_latency_point(testbed, D, workload.latencies, "adaptive")
-    assert warmup_of(D) < testbed.env.now < D
-    assert len(workload.latencies) > 0
+    recorder = _Recorder()
+    rtt = run_rr("remote", 64, D, protocol="udp", stream_pairs=4,
+                 accuracy="adaptive", obs=recorder)
+    assert warmup_of(D) < recorder.testbed.env.now < D
+    assert rtt > 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runners import run_pktgen, run_tcp_rr, run_tcp_stream
+from repro.experiments.runners import run_pktgen, run_rr, run_tcp_stream
 from repro.units import KB
 
 D = 10_000_000  # 10 ms simulated
@@ -85,21 +85,21 @@ def test_pktgen_ioctopus_golden():
 
 
 def test_tcp_rr_golden():
-    assert run_tcp_rr("local", "local", True, 1024, D,
-                      seed=0, accuracy="exact") == 9892.324796274737
+    assert run_rr("local", 1024, D, client_config="local", ddio=True,
+                  seed=0, accuracy="exact") == 9892.324796274737
 
 
 def test_tcp_rr_no_ddio_golden():
-    assert run_tcp_rr("remote", "remote", False, 64, D,
-                      seed=2, accuracy="exact") == 9682.681093394078
+    assert run_rr("remote", 64, D, client_config="remote", ddio=False,
+                  seed=2, accuracy="exact") == 9682.681093394078
 
 
 def test_tcp_rr_remote_multi_packet_golden():
     """Pin the 12-packet remote latency path: each 16 KB message's DMA
     serialization behind the remote PF's window, the invalidation of the
     cached copy and the line fills of its completion reads."""
-    assert run_tcp_rr("remote", "remote", True, 16 * KB, D,
-                      seed=0, accuracy="exact") == 43185.700507614216
+    assert run_rr("remote", 16 * KB, D, client_config="remote", ddio=True,
+                  seed=0, accuracy="exact") == 43185.700507614216
 
 
 def test_repeat_run_is_identical():
@@ -126,8 +126,9 @@ class _Recorder:
      dict(stream_pairs=3, accuracy="exact"), 81_670, 81_670),
     (run_pktgen, ("remote", 256, D), dict(seed=0, accuracy="exact"),
      479, 479),
-    (run_tcp_rr, ("local", "local", True, 1024, D),
-     dict(seed=0, accuracy="exact"), 1_013, 1_013),
+    (run_rr, ("local", 1024, D),
+     dict(client_config="local", ddio=True, seed=0, accuracy="exact"),
+     1_013, 1_013),
     # The adaptive tier's train loop.
     (run_tcp_stream, ("ioctopus", 4096, "rx", D),
      dict(seed=0, accuracy="adaptive"), 30, 31),

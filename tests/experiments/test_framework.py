@@ -235,6 +235,11 @@ def test_cli_unknown_experiment(capsys):
     pytest.param(["obs", "diff", "--b", "BENCHMARK.json"],
                  "argument --b: not an obs blame report: BENCHMARK.json",
                  id="obs-diff--b-not-report"),
+    # The client side has no octoNIC: Testbed takes "local" or "remote".
+    pytest.param(["obs", "blame", "--workload", "rr", "--client-config",
+                  "ioctopus"],
+                 "argument --client-config: invalid choice: 'ioctopus'",
+                 id="obs-blame--client-config"),
 ])
 def test_cli_rejects_non_positive_counts(argv, error, capsys):
     with pytest.raises(SystemExit) as exit_info:

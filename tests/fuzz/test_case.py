@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.fuzz.case import (CONFIGS, DURATIONS_NS, MAX_FAULTS,
-                             SSD_FAULT_KINDS, WORKLOADS, FuzzCase,
-                             generate_case)
+from repro.components import PRESETS
+from repro.fuzz.case import (DURATIONS_NS, MAX_FAULTS, SSD_FAULT_KINDS,
+                             WORKLOADS, FuzzCase, generate_case)
 
 
 def test_generation_is_deterministic():
@@ -36,7 +36,7 @@ def test_round_trip_through_dict():
 def test_grammar_bounds_hold_over_many_cases():
     for index in range(60):
         case = generate_case(0, index)
-        assert case.config in CONFIGS
+        assert case.config in PRESETS
         assert case.workload in WORKLOADS
         assert case.duration_ns in DURATIONS_NS
         assert len(case.faults) <= MAX_FAULTS

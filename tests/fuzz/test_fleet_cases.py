@@ -3,7 +3,8 @@ execution, shrinking, campaign interleave."""
 
 import pytest
 
-from repro.fuzz.case import (CONFIGS, FLEET_CONNECTIONS, FLEET_DURATIONS_NS,
+from repro.components import PRESETS
+from repro.fuzz.case import (FLEET_CONNECTIONS, FLEET_DURATIONS_NS,
                              FLEET_SERVERS, FuzzCase, generate_case,
                              generate_fleet_case)
 from repro.fuzz.harness import fuzz
@@ -31,7 +32,7 @@ def test_fleet_grammar_bounds_hold():
         case = generate_fleet_case(0, index)
         assert case.workload == "fleet"
         assert case.faults == []
-        assert case.config in CONFIGS
+        assert case.config in PRESETS
         spec = FleetSpec.from_dict(case.params)
         assert spec.servers in FLEET_SERVERS
         assert spec.connections in FLEET_CONNECTIONS

@@ -21,7 +21,7 @@ from repro.experiments.runners import (
     warmup_of,
 )
 from repro.units import KB
-from repro.workloads.sockperf import UdpPingPong
+from repro.workloads.netperf import RequestResponse
 from repro.workloads.stream_bench import spawn_stream_pairs
 
 D = 10_000_000  # 10 ms simulated
@@ -62,12 +62,12 @@ def test_udp_latency_point_stream_golden():
     message rings a doorbell and raises an MSI-X across the loaded
     links."""
     testbed = Testbed("remote")
-    workload = UdpPingPong(testbed, 64, D, warmup_of(D))
+    workload = RequestResponse(testbed, 64, D, warmup_of(D), protocol="udp")
     pairs = spawn_stream_pairs(testbed.server, 3, D,
                                skip_cores=[testbed.server_core(0)])
     run_with_slack(testbed, D)
     machine = testbed.server.machine
-    assert workload.average_one_way_us() == 4.8719919816723944
+    assert workload.average_rtt_ns() / 2 / 1000.0 == 4.8719919816723944
     assert _links(machine) == [
         (0, 1, 9999893, 6683383, 187420065,
          (0.6639983579638752, 9991080, 168226)),

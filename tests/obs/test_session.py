@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.experiments.runners import run_pktgen, run_tcp_rr
+from repro.experiments.runners import run_pktgen, run_rr
 from repro.obs import ObsSession
 
 #: PR 2 exact-mode pktgen golden (tests/experiments/test_batching.py);
@@ -33,11 +33,10 @@ def test_exact_golden_unchanged_with_obs_disabled():
 
 
 def test_rr_golden_unchanged_with_obs():
-    baseline = run_tcp_rr("remote", "local", True, 1024, 5_000_000,
-                          seed=0, accuracy="exact")
+    baseline = run_rr("remote", 1024, 5_000_000, seed=0, accuracy="exact")
     obs = ObsSession(enabled=True, trace=True)
-    traced = run_tcp_rr("remote", "local", True, 1024, 5_000_000,
-                        seed=0, accuracy="exact", obs=obs)
+    traced = run_rr("remote", 1024, 5_000_000, seed=0, accuracy="exact",
+                    obs=obs)
     assert traced == baseline
 
 
@@ -52,8 +51,7 @@ RR_PERFETTO_SHA256 = (
 
 def test_exports_pinned_on_blame_smoke_point():
     obs = ObsSession(enabled=True, trace=True)
-    run_tcp_rr("remote", "local", True, 1024, 10_000_000, seed=0,
-               accuracy="exact", obs=obs)
+    run_rr("remote", 1024, 10_000_000, seed=0, accuracy="exact", obs=obs)
     prometheus = obs.prometheus().encode()
     perfetto = obs.perfetto_json().encode()
     assert hashlib.sha256(prometheus).hexdigest() == RR_PROMETHEUS_SHA256
@@ -85,8 +83,7 @@ def test_sampler_fills_series():
 
 def test_flow_crosses_four_components():
     obs = ObsSession(enabled=True, trace=True)
-    run_tcp_rr("remote", "local", True, 1024, 2_000_000,
-               seed=0, accuracy="exact", obs=obs)
+    run_rr("remote", 1024, 2_000_000, seed=0, accuracy="exact", obs=obs)
     doc = json.loads(obs.perfetto_json())
     events = doc["traceEvents"]
     tid_name = {e["tid"]: e["args"]["name"] for e in events

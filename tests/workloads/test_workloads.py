@@ -8,9 +8,8 @@ from repro.workloads import (
     MemcachedServer,
     PageRank,
     Pktgen,
-    TcpRr,
+    RequestResponse,
     TcpStream,
-    UdpPingPong,
     spawn_stream_pairs,
 )
 from repro.workloads.stream_bench import CHUNK, StreamThread
@@ -30,11 +29,14 @@ def test_tcp_stream_validates_args():
     with pytest.raises(ValueError):
         TcpStream(testbed.server, testbed.server_core(0), Flow.make(0),
                   1448, "rx", duration_ns=100, warmup_ns=200)
-    # The latency workloads check their message size the same way.
-    for latency_workload in (TcpRr, UdpPingPong):
+    # The request/response workload checks its message size the same
+    # way, over either protocol, and names the protocols it knows.
+    for protocol in ("tcp", "udp"):
         for size in (0, -5):
             with pytest.raises(ValueError, match=f"got {size}"):
-                latency_workload(testbed, size, DUR, WARM)
+                RequestResponse(testbed, size, DUR, WARM, protocol)
+    with pytest.raises(ValueError, match="'sctp'"):
+        RequestResponse(testbed, 64, DUR, WARM, protocol="sctp")
 
 
 def test_tcp_stream_rx_measures_throughput():
@@ -73,18 +75,19 @@ def test_pktgen_validates_packet_size():
 
 def test_tcp_rr_records_latencies():
     testbed = Testbed("local")
-    workload = TcpRr(testbed, 64, DUR, WARM)
+    workload = RequestResponse(testbed, 64, DUR, WARM)
     testbed.run(DUR + 2_000_000)
     assert len(workload.latencies) > 50
     assert workload.average_rtt_ns() > 1000
-    assert workload.p99_rtt_ns() >= workload.average_rtt_ns() * 0.9
+    assert (workload.latencies.percentile(99)
+            >= workload.average_rtt_ns() * 0.9)
 
 
 def test_udp_pingpong_latency():
     testbed = Testbed("local")
-    workload = UdpPingPong(testbed, 64, DUR, WARM)
+    workload = RequestResponse(testbed, 64, DUR, WARM, protocol="udp")
     testbed.run(DUR + 2_000_000)
-    assert 1 < workload.average_one_way_us() < 50
+    assert 1 < workload.average_rtt_ns() / 2 / 1000 < 50
 
 
 def test_stream_thread_moves_bytes_across_interconnect():

@@ -97,6 +97,9 @@ def _paths(tmp: Path):
         ("ablate fig08 (warm cache)",
          command("ablate", "--figure", "fig08", "--fidelity", "quick",
                  "--cache-dir", cache)),
+        ("ablate fig08 --preset remote",
+         command("ablate", "--figure", "fig08", "--fidelity", "quick",
+                 "--preset", "remote", "--components", "ddio", "--json")),
         ("fuzz 25 cases", command("fuzz", "--seed", "0", "--cases", "25")),
         ("fuzz --replay-corpus tests/corpus",
          command("fuzz", "--replay-corpus",
